@@ -4,12 +4,22 @@ closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
 in the previous round.
 
-backchain() answers whether one ground triple is entailed, searching
-backward from the goal through rule heads. Body atoms are solved
-left-to-right; a non-ground atom is matched against the stored triples
-first and then against rule-derivable candidates drawn from the finite
-term universe of the graph and rules. Since safe rules introduce no new
-terms, that enumeration is complete. An ancestor set cuts cyclic goals.
+backchain() answers whether one ground triple is entailed by looking it
+up in the closure, which is computed once per (graph, rules) pair.
+
+reduce() is the redundancy eliminator: walk the graph in canonical order
+and drop every triple the remaining triples still entail. Auxiliary
+triples (typically schema) support the proofs but are never candidates
+and never part of the result.
+
+Each of those decisions is a backward proof over the shrinking working
+store, grounded in the materialization M = closure(graph | aux). The
+rules are monotone and the working store is always a subset of
+graph | aux, so every triple provable from it already lies in M: a goal
+outside M fails at once, and the candidate groundings of a body atom are
+the triples of M that match it, not every combination of terms. Body
+atoms are solved left-to-right, first against the stored triples and
+then against the derivable ones in M. An ancestor set cuts cyclic goals.
 
 Failure caching is the delicate part. A goal that failed only because a
 branch was cut on some ancestor might still be provable in another
@@ -27,11 +37,6 @@ reduce() pass: the tested graph only ever shrinks, except for the one
 triple under test, and any failure that depended on that triple's absence
 was cut on it (the candidate is the root of its own proof, hence always
 on the path) and therefore never cached permanently.
-
-reduce() is the redundancy eliminator: walk the graph in canonical order
-and drop every triple the remaining triples still entail. Auxiliary
-triples (typically schema) support the proofs but are never candidates
-and never part of the result.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import sys
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .graph import EMPTY_GRAPH, Diff, Graph
@@ -239,48 +243,46 @@ def _head_index(rules: RuleSet) -> dict:
     return dict(index)
 
 
-def _rule_terms(rules: RuleSet) -> frozenset[GroundTerm]:
-    terms: set[GroundTerm] = set()
-    for rule in rules:
-        for atom in tuple(rule.body) + tuple(rule.head):
-            for term in atom.terms():
-                if not isinstance(term, Variable):
-                    terms.add(term)
-    return frozenset(terms)
-
-
-class _Pools:
-    """Per-position candidate terms for grounding free variables."""
-
-    __slots__ = ("subjects", "predicates", "objects")
-
-    def __init__(self, terms: Iterable[GroundTerm]):
-        collected = set(terms)
-        self.subjects = frozenset(t for t in collected if isinstance(t, (IRI, BlankNode)))
-        self.predicates = frozenset(t for t in collected if isinstance(t, IRI))
-        self.objects = frozenset(collected)
-
-
-def _store_terms(store: IndexedStore) -> set[GroundTerm]:
-    terms: set[GroundTerm] = set()
-    for t in store:
-        terms.add(t.subject)
-        terms.add(t.predicate)
-        terms.add(t.object)
-    return terms
-
-
 class _Prover:
-    def __init__(self, store: IndexedStore, heads: dict, pools: _Pools,
-                 failed: set[Triple] | None = None):
-        self._store = store
-        self._heads = heads
-        self._pools = pools
+    """One minimization pass over a working store that only shrinks.
+
+    closed must contain the closure of the initial working store; since
+    the store only shrinks, every proof stays grounded in it.
+    """
+
+    def __init__(self, working: Graph, rules: RuleSet, closed: Graph):
+        self._store = IndexedStore(working.triples)
+        self._heads = _head_index(rules)
+        self._closed = IndexedStore(closed.triples)
         self._proved: set[Triple] = set()
-        self._failed: set[Triple] = failed if failed is not None else set()
+        self._failed: set[Triple] = set()
         self._run_memo: dict[Triple, frozenset[Triple]] = {}
 
+    def drop_entailed(self, candidates: Iterable[Triple], kept: set[Triple],
+                      aux: Graph) -> bool:
+        """Drop from kept each candidate the rest of the store entails.
+
+        Candidates not in kept are skipped, and those in aux are dropped
+        without a proof. Returns whether any tested candidate was kept.
+        """
+        any_kept = False
+        for t in candidates:
+            if t not in kept:
+                continue
+            if t in aux:
+                kept.discard(t)
+                continue
+            self._store.remove(t)
+            if self.prove(t):
+                kept.discard(t)
+            else:
+                self._store.add(t)
+                any_kept = True
+        return any_kept
+
     def prove(self, goal: Triple) -> bool:
+        # Proved goals hold only for the store as it is during this call.
+        self._proved = set()
         while True:
             self._run_memo = {}
             proved_before = len(self._proved)
@@ -301,6 +303,8 @@ class _Prover:
     def _prove(self, goal: Triple, path: set[Triple]) -> tuple[bool, frozenset[Triple]]:
         if goal in self._store:
             return True, _EMPTY_CUTS
+        if goal not in self._closed:
+            return False, _EMPTY_CUTS
         if goal in self._proved:
             return True, _EMPTY_CUTS
         if goal in self._failed:
@@ -351,35 +355,16 @@ class _Prover:
         return False, frozenset(cuts) if cuts else _EMPTY_CUTS
 
     def _solve_derived(self, atom, atoms, i, binding, path) -> tuple[bool, frozenset[Triple]]:
-        s = _subst(atom.subject, binding)
-        p = _subst(atom.predicate, binding)
-        o = _subst(atom.object, binding)
-        if isinstance(s, Literal) or isinstance(p, (Literal, BlankNode)):
-            return False, _EMPTY_CUTS
-        free: list[str] = []
-        pools: list[frozenset] = []
-        for term, pool in ((s, self._pools.subjects), (p, self._pools.predicates),
-                           (o, self._pools.objects)):
-            if isinstance(term, Variable) and term.name not in free:
-                free.append(term.name)
-                pools.append(pool)
-            elif isinstance(term, Variable):
-                idx = free.index(term.name)
-                pools[idx] = pools[idx] & pool
         cuts: set[Triple] = set()
-        for combo in product(*pools):
-            grounding = dict(zip(free, combo))
-            gs = grounding.get(s.name, s) if isinstance(s, Variable) else s
-            gp = grounding.get(p.name, p) if isinstance(p, Variable) else p
-            go = grounding.get(o.name, o) if isinstance(o, Variable) else o
-            goal = Triple(gs, gp, go)
+        for extended in _match_atom(self._closed, atom, binding):
+            goal = Triple(_subst(atom.subject, extended), _subst(atom.predicate, extended),
+                          _subst(atom.object, extended))
             if goal in self._store:
                 continue  # stored matches were already tried
             ok, c = self._prove(goal, path)
             if not ok:
                 cuts |= c
                 continue
-            extended = {**binding, **grounding} if grounding else binding
             ok2, c2 = self._solve(atoms, i + 1, extended, path)
             if ok2:
                 return True, _EMPTY_CUTS
@@ -387,79 +372,43 @@ class _Prover:
         return False, frozenset(cuts) if cuts else _EMPTY_CUTS
 
 
-_store_cache: "weakref.WeakKeyDictionary[Graph, tuple[IndexedStore, frozenset]]" = (
+_closure_cache: "weakref.WeakKeyDictionary[Graph, weakref.WeakKeyDictionary]" = (
     weakref.WeakKeyDictionary()
 )
-_ruleset_cache: "weakref.WeakKeyDictionary[RuleSet, tuple[dict, frozenset]]" = (
-    weakref.WeakKeyDictionary()
-)
-_prover_cache: "weakref.WeakKeyDictionary[Graph, weakref.WeakKeyDictionary]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _cached_store(graph: Graph) -> tuple[IndexedStore, frozenset]:
-    entry = _store_cache.get(graph)
-    if entry is None:
-        store = IndexedStore(graph.triples)
-        entry = (store, frozenset(_store_terms(store)))
-        _store_cache[graph] = entry
-    return entry
-
-
-def _cached_rules(rules: RuleSet) -> tuple[dict, frozenset]:
-    entry = _ruleset_cache.get(rules)
-    if entry is None:
-        entry = (_head_index(rules), _rule_terms(rules))
-        _ruleset_cache[rules] = entry
-    return entry
 
 
 def backchain(graph: Graph, rules: RuleSet, goal: Triple) -> bool:
     """True iff the goal is in the closure of the graph under the rules.
 
-    The search is goal-directed; it never materializes the closure. The
-    prover (with its memo of proved and absolutely-failed goals) is kept
-    per (graph, rules) pair: both are immutable, so answers stay valid
-    across calls and repeated queries on one graph are cheap.
+    The closure is materialized on the first query and kept per (graph,
+    rules) pair: both are immutable, so later queries on the same pair are
+    set lookups. The cache holds both keys weakly.
     """
-    provers = _prover_cache.get(graph)
-    if provers is None:
-        provers = weakref.WeakKeyDictionary()
-        _prover_cache[graph] = provers
-    prover = provers.get(rules)
-    if prover is None:
-        store, store_terms = _cached_store(graph)
-        heads, rule_terms = _cached_rules(rules)
-        prover = _Prover(store, heads, _Pools(store_terms | rule_terms))
-        provers[rules] = prover
-    return prover.prove(goal)
+    by_rules = _closure_cache.setdefault(graph, weakref.WeakKeyDictionary())
+    closed = by_rules.get(rules)
+    if closed is None:
+        closed = closure(graph, rules).graph
+        by_rules[rules] = closed
+    return goal in closed
 
 
-def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:
+def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
+           closed: Graph | None = None) -> Graph:
     """Drop every triple that the remaining triples still entail.
 
     Candidates are visited in canonical order, so the result is
-    deterministic. aux triples back the proofs but are never candidates;
-    the result is always a subset of the input graph, and its closure
-    (taken together with aux) equals the input's.
+    deterministic. Each is dropped iff the other triples still kept, with
+    aux, entail it; the proofs are grounded in closed, the closure of
+    graph | aux, which is computed here unless the caller already has it.
+    aux triples back the proofs but are never candidates; the result is
+    always a subset of the input graph, and its closure (taken together
+    with aux) equals the input's.
     """
-    heads, rule_terms = _cached_rules(rules)
-    working = IndexedStore(graph.triples | aux.triples)
-    # A fixed superset pool stays complete as candidates are removed.
-    pools = _Pools(_store_terms(working) | rule_terms)
+    working = graph | aux
+    if closed is None:
+        closed = closure(working, rules).graph
     kept = set(graph.triples)
-    failed: set[Triple] = set()
-    for t in graph:
-        if t in aux.triples:
-            kept.discard(t)
-            continue
-        working.remove(t)
-        prover = _Prover(working, heads, pools, failed=failed)
-        if prover.prove(t):
-            kept.discard(t)
-        else:
-            working.add(t)
+    _Prover(working, rules, closed).drop_entailed(graph, kept, aux)
     return Graph(kept)
 
 
@@ -482,33 +431,15 @@ def incremental_reduce(prev_min: Graph, diff: Diff, rules: RuleSet,
     reduced from scratch and the fallback is flagged.
     """
     intermediate = prev_min - diff.deletions
-    heads, rule_terms = _cached_rules(rules)
     joined = intermediate | diff.insertions
-    working = IndexedStore(joined.triples | aux.triples)
-    pools = _Pools(_store_terms(working) | rule_terms)
+    # Every drop is entailed by what stays, so the candidate's closure is
+    # the closure of joined | aux, the materialization the proofs use.
+    closed = closure(joined | aux, rules).graph
     kept = set(joined.triples)
-    failed: set[Triple] = set()
-
-    def test(candidates: Iterable[Triple]) -> bool:
-        any_kept = False
-        for t in candidates:
-            if t not in kept:
-                continue
-            if t in aux.triples:
-                kept.discard(t)
-                continue
-            working.remove(t)
-            prover = _Prover(working, heads, pools, failed=failed)
-            if prover.prove(t):
-                kept.discard(t)
-            else:
-                working.add(t)
-                any_kept = True
-        return any_kept
-
-    if test(diff.insertions):
-        test(intermediate)
-    candidate = Graph(kept)
-    if closure(candidate | aux, rules).graph == closure(full | aux, rules).graph:
-        return IncrementalResult(candidate, False)
-    return IncrementalResult(reduce(full, rules, aux), True)
+    prover = _Prover(joined | aux, rules, closed)
+    if prover.drop_entailed(diff.insertions, kept, aux):
+        prover.drop_entailed(intermediate, kept, aux)
+    full_closed = closure(full | aux, rules).graph
+    if closed == full_closed:
+        return IncrementalResult(Graph(kept), False)
+    return IncrementalResult(reduce(full, rules, aux, closed=full_closed), True)

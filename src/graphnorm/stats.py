@@ -100,8 +100,10 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
     """All statistics in one pass over one closure and one minimization."""
     if not graph:
         raise EmptyGraphError("statistics are undefined for an empty graph")
-    closed = counted_closure(graph, rules, aux)
-    minimal = reduce(graph, rules, aux)
+    # One materialization serves both the counted closure and reduce.
+    materialized = closure(graph | aux, rules).graph
+    closed = materialized - (aux - graph)
+    minimal = reduce(graph, rules, aux, closed=materialized)
     plus = minus = None
     if namespaces is not None:
         if not minimal:

@@ -102,17 +102,21 @@ EXT_NS = "http://other.test/d/"
 PRED_NS = "http://inst.test/p/"
 CLASS_NS = "http://inst.test/c/"
 
-_SCHEMA_KINDS = ("domain", "range", "inverse", "symmetric", "transitive", "subclass")
+SCHEMA_KINDS = ("domain", "range", "inverse", "symmetric", "transitive", "subclass")
 
 
-def random_instance(rng: random.Random, *, max_triples: int = 12, max_nodes: int = 6,
-                    max_rules: int = 4, external: bool = False, literals: bool = False):
+def random_instance(rng: random.Random, *, min_triples: int = 1, max_triples: int = 12,
+                    min_nodes: int = 2, max_nodes: int = 6, max_rules: int = 4,
+                    kinds: tuple[str, ...] = SCHEMA_KINDS, external: bool = False,
+                    literals: bool = False):
     """A random (graph, compiled ruleset) pair over a small constant universe.
 
+    The graph holds at least min_triples distinct triples, so min_nodes
+    must leave room for them. Schema triples are drawn from kinds.
     Returns (graph, rules, universe) where universe is the candidate term
     vocabulary: (subjects, predicates, objects).
     """
-    nodes = [IRI(DATA_NS + f"n{i}") for i in range(rng.randint(2, max_nodes))]
+    nodes = [IRI(DATA_NS + f"n{i}") for i in range(rng.randint(min_nodes, max_nodes))]
     preds = [IRI(PRED_NS + f"p{i}") for i in range(rng.randint(1, 2))]
     classes = [IRI(CLASS_NS + f"C{i}") for i in range(1, 3)]
     objects: list = list(nodes)
@@ -122,17 +126,19 @@ def random_instance(rng: random.Random, *, max_triples: int = 12, max_nodes: int
         objects.append(Literal("twelve"))
         objects.append(Literal("12", datatype="http://www.w3.org/2001/XMLSchema#integer"))
 
-    triples = set()
-    for _ in range(rng.randint(1, max_triples)):
+    def draw() -> Triple:
         if rng.random() < 0.3:
-            triples.add(Triple(rng.choice(nodes), RDF_TYPE, rng.choice(classes)))
-        else:
-            triples.add(Triple(rng.choice(nodes), rng.choice(preds), rng.choice(objects)))
+            return Triple(rng.choice(nodes), RDF_TYPE, rng.choice(classes))
+        return Triple(rng.choice(nodes), rng.choice(preds), rng.choice(objects))
+
+    triples = {draw() for _ in range(rng.randint(min_triples, max_triples))}
+    while len(triples) < min_triples:
+        triples.add(draw())
     graph = Graph(triples)
 
     schema = set()
     for _ in range(rng.randint(0, max_rules)):
-        kind = rng.choice(_SCHEMA_KINDS)
+        kind = rng.choice(kinds)
         if kind == "domain":
             schema.add(Triple(rng.choice(preds), RDFS_DOMAIN, rng.choice(classes)))
         elif kind == "range":

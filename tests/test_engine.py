@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphnorm import (
@@ -19,7 +20,7 @@ from graphnorm import (
 from graphnorm.rules import EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_SUBCLASSOF
 from graphnorm.terms import RDF_TYPE
 
-from support import all_candidates, naive_closure, random_instance
+from support import SCHEMA_KINDS, all_candidates, naive_closure, random_instance
 
 EX = "http://example.org/"
 
@@ -224,6 +225,62 @@ def test_reduce_preserves_closure_and_shrinks(seed):
     for triple in minimal:
         rest = minimal.discard(triple)
         assert triple not in naive_closure(rest, rules)
+
+
+# The naive oracle joins every pair of facts for a transitive rule, which
+# at these sizes takes minutes per instance; the 200-triple transitive
+# test below checks minimality with a reachability oracle instead.
+_NON_TRANSITIVE = tuple(kind for kind in SCHEMA_KINDS if kind != "transitive")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduce_is_minimal_on_graphs_of_100_to_300_triples(seed):
+    rng = random.Random(seed)
+    graph, rules, universe = random_instance(
+        rng, min_triples=100, max_triples=300, min_nodes=30, max_nodes=40,
+        kinds=_NON_TRANSITIVE)
+    aux = Graph(rng.sample(all_candidates(universe), len(graph) // 10))
+    minimal = reduce(graph, rules, aux)
+    assert minimal.triples <= graph.triples - aux.triples
+    assert naive_closure(minimal | aux, rules) == naive_closure(graph | aux, rules)
+    for triple in minimal:
+        rest = minimal.discard(triple) | aux
+        assert triple not in naive_closure(rest, rules), triple.ntriples()
+
+
+def _reachable(edges: set, start, goal) -> bool:
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for a, b in edges:
+            if a == node and b not in seen:
+                if b == goal:
+                    return True
+                seen.add(b)
+                frontier.append(b)
+    return False
+
+
+def test_transitive_reduce_on_200_triples_over_60_nodes():
+    rng = random.Random(3)
+    triples = set()
+    while len(triples) < 200:
+        a, b = rng.sample(range(60), 2)
+        triples.add(t(f"n{a}", rng.choice("pqr"), f"n{b}"))
+    graph = Graph(triples)
+    rules = trans("p")
+    minimal = reduce(graph, rules)
+    closed = naive_closure(graph, rules)
+    assert closure(graph, rules).graph.triples == closed
+    assert naive_closure(minimal, rules) == closed
+    # Only p has a rule, so every q and r triple stays, and a p triple is
+    # redundant exactly when the other kept p triples still join its ends.
+    p = IRI(EX + "p")
+    assert {x for x in graph if x.predicate != p} <= minimal.triples
+    edges = {(x.subject, x.object) for x in minimal if x.predicate == p}
+    assert len(edges) < sum(1 for x in graph if x.predicate == p)
+    for a, b in edges:
+        assert not _reachable(edges - {(a, b)}, a, b)
 
 
 class TestIncrementalReduce:
