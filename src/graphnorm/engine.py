@@ -1,8 +1,23 @@
 """Forward chaining, goal-directed proving, and graph minimization.
 
+The engine works on interned triples. Each materialization encodes every
+ground term it meets as a dense int, once, and holds triples as (s, p, o)
+int tuples in one store, _Store, which builds an index for a combination
+of bound positions on the first lookup that needs it and keeps it from
+then on. Rules are compiled against the same dictionary: constants become
+term ids and variables negative ints. Terms are decoded back into Triple
+values only where closure() returns its Graph; input triples keep their
+own Triple objects. Ids are handed out in set-iteration order, which
+varies with the hash seed, so nothing observable may depend on them:
+Graph iteration sorts by the decoded terms.
+
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
-in the previous round.
+in the previous round. A triple of that delta is sent only to the body
+atoms that can match it: atoms are dispatched on their constant
+predicate, or on their constant predicate and object when both are
+given, and only atoms with a variable predicate see every triple. The
+rest of the body is joined against the store.
 
 backchain() answers whether one ground triple is entailed by looking it
 up in the closure, which is computed once per (graph, rules) pair.
@@ -13,13 +28,16 @@ triples (typically schema) support the proofs but are never candidates
 and never part of the result.
 
 Each of those decisions is a backward proof over the shrinking working
-store, grounded in the materialization M = closure(graph | aux). The
+store, grounded in the materialization M = closure(graph | aux), whose
+store and dictionary the prover shares rather than indexing M again. The
 rules are monotone and the working store is always a subset of
 graph | aux, so every triple provable from it already lies in M: a goal
 outside M fails at once, and the candidate groundings of a body atom are
-the triples of M that match it, not every combination of terms. Body
-atoms are solved left-to-right, first against the stored triples and
-then against the derivable ones in M. An ancestor set cuts cyclic goals.
+the triples of M that match it, not every combination of terms. A goal
+is tried only against the rule heads that can produce it, dispatched the
+same way as the forward body atoms. Body atoms are solved left-to-right,
+first against the stored triples and then against the derivable ones in
+M. An ancestor set cuts cyclic goals.
 
 Failure caching is the delicate part. A goal that failed only because a
 branch was cut on some ancestor might still be provable in another
@@ -43,138 +61,214 @@ from __future__ import annotations
 
 import sys
 import weakref
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .graph import EMPTY_GRAPH, Diff, Graph
-from .rules import Rule, RuleSet, TriplePattern
-from .terms import IRI, BlankNode, GroundTerm, Literal, Term, Triple, Variable
+from .rules import RuleSet, TriplePattern
+from .terms import IRI, BlankNode, GroundTerm, Triple, Variable
 
 # Proof depth is bounded by the number of distinct ground goals, which can
 # exceed the default interpreter recursion limit on chain-heavy graphs.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
-_Binding = dict[str, GroundTerm]
-_EMPTY_CUTS: frozenset[Triple] = frozenset()
+# An interned triple (s, p, o) of term ids. In a compiled atom the same
+# positions hold term ids for constants and negative ints for variables.
+_Ids = tuple[int, int, int]
+_Binding = dict[int, int]
+_NO_BINDING: _Binding = {}  # never mutated: _unify copies before it writes
+_EMPTY_CUTS: frozenset[_Ids] = frozenset()
+
+_IRI, _BLANK, _LITERAL = 0, 1, 2
 
 
-class IndexedStore:
-    """Mutable triple set with lookup by any bound subset of positions."""
+class _Terms:
+    """Dictionary encoding of ground terms as dense ints."""
 
-    __slots__ = ("_all", "_s", "_p", "_o", "_sp", "_po", "_so")
+    __slots__ = ("ids", "terms", "kinds")
 
-    def __init__(self, triples: Iterable[Triple] = ()):
-        self._all: set[Triple] = set()
-        self._s: dict = defaultdict(set)
-        self._p: dict = defaultdict(set)
-        self._o: dict = defaultdict(set)
-        self._sp: dict = defaultdict(set)
-        self._po: dict = defaultdict(set)
-        self._so: dict = defaultdict(set)
-        for t in triples:
-            self.add(t)
+    def __init__(self) -> None:
+        self.ids: dict[GroundTerm, int] = {}
+        self.terms: list[GroundTerm] = []
+        self.kinds = bytearray()
 
-    def add(self, t: Triple) -> None:
-        if t in self._all:
-            return
-        self._all.add(t)
-        self._s[t.subject].add(t)
-        self._p[t.predicate].add(t)
-        self._o[t.object].add(t)
-        self._sp[(t.subject, t.predicate)].add(t)
-        self._po[(t.predicate, t.object)].add(t)
-        self._so[(t.subject, t.object)].add(t)
+    def intern(self, term: GroundTerm) -> int:
+        i = self.ids.get(term)
+        if i is None:
+            i = self.ids[term] = len(self.terms)
+            self.terms.append(term)
+            self.kinds.append(_IRI if isinstance(term, IRI)
+                              else _BLANK if isinstance(term, BlankNode) else _LITERAL)
+        return i
 
-    def remove(self, t: Triple) -> None:
-        if t not in self._all:
-            return
-        self._all.remove(t)
-        self._s[t.subject].discard(t)
-        self._p[t.predicate].discard(t)
-        self._o[t.object].discard(t)
-        self._sp[(t.subject, t.predicate)].discard(t)
-        self._po[(t.predicate, t.object)].discard(t)
-        self._so[(t.subject, t.object)].discard(t)
+    def encode(self, t: Triple) -> _Ids:
+        return (self.intern(t.subject), self.intern(t.predicate), self.intern(t.object))
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._all
+    def decode(self, t: _Ids) -> Triple:
+        terms = self.terms
+        return Triple(terms[t[0]], terms[t[1]], terms[t[2]])
 
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._all)
-
-    def match(self, s, p, o) -> Iterable[Triple]:
-        # Callers must not mutate the store while consuming a match.
-        if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            return (t,) if t in self._all else ()
-        if s is not None and p is not None:
-            return self._sp.get((s, p), ())
-        if p is not None and o is not None:
-            return self._po.get((p, o), ())
-        if s is not None and o is not None:
-            return self._so.get((s, o), ())
-        if s is not None:
-            return self._s.get(s, ())
-        if p is not None:
-            return self._p.get(p, ())
-        if o is not None:
-            return self._o.get(o, ())
-        return self._all
+    def compile(self, atom: TriplePattern, variables: dict[str, int]) -> _Ids:
+        """Term ids for constants; variable number k becomes -1 - k."""
+        return tuple(-1 - variables.setdefault(x.name, len(variables))
+                     if isinstance(x, Variable) else self.intern(x)
+                     for x in atom.terms())
 
 
-def _subst(term: Term, binding: _Binding):
-    if isinstance(term, Variable):
-        return binding.get(term.name, term)
-    return term
+_S, _P, _O = itemgetter(0), itemgetter(1), itemgetter(2)
+_SP, _PO, _SO = itemgetter(0, 1), itemgetter(1, 2), itemgetter(0, 2)
 
 
-def _query_part(term):
-    return None if isinstance(term, Variable) else term
+class _Store:
+    """A mutable set of interned triples with lookup by bound positions.
+
+    The index for a combination of bound positions is built on the first
+    lookup that needs it and maintained by every later add and remove, so
+    a store keeps only the indexes its joins use. Callers must not mutate
+    the store while consuming a match.
+    """
+
+    __slots__ = ("triples", "_indexes")
+
+    def __init__(self, triples: Iterable[_Ids]):
+        self.triples: set[_Ids] = set(triples)
+        self._indexes: dict[itemgetter, dict] = {}
+
+    def add(self, t: _Ids) -> None:
+        self.triples.add(t)
+        for key, index in self._indexes.items():
+            index.setdefault(key(t), set()).add(t)
+
+    def remove(self, t: _Ids) -> None:
+        self.triples.discard(t)
+        for key, index in self._indexes.items():
+            index[key(t)].discard(t)
+
+    def _index(self, key: itemgetter) -> dict:
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = {}
+            for t in self.triples:
+                index.setdefault(key(t), set()).add(t)
+        return index
+
+    def match(self, s: int | None, p: int | None, o: int | None) -> Iterable[_Ids]:
+        if s is None:
+            if p is None:
+                if o is None:
+                    return self.triples
+                return self._index(_O).get(o, ())
+            if o is None:
+                return self._index(_P).get(p, ())
+            return self._index(_PO).get((p, o), ())
+        if p is None:
+            if o is None:
+                return self._index(_S).get(s, ())
+            return self._index(_SO).get((s, o), ())
+        if o is None:
+            return self._index(_SP).get((s, p), ())
+        t = (s, p, o)
+        return (t,) if t in self.triples else ()
 
 
-def _match_atom(store: IndexedStore, atom: TriplePattern, binding: _Binding) -> Iterator[_Binding]:
-    s = _subst(atom.subject, binding)
-    p = _subst(atom.predicate, binding)
-    o = _subst(atom.object, binding)
-    if isinstance(s, Literal) or isinstance(p, (Literal, BlankNode)):
-        return
-    pattern = (s, p, o)
-    for t in store.match(_query_part(s), _query_part(p), _query_part(o)):
-        found = (t.subject, t.predicate, t.object)
-        extended = binding
-        ok = True
-        for want, got in zip(pattern, found):
-            if isinstance(want, Variable):
-                bound = extended.get(want.name)
-                if bound is None:
-                    if extended is binding:
-                        extended = dict(binding)
-                    extended[want.name] = got
-                elif bound != got:
-                    ok = False
-                    break
-            elif want != got:
-                ok = False
-                break
-        if ok:
-            yield extended
+def _unify(atom: _Ids, t: _Ids, binding: _Binding) -> _Binding | None:
+    """The binding extended so that atom matches t, or None."""
+    extended = binding
+    for want, got in zip(atom, t):
+        if want >= 0:
+            if want != got:
+                return None
+        else:
+            bound = extended.get(want)
+            if bound is None:
+                if extended is binding:
+                    extended = dict(binding)
+                extended[want] = got
+            elif bound != got:
+                return None
+    return extended
 
 
-def _instantiate_head(atom: TriplePattern, binding: _Binding) -> Triple | None:
-    s = _subst(atom.subject, binding)
-    p = _subst(atom.predicate, binding)
-    o = _subst(atom.object, binding)
-    # Safe rules ground every head variable; an instantiation can still be
-    # positionally invalid (literal subject, non-IRI predicate) and is skipped.
-    if not isinstance(s, (IRI, BlankNode)) or not isinstance(p, IRI):
+def _match(store: _Store, atom: _Ids, binding: _Binding) -> Iterator[tuple[_Ids, _Binding]]:
+    """Each triple of the store that atom matches under binding, with the
+    binding extended by the match."""
+    s, p, o = (x if x >= 0 else binding.get(x) for x in atom)
+    for t in store.match(s, p, o):
+        extended = _unify(atom, t, binding)
+        if extended is not None:
+            yield t, extended
+
+
+def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
+    """Where an atom is filed for dispatch: its constant (predicate, object),
+    else its constant predicate, else None for atoms that see every triple."""
+    _, p, o = atom
+    if p < 0:
         return None
-    if not isinstance(o, (IRI, BlankNode, Literal)):
-        return None
-    return Triple(s, p, o)
+    return (p, o) if o >= 0 else p
+
+
+def _dispatched(index: dict, t: _Ids) -> list:
+    """The entries filed under the keys a triple can match."""
+    return index.get(t[1], []) + index.get(_PO(t), []) + index.get(None, [])
+
+
+class _Materialization:
+    """A graph and rules interned in one dictionary: the compiled rules,
+    the encoded input triples, and the store, which holds the whole
+    closure once saturate() has run."""
+
+    __slots__ = ("terms", "rules", "base", "store")
+
+    def __init__(self, graph: Graph, rules: RuleSet):
+        self.terms = terms = _Terms()
+        self.rules: list[tuple[tuple[_Ids, ...], tuple[_Ids, ...]]] = []
+        for rule in rules:
+            variables: dict[str, int] = {}
+            body = tuple(terms.compile(atom, variables) for atom in rule.body)
+            head = tuple(terms.compile(atom, variables) for atom in rule.head)
+            self.rules.append((body, head))
+        self.base = [terms.encode(t) for t in graph.triples]
+        self.store = _Store(self.base)
+
+    def saturate(self) -> tuple[list[_Ids], int]:
+        """Run the rules to fixpoint; returns the derived triples and rounds."""
+        store, kinds = self.store, self.terms.kinds
+        by_atom: dict = {}
+        for body, head in self.rules:
+            for i, atom in enumerate(body):
+                rest = body[:i] + body[i + 1:]
+                by_atom.setdefault(_dispatch_key(atom), []).append((atom, rest, head))
+        derived: list[_Ids] = []
+        rounds = 0
+        delta: Iterable[_Ids] = self.base
+        while True:
+            produced: set[_Ids] = set()
+            for t in delta:
+                for atom, rest, head in _dispatched(by_atom, t):
+                    seed = _unify(atom, t, _NO_BINDING)
+                    if seed is None:
+                        continue
+                    bindings = [seed]
+                    for other in rest:
+                        bindings = [b2 for b in bindings for _, b2 in _match(store, other, b)]
+                    for b in bindings:
+                        for h in head:
+                            s, p, o = (x if x >= 0 else b[x] for x in h)
+                            # Safe rules ground every head variable; an
+                            # instantiation can still be positionally invalid
+                            # (literal subject, non-IRI predicate) and is skipped.
+                            if kinds[s] != _LITERAL and kinds[p] == _IRI:
+                                produced.add((s, p, o))
+            new = produced - store.triples
+            if not new:
+                return derived, rounds
+            rounds += 1
+            derived.extend(new)
+            for t in new:
+                store.add(t)
+            delta = new
 
 
 @dataclass(frozen=True)
@@ -182,81 +276,36 @@ class ClosureResult:
     graph: Graph
     derived_count: int
     rounds: int
+    # The interned closure, for the prover: reduce(..., closed=result).
+    _materialization: _Materialization = field(compare=False, repr=False)
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
-    rule_list = tuple(rules)
-    store = IndexedStore(graph.triples)
-    delta: IndexedStore = store
-    rounds = 0
-    derived = 0
-    while len(delta):
-        produced: set[Triple] = set()
-        for rule in rule_list:
-            body = rule.body
-            for i in range(len(body)):
-                for seed in _match_atom(delta, body[i], {}):
-                    bindings = [seed]
-                    for j, other in enumerate(body):
-                        if j == i or not bindings:
-                            continue
-                        bindings = [
-                            b2 for b in bindings for b2 in _match_atom(store, other, b)
-                        ]
-                    for b in bindings:
-                        for head_atom in rule.head:
-                            t = _instantiate_head(head_atom, b)
-                            if t is not None:
-                                produced.add(t)
-        new = {t for t in produced if t not in store}
-        if not new:
-            break
-        rounds += 1
-        derived += len(new)
-        for t in new:
-            store.add(t)
-        delta = IndexedStore(new)
-    return ClosureResult(Graph(store), derived, rounds)
-
-
-def _match_head(atom: TriplePattern, goal: Triple) -> _Binding | None:
-    binding: _Binding = {}
-    for want, got in zip(atom.terms(), (goal.subject, goal.predicate, goal.object)):
-        if isinstance(want, Variable):
-            bound = binding.get(want.name)
-            if bound is None:
-                binding[want.name] = got
-            elif bound != got:
-                return None
-        elif want != got:
-            return None
-    return binding
-
-
-def _head_index(rules: RuleSet) -> dict:
-    index: dict = defaultdict(list)
-    for rule in rules:
-        for atom in rule.head:
-            key = atom.predicate if isinstance(atom.predicate, IRI) else None
-            index[key].append((atom, rule.body))
-    return dict(index)
+    m = _Materialization(graph, rules)
+    derived, rounds = m.saturate()
+    closed = Graph(graph.triples.union(map(m.terms.decode, derived)))
+    return ClosureResult(closed, len(derived), rounds, m)
 
 
 class _Prover:
     """One minimization pass over a working store that only shrinks.
 
-    closed must contain the closure of the initial working store; since
-    the store only shrinks, every proof stays grounded in it.
+    The working store starts as the input of the materialization, whose
+    closure therefore contains every triple the store can ever prove.
     """
 
-    def __init__(self, working: Graph, rules: RuleSet, closed: Graph):
-        self._store = IndexedStore(working.triples)
-        self._heads = _head_index(rules)
-        self._closed = IndexedStore(closed.triples)
-        self._proved: set[Triple] = set()
-        self._failed: set[Triple] = set()
-        self._run_memo: dict[Triple, frozenset[Triple]] = {}
+    def __init__(self, m: _Materialization):
+        self._terms = m.terms
+        self._store = _Store(m.base)
+        self._closed = m.store
+        self._heads: dict = {}
+        for body, head in m.rules:
+            for atom in head:
+                self._heads.setdefault(_dispatch_key(atom), []).append((atom, body))
+        self._proved: set[_Ids] = set()
+        self._failed: set[_Ids] = set()
+        self._run_memo: dict[_Ids, frozenset[_Ids]] = {}
 
     def drop_entailed(self, candidates: Iterable[Triple], kept: set[Triple],
                       aux: Graph) -> bool:
@@ -272,15 +321,16 @@ class _Prover:
             if t in aux:
                 kept.discard(t)
                 continue
-            self._store.remove(t)
-            if self.prove(t):
+            goal = self._terms.encode(t)
+            self._store.remove(goal)
+            if self.prove(goal):
                 kept.discard(t)
             else:
-                self._store.add(t)
+                self._store.add(goal)
                 any_kept = True
         return any_kept
 
-    def prove(self, goal: Triple) -> bool:
+    def prove(self, goal: _Ids) -> bool:
         # Proved goals hold only for the store as it is during this call.
         self._proved = set()
         while True:
@@ -296,14 +346,10 @@ class _Prover:
                 # cut-dependent failures cannot resolve any further.
                 return False
 
-    def _candidates(self, goal: Triple):
-        yield from self._heads.get(goal.predicate, ())
-        yield from self._heads.get(None, ())
-
-    def _prove(self, goal: Triple, path: set[Triple]) -> tuple[bool, frozenset[Triple]]:
-        if goal in self._store:
+    def _prove(self, goal: _Ids, path: set[_Ids]) -> tuple[bool, frozenset[_Ids]]:
+        if goal in self._store.triples:
             return True, _EMPTY_CUTS
-        if goal not in self._closed:
+        if goal not in self._closed.triples:
             return False, _EMPTY_CUTS
         if goal in self._proved:
             return True, _EMPTY_CUTS
@@ -315,9 +361,9 @@ class _Prover:
         if goal in path:
             return False, frozenset((goal,))
         path.add(goal)
-        cuts: set[Triple] = set()
-        for atom, body in self._candidates(goal):
-            binding = _match_head(atom, goal)
+        cuts: set[_Ids] = set()
+        for atom, body in _dispatched(self._heads, goal):
+            binding = _unify(atom, goal, _NO_BINDING)
             if binding is None:
                 continue
             ok, c = self._solve(body, 0, binding, path)
@@ -337,13 +383,13 @@ class _Prover:
         self._run_memo[goal] = frozen
         return False, frozen
 
-    def _solve(self, atoms: tuple[TriplePattern, ...], i: int, binding: _Binding,
-               path: set[Triple]) -> tuple[bool, frozenset[Triple]]:
+    def _solve(self, atoms: tuple[_Ids, ...], i: int, binding: _Binding,
+               path: set[_Ids]) -> tuple[bool, frozenset[_Ids]]:
         if i == len(atoms):
             return True, _EMPTY_CUTS
         atom = atoms[i]
-        cuts: set[Triple] = set()
-        for extended in _match_atom(self._store, atom, binding):
+        cuts: set[_Ids] = set()
+        for _, extended in _match(self._store, atom, binding):
             ok, c = self._solve(atoms, i + 1, extended, path)
             if ok:
                 return True, _EMPTY_CUTS
@@ -354,12 +400,10 @@ class _Prover:
         cuts |= c
         return False, frozenset(cuts) if cuts else _EMPTY_CUTS
 
-    def _solve_derived(self, atom, atoms, i, binding, path) -> tuple[bool, frozenset[Triple]]:
-        cuts: set[Triple] = set()
-        for extended in _match_atom(self._closed, atom, binding):
-            goal = Triple(_subst(atom.subject, extended), _subst(atom.predicate, extended),
-                          _subst(atom.object, extended))
-            if goal in self._store:
+    def _solve_derived(self, atom, atoms, i, binding, path) -> tuple[bool, frozenset[_Ids]]:
+        cuts: set[_Ids] = set()
+        for goal, extended in _match(self._closed, atom, binding):
+            if goal in self._store.triples:
                 continue  # stored matches were already tried
             ok, c = self._prove(goal, path)
             if not ok:
@@ -393,22 +437,21 @@ def backchain(graph: Graph, rules: RuleSet, goal: Triple) -> bool:
 
 
 def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
-           closed: Graph | None = None) -> Graph:
+           closed: ClosureResult | None = None) -> Graph:
     """Drop every triple that the remaining triples still entail.
 
     Candidates are visited in canonical order, so the result is
     deterministic. Each is dropped iff the other triples still kept, with
-    aux, entail it; the proofs are grounded in closed, the closure of
-    graph | aux, which is computed here unless the caller already has it.
-    aux triples back the proofs but are never candidates; the result is
-    always a subset of the input graph, and its closure (taken together
-    with aux) equals the input's.
+    aux, entail it; the proofs are grounded in closed, which must be
+    closure(graph | aux, rules) and is computed here unless the caller
+    already has it. aux triples back the proofs but are never candidates;
+    the result is always a subset of the input graph, and its closure
+    (taken together with aux) equals the input's.
     """
-    working = graph | aux
     if closed is None:
-        closed = closure(working, rules).graph
+        closed = closure(graph | aux, rules)
     kept = set(graph.triples)
-    _Prover(working, rules, closed).drop_entailed(graph, kept, aux)
+    _Prover(closed._materialization).drop_entailed(graph, kept, aux)
     return Graph(kept)
 
 
@@ -434,12 +477,12 @@ def incremental_reduce(prev_min: Graph, diff: Diff, rules: RuleSet,
     joined = intermediate | diff.insertions
     # Every drop is entailed by what stays, so the candidate's closure is
     # the closure of joined | aux, the materialization the proofs use.
-    closed = closure(joined | aux, rules).graph
+    closed = closure(joined | aux, rules)
     kept = set(joined.triples)
-    prover = _Prover(joined | aux, rules, closed)
+    prover = _Prover(closed._materialization)
     if prover.drop_entailed(diff.insertions, kept, aux):
         prover.drop_entailed(intermediate, kept, aux)
-    full_closed = closure(full | aux, rules).graph
-    if closed == full_closed:
+    full_closed = closure(full | aux, rules)
+    if closed.graph == full_closed.graph:
         return IncrementalResult(Graph(kept), False)
     return IncrementalResult(reduce(full, rules, aux, closed=full_closed), True)

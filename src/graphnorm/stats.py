@@ -101,8 +101,8 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
     if not graph:
         raise EmptyGraphError("statistics are undefined for an empty graph")
     # One materialization serves both the counted closure and reduce.
-    materialized = closure(graph | aux, rules).graph
-    closed = materialized - (aux - graph)
+    materialized = closure(graph | aux, rules)
+    closed = materialized.graph - (aux - graph)
     minimal = reduce(graph, rules, aux, closed=materialized)
     plus = minus = None
     if namespaces is not None:

@@ -21,6 +21,7 @@ from graphnorm.cli import main
 from support import FIXTURES, cli_env
 
 LINKS = "http://example.org/links/"
+CHAIN = "http://example.org/chain/"
 
 
 def run(argv, capsys):
@@ -255,13 +256,31 @@ class TestExitCodes:
         assert "unsupported: RIF" in err
 
 
+def write_chain_graph(workdir):
+    """chain.ttl and chain-schema.ttl: 220 triples over a 100-class
+    subClassOf chain and five 20-node paths of a transitive property, with
+    redundant types and path shortcuts for minimize to drop."""
+    rdfs = "http://www.w3.org/2000/01/rdf-schema#"
+    schema = [f"<{CHAIN}C{i}> <{rdfs}subClassOf> <{CHAIN}C{i + 1}> ." for i in range(99)]
+    schema.append(f"<{CHAIN}next> a <http://www.w3.org/2002/07/owl#TransitiveProperty> .")
+    data = [f"<{CHAIN}x{j}> a <{CHAIN}C0> ." for j in range(60)]
+    data += [f"<{CHAIN}x{j}> a <{CHAIN}C{7 * j % 99 + 1}> ." for j in range(40)]
+    for path in range(5):
+        data += [f"<{CHAIN}n{path}_{i}> <{CHAIN}next> <{CHAIN}n{path}_{i + 1}> ."
+                 for i in range(19)]
+        data += [f"<{CHAIN}n{path}_{i}> <{CHAIN}next> <{CHAIN}n{path}_{i + 3}> ."
+                 for i in range(0, 17, 4)]
+    (workdir / "chain-schema.ttl").write_text("\n".join(schema) + "\n", encoding="utf-8")
+    (workdir / "chain.ttl").write_text("\n".join(data) + "\n", encoding="utf-8")
+
+
 class TestByteIdentity:
     ARGS = ["describe", "--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl",
             "--namespace", "http://example.org/cat/"]
 
-    def _invoke(self, cwd, hash_seed):
+    def _invoke(self, cwd, hash_seed, args=ARGS):
         return subprocess.run(
-            [sys.executable, "-m", "graphnorm", *self.ARGS],
+            [sys.executable, "-m", "graphnorm", *args],
             cwd=cwd, capture_output=True,
             env=cli_env(hash_seed),
         )
@@ -273,6 +292,19 @@ class TestByteIdentity:
         assert second.returncode == 0
         assert first.stdout == second.stdout
         assert b"void:Dataset" in first.stdout
+
+    @pytest.mark.parametrize("command, lines", [("closure", 6950), ("minimize", 155)])
+    def test_chain_graph_output_is_stable_across_hash_seeds(self, workdir, command, lines):
+        # Term ids follow set iteration order, which the hash seed changes;
+        # only decoding and the canonical sort keep the output fixed.
+        write_chain_graph(workdir)
+        args = [command, "--data", "chain.ttl", "--dlogic", "chain-schema.ttl"]
+        first = self._invoke(workdir, "1", args)
+        second = self._invoke(workdir, "987", args)
+        assert first.returncode == 0, first.stderr
+        assert second.returncode == 0
+        assert first.stdout == second.stdout
+        assert len(first.stdout.splitlines()) == lines
 
 
 class TestRuleFileHandling:

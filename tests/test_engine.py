@@ -8,6 +8,7 @@ from graphnorm import (
     EMPTY_GRAPH,
     Graph,
     IRI,
+    Literal,
     Triple,
     backchain,
     closure,
@@ -17,7 +18,9 @@ from graphnorm import (
     parse_turtle,
     reduce,
 )
-from graphnorm.rules import EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_SUBCLASSOF
+from graphnorm.rules import (
+    EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
+)
 from graphnorm.terms import RDF_TYPE
 
 from support import SCHEMA_KINDS, all_candidates, naive_closure, random_instance
@@ -96,6 +99,54 @@ def test_closure_matches_naive_oracle(seed):
     rng = random.Random(seed)
     graph, rules, _ = random_instance(rng, literals=True)
     assert closure(graph, rules).graph.triples == naive_closure(graph, rules)
+
+
+def chain(k: int):
+    """Classes C0 .. C(k-1) and the rules of C0 subClassOf C1 ... C(k-1)."""
+    classes = [IRI(EX + f"C{i}") for i in range(k)]
+    schema = Graph(Triple(a, RDFS_SUBCLASSOF, b) for a, b in zip(classes, classes[1:]))
+    return classes, compile_schema(schema)
+
+
+@pytest.mark.parametrize("k", [1, 2, 60])
+def test_chain_closure_takes_one_round_per_link(k):
+    classes, rules = chain(k)
+    g = Graph(Triple(IRI(EX + f"x{j}"), RDF_TYPE, classes[0]) for j in range(3))
+    result = closure(g, rules)
+    assert result.rounds == k - 1
+    assert result.derived_count == 3 * (k - 1)
+
+
+def test_every_dispatch_path_matches_naive_oracle():
+    # The chain's atoms are filed under (rdf:type, class), the symmetric
+    # rule's under its predicate, and the domain and mirror rules' first
+    # atoms see every triple; derivations pass from one kind to the next,
+    # and the mirror of the literal-object triple is an invalid head,
+    # skipped. Backward, the mirror rule's head has a variable predicate,
+    # so only the catch-all head bucket can prove (e r d) redundant.
+    classes, rules = chain(60)
+    rules = rules | parse_rules(
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "{ ?s ?p ?o . ?p rdfs:domain ?c . } => { ?s a ?c . } .\n"
+        f"{{ ?s ?p ?o . ?p <{EX}mirror> ?r . }} => {{ ?o ?r ?s . }} .\n"
+        f"{{ ?x <{EX}q> ?y . }} => {{ ?y <{EX}q> ?x . }} .\n"
+    )
+    graph = Graph([
+        Triple(IRI(EX + "a"), RDF_TYPE, classes[0]),
+        Triple(IRI(EX + "q"), RDFS_DOMAIN, classes[30]),
+        t("a", "q", "b"),
+        t("p", "mirror", "r"),
+        t("d", "p", "e"),
+        t("e", "r", "d"),
+        Triple(IRI(EX + "c"), IRI(EX + "q"), Literal("twelve")),
+    ])
+    closed = naive_closure(graph, rules)
+    assert closure(graph, rules).graph.triples == closed
+    assert Triple(IRI(EX + "b"), RDF_TYPE, classes[59]) in closed
+    assert Triple(IRI(EX + "c"), RDF_TYPE, classes[59]) in closed
+    minimal = reduce(graph, rules)
+    assert minimal == graph.discard(t("e", "r", "d"))
+    assert naive_closure(minimal, rules) == closed
 
 
 class TestBackchain:
