@@ -42,7 +42,9 @@ class Graph:
 
     def __iter__(self) -> Iterator[Triple]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._triples, key=Triple.sort_key))
+            # One rendering per triple; same order as Triple.sort_key
+            # (see graphnorm.terms).
+            self._sorted = tuple(sorted(self._triples, key=Triple.ntriples))
         return iter(self._sorted)
 
     def __eq__(self, other: object) -> bool:

@@ -8,7 +8,7 @@ so errors can point at the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -34,8 +34,7 @@ KW_A = "a"
 EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -46,8 +45,15 @@ _PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)")
 _LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+_BLANK_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+# The body of an IRI reference: it ends at the first character that is not
+# allowed in it, and that character ('>', a newline, or a forbidden one)
+# decides between the token and an error.
+_IRI_BODY_RE = re.compile(r'[^>\n<" {}|^`\\]*')
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
+_SINGLE = {";": SEMI, ",": COMMA, "{": LBRACE, "}": RBRACE, "[": LBRACKET, "]": RBRACKET}
 
 
 def tokenize(text: str, source: str | None = None) -> list[Token]:
@@ -83,16 +89,14 @@ def tokenize(text: str, source: str | None = None) -> list[Token]:
                 emit(IFF, "<=>", start)
                 i += 3
                 continue
-            i += 1
-            while i < n and text[i] not in ">\n":
-                if text[i] in '<" {}|^`\\':
-                    raise err(f"forbidden character {text[i]!r} in IRI reference", i)
+            i = _IRI_BODY_RE.match(text, i + 1).end()
+            if i < n and text[i] == ">":
+                emit(IRIREF, text[start + 1 : i], start)
                 i += 1
-            if i >= n or text[i] != ">":
+                continue
+            if i >= n or text[i] == "\n":
                 raise err("unterminated IRI reference", start)
-            emit(IRIREF, text[start + 1 : i], start)
-            i += 1
-            continue
+            raise err(f"forbidden character {text[i]!r} in IRI reference", i)
         if c == "=":
             if text.startswith("=>", i):
                 emit(IMPLIES, "=>", start)
@@ -119,9 +123,12 @@ def tokenize(text: str, source: str | None = None) -> list[Token]:
                     elif esc in "uU":
                         width = 4 if esc == "u" else 8
                         hexpart = text[i + 2 : i + 2 + width]
-                        if len(hexpart) != width or not re.fullmatch(r"[0-9A-Fa-f]+", hexpart):
+                        if len(hexpart) != width or not _HEX_RE.fullmatch(hexpart):
                             raise err(f"invalid \\{esc} escape", i)
-                        parts.append(chr(int(hexpart, 16)))
+                        code = int(hexpart, 16)
+                        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                            raise err(f"\\{esc}{hexpart} is not a Unicode scalar value", i)
+                        parts.append(chr(code))
                         i += 2 + width
                     else:
                         raise err(f"unknown escape sequence \\{esc}", i)
@@ -151,36 +158,27 @@ def tokenize(text: str, source: str | None = None) -> list[Token]:
             i = m.end()
             continue
         if c == "_" and text.startswith("_:", i):
-            m = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*").match(text, i + 2)
+            m = _BLANK_RE.match(text, i + 2)
             if not m:
                 raise err("expected a blank node label after '_:'", start)
             emit(BLANK, m.group(0), start)
             i = m.end()
             continue
-        if c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
+        if c in "+-.0123456789":
+            # "4." is the integer 4 followed by a statement dot; a sign
+            # that starts no number falls through to "unexpected character"
             m = _NUMBER_RE.match(text, i)
-            assert m is not None
-            value = m.group(0)
-            # "4." is the integer 4 followed by a statement dot
-            if "." in value and value.endswith("."):
-                value = value[:-1]
-            kind = DECIMAL if "." in value else INTEGER
-            emit(kind, value, start)
-            i = start + len(value)
-            continue
-        if c == "." and not (i + 1 < n and text[i + 1].isdigit()):
-            emit(DOT, ".", start)
-            i += 1
-            continue
-        if c == ".":
-            m = _NUMBER_RE.match(text, i)
-            assert m is not None
-            emit(DECIMAL, m.group(0), start)
-            i = m.end()
-            continue
-        single = {";": SEMI, ",": COMMA, "{": LBRACE, "}": RBRACE, "[": LBRACKET, "]": RBRACKET}
-        if c in single:
-            emit(single[c], c, start)
+            if m:
+                value = m.group(0)
+                emit(DECIMAL if "." in value else INTEGER, value, start)
+                i = m.end()
+                continue
+            if c == ".":
+                emit(DOT, ".", start)
+                i += 1
+                continue
+        if c in _SINGLE:
+            emit(_SINGLE[c], c, start)
             i += 1
             continue
         m = _PNAME_RE.match(text, i)

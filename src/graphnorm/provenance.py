@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
-from urllib.request import url2pathname
 
 from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
 from .graph import EMPTY_GRAPH, Graph
@@ -157,6 +156,10 @@ class FileResolver:
     def resolve_path(self, locator: str) -> str:
         split = urlsplit(locator)
         if split.scheme == "file":
+            # urllib.request pulls in http.client, ssl and email: import it
+            # only here, so that importing the package stays cheap.
+            from urllib.request import url2pathname
+
             return url2pathname(split.path)
         if split.scheme and len(split.scheme) > 1:
             raise ResolverError(f"only local file locators are supported: {locator!r}")

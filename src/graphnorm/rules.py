@@ -41,7 +41,6 @@ from .lex import (
     RBRACE,
     STRING,
     VAR,
-    tokenize,
 )
 from .terms import (
     IRI,
@@ -54,7 +53,7 @@ from .terms import (
     Term,
     Variable,
 )
-from .turtle import _TokenCursor, _TurtleParser
+from .turtle import _TurtleParser
 
 logger = logging.getLogger(__name__)
 
@@ -195,10 +194,6 @@ EMPTY_RULESET = RuleSet()
 
 class _RuleParser(_TurtleParser):
     """Reuses the Turtle term machinery for the pattern terms."""
-
-    def __init__(self, text: str, source: str | None):
-        self.cur = _TokenCursor(tokenize(text, source), source)
-        self.prefixes: dict[str, str] = {}
 
     def parse_rules(self) -> RuleSet:
         rules: list[Rule] = []

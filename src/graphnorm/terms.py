@@ -9,6 +9,16 @@ Every ground term has a single N-Triples rendering, and triples order
 byte-lexicographically by the rendered (subject, predicate, object). That
 ordering is the canonical order used for serialization and for the
 deterministic candidate order during graph minimization.
+
+Triple.sort_key states that order; sorting the rendered lines
+(Triple.ntriples) gives the same order with one rendering per triple.
+Strings compare by code point, which is UTF-8 byte order for every
+character that has a UTF-8 form, so IRIs and literals reject lone
+surrogates. The two orders could differ only where one term's rendering
+is a proper prefix of another's: in the line the shorter term is followed
+by a space (0x20), while every character that can continue a term sorts
+above it ('@', '^', '-', label characters), and no rendered IRI continues
+past its closing '>', which cannot occur inside an IRI.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BAD_IRI_CHARS = set(' <>"{}|^`\\') | {chr(c) for c in range(0x21)}
+# Controls, space, the characters N-Triples forbids in an IRI, and lone
+# surrogates (no UTF-8 form; see the module docstring).
+_BAD_IRI_CHAR = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 _BLANK_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 _LANG_TAG = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 
@@ -39,7 +52,7 @@ class IRI:
     def __post_init__(self) -> None:
         if not is_absolute_iri(self.value):
             raise ValueError(f"IRI is not absolute: {self.value!r}")
-        if any(c in _BAD_IRI_CHARS for c in self.value):
+        if _BAD_IRI_CHAR.search(self.value):
             raise ValueError(f"IRI contains a forbidden character: {self.value!r}")
 
     def ntriples(self) -> str:
@@ -75,6 +88,8 @@ class Literal:
     language: str | None = None
 
     def __post_init__(self) -> None:
+        if _SURROGATE.search(self.lexical):
+            raise ValueError(f"literal contains a lone surrogate: {self.lexical!r}")
         if self.datatype is not None and self.language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
         if self.datatype is not None and not is_absolute_iri(self.datatype):

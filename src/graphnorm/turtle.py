@@ -84,6 +84,8 @@ class _TurtleParser:
     def __init__(self, text: str, source: str | None):
         self.cur = _TokenCursor(tokenize(text, source), source)
         self.prefixes: dict[str, str] = {}
+        # One IRI per distinct string, so each is validated once per parse.
+        self._iris: dict[str, IRI] = {RDF_TYPE.value: RDF_TYPE}
 
     def parse(self) -> Graph:
         triples: set[Triple] = set()
@@ -132,24 +134,23 @@ class _TurtleParser:
                 return
             raise self.cur.error(f"expected ';' or '.', got {tok.value!r}", tok)
 
-    def _resolve_pname(self, tok: Token) -> IRI:
-        prefix, _, local = tok.value.partition(":")
-        if prefix not in self.prefixes:
-            raise self.cur.error(f"undeclared prefix '{prefix}:'", tok)
-        try:
-            return IRI(self.prefixes[prefix] + local)
-        except ValueError as exc:
-            raise self.cur.error(str(exc), tok) from None
-
     def _iri_token(self, tok: Token) -> IRI:
         if tok.kind == IRIREF:
-            if not is_absolute_iri(tok.value):
-                raise self.cur.error(f"relative IRI not allowed: <{tok.value}>", tok)
+            value = tok.value
+        else:
+            prefix, _, local = tok.value.partition(":")
+            if prefix not in self.prefixes:
+                raise self.cur.error(f"undeclared prefix '{prefix}:'", tok)
+            value = self.prefixes[prefix] + local
+        iri = self._iris.get(value)
+        if iri is None:
+            if tok.kind == IRIREF and not is_absolute_iri(value):
+                raise self.cur.error(f"relative IRI not allowed: <{value}>", tok)
             try:
-                return IRI(tok.value)
+                iri = self._iris[value] = IRI(value)
             except ValueError as exc:
                 raise self.cur.error(str(exc), tok) from None
-        return self._resolve_pname(tok)
+        return iri
 
     def _term(self, position: str):
         tok = self.cur.next()
@@ -181,19 +182,20 @@ class _TurtleParser:
         if tok.kind == DECIMAL:
             return Literal(tok.value, datatype=XSD_DECIMAL)
         nxt = self.cur.peek()
+        datatype = language = None
         if nxt.kind == AT:
             self.cur.next()
-            try:
-                return Literal(tok.value, language=nxt.value)
-            except ValueError as exc:
-                raise self.cur.error(str(exc), nxt) from None
-        if nxt.kind == DTMARK:
+            language = nxt.value
+        elif nxt.kind == DTMARK:
             self.cur.next()
             dt = self.cur.next()
             if dt.kind not in (IRIREF, PNAME):
                 raise self.cur.error("expected a datatype IRI after '^^'", dt)
-            return Literal(tok.value, datatype=self._iri_token(dt).value)
-        return Literal(tok.value)
+            datatype = self._iri_token(dt).value
+        try:
+            return Literal(tok.value, datatype=datatype, language=language)
+        except ValueError as exc:
+            raise self.cur.error(str(exc), tok) from None
 
 
 def parse_turtle(text: str, source: str | None = None) -> Graph:
@@ -206,5 +208,9 @@ def parse_turtle(text: str, source: str | None = None) -> Graph:
 
 
 def serialize_turtle(graph: Graph) -> str:
-    """Render a graph one sorted N-Triples line at a time."""
-    return "".join(t.ntriples() + "\n" for t in graph)
+    """Render a graph one sorted N-Triples line at a time.
+
+    Each triple is rendered once; sorting the lines gives the canonical
+    order (see ``graphnorm.terms``).
+    """
+    return "".join(sorted([t.ntriples() + "\n" for t in graph.triples]))

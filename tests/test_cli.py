@@ -256,6 +256,49 @@ class TestExitCodes:
         assert "unsupported: RIF" in err
 
 
+class TestMalformedInput:
+    """Malformed input ends in one `graphnorm:` line on stderr with its
+    documented exit code, never in a traceback, and leaves no output file."""
+
+    def _closure(self, workdir, data: bytes):
+        (workdir / "bad.ttl").write_bytes(f"<{LINKS}s> <{LINKS}p> ".encode() + data + b" .\n")
+        return subprocess.run(
+            [sys.executable, "-m", "graphnorm", "closure", "--data", "bad.ttl",
+             "--output", "out.ttl"],
+            cwd=workdir, capture_output=True, text=True, env=cli_env("0"),
+        )
+
+    @pytest.mark.parametrize("obj, message", [
+        ("+.x", "bad.ttl:1:59: unexpected character '+'"),
+        ("-.", "bad.ttl:1:59: unexpected character '-'"),
+        ("\u00b2", "bad.ttl:1:59: unexpected character '\u00b2'"),
+        ('"\\uD800"', "bad.ttl:1:60: \\uD800 is not a Unicode scalar value"),
+        ('"\\U00110000"', "bad.ttl:1:60: \\U00110000 is not a Unicode scalar value"),
+    ])
+    def test_parse_error_exits_2(self, workdir, obj, message):
+        result = self._closure(workdir, obj.encode())
+        assert result.returncode == 2
+        assert result.stderr == f"graphnorm: {message}\n"
+        assert not (workdir / "out.ttl").exists()
+
+    def test_undecodable_surrogate_exits_1(self, workdir):
+        # UTF-8 bytes of U+D800 are not valid UTF-8: the file fails to decode.
+        result = self._closure(workdir, b'"\xed\xa0\x80"')
+        assert result.returncode == 1
+        assert result.stderr.startswith("graphnorm: 'utf-8' codec can't decode")
+        assert "Traceback" not in result.stderr
+        assert not (workdir / "out.ttl").exists()
+
+
+def test_importing_the_cli_leaves_out_the_network_stack():
+    probe = ("import sys, graphnorm.cli; "
+             "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=cli_env("0"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def write_chain_graph(workdir):
     """chain.ttl and chain-schema.ttl: 220 triples over a 100-class
     subClassOf chain and five 20-node paths of a transitive property, with

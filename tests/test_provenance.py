@@ -185,6 +185,10 @@ class TestFileResolver:
         target.write_text("data", encoding="utf-8")
         assert FileResolver(str(tmp_path))(f"file://{target}") == "data"
 
+    def test_file_iri_with_percent_escape(self, tmp_path):
+        (tmp_path / "with space.ttl").write_text("data", encoding="utf-8")
+        assert FileResolver("/nowhere")(f"file://{tmp_path}/with%20space.ttl") == "data"
+
     def test_remote_scheme_rejected(self):
         with pytest.raises(ResolverError):
             FileResolver(".")("http://remote.example/data.ttl")

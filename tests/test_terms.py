@@ -14,7 +14,8 @@ class TestIRI:
         with pytest.raises(ValueError):
             IRI(bad)
 
-    @pytest.mark.parametrize("bad", ["http://e.org/a b", "http://e.org/<x>", "http://e.org/a\nb"])
+    @pytest.mark.parametrize(
+        "bad", ["http://e.org/a b", "http://e.org/<x>", "http://e.org/a\nb", "http://e.org/\ud800"])
     def test_rejects_forbidden_characters(self, bad):
         with pytest.raises(ValueError):
             IRI(bad)
@@ -56,6 +57,11 @@ class TestLiteral:
     def test_bad_language_tag(self):
         with pytest.raises(ValueError):
             Literal("x", language="e n")
+
+    def test_rejects_lone_surrogate(self):
+        # no UTF-8 form, so it could not be written or ordered bytewise
+        with pytest.raises(ValueError):
+            Literal("a\udfffb")
 
     def test_escaping(self):
         assert Literal('say "hi"\n').ntriples() == '"say \\"hi\\"\\n"'

@@ -140,6 +140,43 @@ class TestErrors:
         assert exc.value.column == 3
 
 
+S_P = "<http://e.org/s> <http://e.org/p> "
+
+# Each rejected input with its exact message, line and column.
+POSITIONED_ERRORS = [
+    # inside <...>: the first character not allowed decides
+    ("<http://e.org/a{b> <http://e.org/p> <http://e.org/o> .",
+     "forbidden character '{' in IRI reference", 1, 16),
+    ('<http://e.org/s> <http://e.org/a"b> <http://e.org/o> .',
+     "forbidden character '\"' in IRI reference", 1, 33),
+    (S_P + "<http://e.org/a b> .", "forbidden character ' ' in IRI reference", 1, 50),
+    ("\n  <http://e.org/a|b> <http://e.org/p> <http://e.org/o> .",
+     "forbidden character '|' in IRI reference", 2, 18),
+    (S_P + "<http://e.org/a\\u0041> .", "forbidden character '\\\\' in IRI reference", 1, 50),
+    (S_P + "<http://e.org/a\nb> .", "unterminated IRI reference", 1, 35),
+    (S_P + "<http://e.org/o", "unterminated IRI reference", 1, 35),
+    (S_P + "<", "unterminated IRI reference", 1, 35),
+    ("<=> <http://e.org/p> <http://e.org/o> .", "expected a subject term, got '<=>'", 1, 1),
+    (S_P + "<http://e.org/a\tb> .",
+     "IRI contains a forbidden character: 'http://e.org/a\\tb'", 1, 35),
+    # signs and digits that start no number
+    (S_P + "+.x .", "unexpected character '+'", 1, 35),
+    (S_P + "-. .", "unexpected character '-'", 1, 35),
+    (S_P + "\u00b2 .", "unexpected character '\u00b2'", 1, 35),
+    (S_P + "<http://e.org/o> .\u00b2", "unexpected character '\u00b2'", 1, 53),
+    # escapes that name no Unicode scalar value
+    (S_P + '"\\uD800" .', "\\uD800 is not a Unicode scalar value", 1, 36),
+    (S_P + '"\\U00110000" .', "\\U00110000 is not a Unicode scalar value", 1, 36),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", POSITIONED_ERRORS)
+def test_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, col)
+
+
 class TestSerialization:
     def test_canonical_lines(self):
         g = parse_turtle(
@@ -195,3 +232,28 @@ def test_serialize_parse_round_trip_any_graph(triples):
 @given(st.lists(ground_triples(), max_size=20))
 def test_serialization_is_deterministic(triples):
     assert serialize_turtle(Graph(triples)) == serialize_turtle(Graph(reversed(triples)))
+
+
+@st.composite
+def prefix_prone_triples(draw):
+    """Triples whose terms often render as proper prefixes of each other:
+    shared IRI prefixes, blank labels a/ab, a literal beside its @en,
+    @en-US and ^^xsd:integer forms, and control characters, non-ASCII and
+    astral characters inside literals and IRIs."""
+    iri = st.builds(lambda s: IRI("http://t.org/" + s),
+                    st.text(alphabet="ab/-\u00e9\uffff\U0001F600", max_size=3))
+    blank = st.sampled_from(["a", "ab", "a-b", "b"]).map(BlankNode)
+    literal = st.builds(
+        lambda lexical, suffix: Literal(lexical, **suffix),
+        st.text(alphabet='a\x00\x01\x1f "\\\n\u00e9\uffff\U0001F600', max_size=3),
+        st.sampled_from([{}, {"language": "en"}, {"language": "en-US"}, {"datatype": XSD_INTEGER}]),
+    )
+    return Triple(draw(st.one_of(iri, blank)), draw(iri), draw(st.one_of(iri, blank, literal)))
+
+
+@given(st.lists(prefix_prone_triples(), max_size=30))
+def test_canonical_order_is_sort_key_order(triples):
+    expected = sorted(set(triples), key=Triple.sort_key)
+    graph = Graph(triples)
+    assert list(graph) == expected
+    assert serialize_turtle(graph) == "".join(t.ntriples() + "\n" for t in expected)
