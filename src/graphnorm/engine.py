@@ -61,13 +61,12 @@ from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import EMPTY_GRAPH, Diff, Graph
 from .rules import RuleSet, TriplePattern
-from .terms import IRI, BlankNode, GroundTerm, Triple, Variable
+from .terms import IRI, BlankNode, GroundTerm, Triple, Variable, _Frozen, _set
 
 # Proof depth is bounded by the number of distinct ground goals, which can
 # exceed the default interpreter recursion limit on chain-heavy graphs.
@@ -271,13 +270,18 @@ class _Materialization:
             delta = new
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    graph: Graph
-    derived_count: int
-    rounds: int
-    # The interned closure, for the prover: reduce(..., closed=result).
-    _materialization: _Materialization = field(compare=False, repr=False)
+class ClosureResult(_Frozen):
+    # _materialization, the interned closure for the prover (reduce(...,
+    # closed=result)), stays out of equality and repr.
+    __slots__ = ("graph", "derived_count", "rounds", "_materialization")
+    _fields = ("graph", "derived_count", "rounds")
+
+    def __init__(self, graph: Graph, derived_count: int, rounds: int,
+                 _materialization: _Materialization) -> None:
+        _set(self, "graph", graph)
+        _set(self, "derived_count", derived_count)
+        _set(self, "rounds", rounds)
+        _set(self, "_materialization", _materialization)
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
@@ -455,8 +459,7 @@ def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
     return Graph(kept)
 
 
-@dataclass(frozen=True)
-class IncrementalResult:
+class IncrementalResult(NamedTuple):
     graph: Graph
     used_fallback: bool
 

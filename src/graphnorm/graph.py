@@ -8,10 +8,9 @@ serialization and minimization are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .terms import IRI, BlankNode, Triple, is_absolute_iri
+from .terms import IRI, BlankNode, Triple, _Frozen, _set, is_absolute_iri
 
 
 class Graph:
@@ -77,26 +76,21 @@ class Graph:
 EMPTY_GRAPH = Graph()
 
 
-def _empty_graph() -> Graph:
-    return EMPTY_GRAPH
-
-
-@dataclass(frozen=True)
-class Diff:
+class Diff(_Frozen):
     """Insertions and deletions between two graph versions.
 
     A triple listed on both sides is a no-op and is dropped from both, so
     the two sides are always disjoint.
     """
 
-    insertions: Graph = field(default_factory=_empty_graph)
-    deletions: Graph = field(default_factory=_empty_graph)
+    __slots__ = _fields = ("insertions", "deletions")
 
-    def __post_init__(self) -> None:
-        common = self.insertions & self.deletions
+    def __init__(self, insertions: Graph = EMPTY_GRAPH, deletions: Graph = EMPTY_GRAPH) -> None:
+        common = insertions & deletions
         if common:
-            object.__setattr__(self, "insertions", self.insertions - common)
-            object.__setattr__(self, "deletions", self.deletions - common)
+            insertions, deletions = insertions - common, deletions - common
+        _set(self, "insertions", insertions)
+        _set(self, "deletions", deletions)
 
 
 def apply_diff(graph: Graph, diff: Diff) -> Graph:

@@ -29,9 +29,8 @@ supported, and RIF rule sources are rejected as unsupported.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
@@ -56,7 +55,7 @@ from .lex import (
 )
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
 from .stats import NamespaceDecl, StatsReport, canonical_ratio, decimal_string, compute_stats
-from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER
+from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set
 from .turtle import _TokenCursor, parse_turtle
 
 DEFAULT_GN_BASE = "http://purl.org/gn#"
@@ -97,41 +96,40 @@ class _Gn:
         self.dim_density_minus = base + "outLinkDensityMinus"
 
 
-@dataclass(frozen=True)
-class RuleSource:
-    format: str
-    locator: str
+class RuleSource(_Frozen):
+    __slots__ = _fields = ("format", "locator")
 
-    def __post_init__(self) -> None:
-        if self.format not in _SOURCE_FORMATS:
-            raise ValueError(f"unknown rule source format: {self.format!r}")
+    def __init__(self, format: str, locator: str) -> None:
+        if format not in _SOURCE_FORMATS:
+            raise ValueError(f"unknown rule source format: {format!r}")
+        _set(self, "format", format)
+        _set(self, "locator", locator)
 
 
-@dataclass(frozen=True)
-class NormalisationSpec:
-    kind: str
-    rule_sources: tuple[RuleSource, ...] = ()
-    constraints: tuple = ()
+class NormalisationSpec(_Frozen):
+    __slots__ = _fields = ("kind", "rule_sources", "constraints")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown normalisation kind: {self.kind!r}")
-        if self.kind == "none" and self.rule_sources:
+    def __init__(self, kind: str, rule_sources: tuple[RuleSource, ...] = (),
+                 constraints: tuple = ()) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown normalisation kind: {kind!r}")
+        if kind == "none" and rule_sources:
             raise ValueError("a 'none' normalisation cannot carry rule sources")
-        if self.constraints:
+        if constraints:
             raise ValueError("constraints are always empty in this version")
+        _set(self, "kind", kind)
+        _set(self, "rule_sources", rule_sources)
+        _set(self, "constraints", constraints)
 
 
-@dataclass(frozen=True)
-class StatDescription:
+class StatDescription(NamedTuple):
     dataset: str
     dimension: str
     value: int | Fraction
     normalisation: NormalisationSpec
 
 
-@dataclass(frozen=True)
-class Description:
+class Description(NamedTuple):
     dataset: str
     items: tuple[StatDescription, ...]
     namespaces: tuple[str, ...] = ()
@@ -147,11 +145,13 @@ class Description:
 Resolver = Callable[[str], str]
 
 
-@dataclass(frozen=True)
-class FileResolver:
+class FileResolver(_Frozen):
     """Resolves plain paths and file: IRIs against a base directory."""
 
-    base_dir: str = "."
+    __slots__ = _fields = ("base_dir",)
+
+    def __init__(self, base_dir: str = ".") -> None:
+        _set(self, "base_dir", base_dir)
 
     def resolve_path(self, locator: str) -> str:
         split = urlsplit(locator)

@@ -19,9 +19,7 @@ namespaces is skipped with a warning.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, UnsafeRuleError
 from .graph import Graph
@@ -52,10 +50,10 @@ from .terms import (
     Literal,
     Term,
     Variable,
+    _Frozen,
+    _set,
 )
 from .turtle import _TurtleParser
-
-logger = logging.getLogger(__name__)
 
 RDFS_DOMAIN = IRI(RDFS_NS + "domain")
 RDFS_RANGE = IRI(RDFS_NS + "range")
@@ -86,17 +84,17 @@ _SILENT_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: Term
-    predicate: Term
-    object: Term
+class TriplePattern(_Frozen):
+    __slots__ = _fields = ("subject", "predicate", "object")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+        if isinstance(subject, Literal):
             raise ValueError("a literal cannot be a pattern subject")
-        if not isinstance(self.predicate, (IRI, Variable)):
+        if not isinstance(predicate, (IRI, Variable)):
             raise ValueError("a pattern predicate must be an IRI or a variable")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
@@ -110,15 +108,19 @@ class TriplePattern:
         )
 
 
-@dataclass(frozen=True)
-class Rule:
-    body: tuple[TriplePattern, ...]
-    head: tuple[TriplePattern, ...]
-    label: str | None = field(default=None, compare=False)
+class Rule(_Frozen):
+    __slots__ = _fields = ("body", "head", "label")
 
-    def __post_init__(self) -> None:
-        if not self.body or not self.head:
+    def __init__(self, body: tuple[TriplePattern, ...], head: tuple[TriplePattern, ...],
+                 label: str | None = None) -> None:
+        if not body or not head:
             raise ValueError("rules need a non-empty body and head")
+        _set(self, "body", body)
+        _set(self, "head", head)
+        _set(self, "label", label)
+
+    def _key(self) -> tuple:
+        return (self.body, self.head)  # the label is not part of a rule's identity
 
     def body_variables(self) -> set[str]:
         return set().union(*(p.variables() for p in self.body))
@@ -132,8 +134,7 @@ class Rule:
         return f"{{ {body} }} => {{ {head} }} ."
 
 
-@dataclass(frozen=True)
-class SafetyReport:
+class SafetyReport(NamedTuple):
     unbound_head_variables: tuple[str, ...]
     blank_head_labels: tuple[str, ...]
 
@@ -374,5 +375,10 @@ def compile_schema(schema: Graph) -> RuleSet:
         if p.value.startswith(schema_ns) or (
             p == RDF_TYPE and isinstance(o, IRI) and o.value.startswith(schema_ns)
         ):
-            logger.warning("ignoring unrecognized schema triple: %s", t.ntriples())
+            # logging costs every process several milliseconds to import;
+            # only a schema that needs the warning pays for it.
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "ignoring unrecognized schema triple: %s", t.ntriples())
     return RuleSet(rules)

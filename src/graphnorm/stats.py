@@ -8,46 +8,44 @@ emission and verification agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import closure, reduce
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
-from .terms import IRI, Triple, is_absolute_iri
+from .terms import IRI, Triple, _Frozen, _set, is_absolute_iri
 
 
-@dataclass(frozen=True)
-class NamespaceDecl:
+class NamespaceDecl(_Frozen):
     """The IRI prefixes a dataset considers its own."""
 
-    prefixes: tuple[str, ...]
+    __slots__ = _fields = ("prefixes",)
 
-    def __post_init__(self) -> None:
-        if not self.prefixes:
+    def __init__(self, prefixes: tuple[str, ...]) -> None:
+        if not prefixes:
             raise ValueError("a namespace declaration needs at least one prefix")
-        for p in self.prefixes:
+        for p in prefixes:
             if not is_absolute_iri(p):
                 raise ValueError(f"namespace prefix is not an absolute IRI: {p!r}")
-        for a in self.prefixes:
-            for b in self.prefixes:
+        for a in prefixes:
+            for b in prefixes:
                 if a != b and b.startswith(a):
                     raise ValueError(f"nested namespace prefixes: {a!r} contains {b!r}")
+        _set(self, "prefixes", prefixes)
 
     def owns(self, iri: str) -> bool:
         return any(iri.startswith(p) for p in self.prefixes)
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     published_cardinality: int
     closure_cardinality: int
     minimal_cardinality: int
     redundancy: Fraction
     out_link_density_plus: Fraction | None = None
     out_link_density_minus: Fraction | None = None
-    fallback_used: bool = False
 
 
 def counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:

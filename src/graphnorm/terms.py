@@ -19,12 +19,21 @@ is a proper prefix of another's: in the line the shorter term is followed
 by a space (0x20), while every character that can continue a term sorts
 above it ('@', '^', '-', label characters), and no rendered IRI continues
 past its closing '>', which cannot occur inside an IRI.
+
+Terms and triples are immutable __slots__ objects that compute their hash
+once, at construction. Graphs, the parser and the engine's intern table
+hash every term and triple many times, and recomputing the hash from the
+fields on each set or dict operation cost more than the lookup itself.
+The invariant: the cached hash equals the hash of the tuple of the fields
+that define equality, hash((value,)) for an IRI and hash((subject,
+predicate, object)) for a triple. Those are the values frozen dataclasses
+give, so set and dict iteration orders stay what they were before the
+types became slots classes, and with them the engine's search order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -39,33 +48,95 @@ _BAD_IRI_CHAR = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 _BLANK_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 _LANG_TAG = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
+_VARIABLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# Fields are written once, in __init__, past the __setattr__ that refuses.
+_set = object.__setattr__
 
 
 def is_absolute_iri(value: str) -> bool:
     return bool(_SCHEME.match(value))
 
 
-@dataclass(frozen=True)
-class IRI:
-    value: str
+class _Frozen:
+    """Base of the package's immutable value types.
 
-    def __post_init__(self) -> None:
-        if not is_absolute_iri(self.value):
-            raise ValueError(f"IRI is not absolute: {self.value!r}")
-        if _BAD_IRI_CHAR.search(self.value):
-            raise ValueError(f"IRI contains a forbidden character: {self.value!r}")
+    A subclass lists its constructor arguments in _fields and keeps them
+    in __slots__. Two values are equal when they have the same class and
+    equal _key(), the _fields unless a subclass leaves one out of
+    equality. repr has the dataclass form, e.g. IRI(value='urn:x'),
+    which error messages embed.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, tuple([getattr(self, f) for f in self._fields]))
+
+
+class IRI(_Frozen):
+    __slots__ = ("value", "_hash")
+    _fields = ("value",)
+
+    def __init__(self, value: str) -> None:
+        if not is_absolute_iri(value):
+            raise ValueError(f"IRI is not absolute: {value!r}")
+        if _BAD_IRI_CHAR.search(value):
+            raise ValueError(f"IRI contains a forbidden character: {value!r}")
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is IRI:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def ntriples(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class BlankNode(_Frozen):
+    __slots__ = ("label", "_hash")
+    _fields = ("label",)
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL.match(self.label):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
+    def __init__(self, label: str) -> None:
+        if not _BLANK_LABEL.match(label):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        _set(self, "label", label)
+        _set(self, "_hash", hash((label,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is BlankNode:
+            return self.label == other.label
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def ntriples(self) -> str:
         return f"_:{self.label}"
@@ -81,21 +152,34 @@ def _escape(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
+class Literal(_Frozen):
+    __slots__ = ("lexical", "datatype", "language", "_hash")
+    _fields = ("lexical", "datatype", "language")
 
-    def __post_init__(self) -> None:
-        if _SURROGATE.search(self.lexical):
-            raise ValueError(f"literal contains a lone surrogate: {self.lexical!r}")
-        if self.datatype is not None and self.language is not None:
+    def __init__(self, lexical: str, datatype: str | None = None,
+                 language: str | None = None) -> None:
+        if _SURROGATE.search(lexical):
+            raise ValueError(f"literal contains a lone surrogate: {lexical!r}")
+        if datatype is not None and language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
-        if self.datatype is not None and not is_absolute_iri(self.datatype):
-            raise ValueError(f"literal datatype is not an absolute IRI: {self.datatype!r}")
-        if self.language is not None and not _LANG_TAG.match(self.language):
-            raise ValueError(f"invalid language tag: {self.language!r}")
+        if datatype is not None and not is_absolute_iri(datatype):
+            raise ValueError(f"literal datatype is not an absolute IRI: {datatype!r}")
+        if language is not None and not _LANG_TAG.match(language):
+            raise ValueError(f"invalid language tag: {language!r}")
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+        _set(self, "_hash", hash((lexical, datatype, language)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Literal:
+            return (self._hash == other._hash
+                    and (self.lexical, self.datatype, self.language)
+                    == (other.lexical, other.datatype, other.language))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def ntriples(self) -> str:
         text = f'"{_escape(self.lexical)}"'
@@ -106,13 +190,23 @@ class Literal:
         return text
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Frozen):
+    __slots__ = ("name", "_hash")
+    _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not _VARIABLE_NAME.match(name):
+            raise ValueError(f"invalid variable name: {name!r}")
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Variable:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def text(self) -> str:
         return f"?{self.name}"
@@ -126,19 +220,32 @@ XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: IRI | BlankNode
-    predicate: IRI
-    object: IRI | BlankNode | Literal
+class Triple(_Frozen):
+    __slots__ = ("subject", "predicate", "object", "_hash")
+    _fields = ("subject", "predicate", "object")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, (IRI, BlankNode)):
-            raise ValueError(f"triple subject must be an IRI or blank node, got {self.subject!r}")
-        if not isinstance(self.predicate, IRI):
-            raise ValueError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        if not isinstance(self.object, (IRI, BlankNode, Literal)):
-            raise ValueError(f"triple object must be an IRI, blank node or literal, got {self.object!r}")
+    def __init__(self, subject: IRI | BlankNode, predicate: IRI,
+                 object: IRI | BlankNode | Literal) -> None:
+        if not isinstance(subject, (IRI, BlankNode)):
+            raise ValueError(f"triple subject must be an IRI or blank node, got {subject!r}")
+        if not isinstance(predicate, IRI):
+            raise ValueError(f"triple predicate must be an IRI, got {predicate!r}")
+        if not isinstance(object, (IRI, BlankNode, Literal)):
+            raise ValueError(f"triple object must be an IRI, blank node or literal, got {object!r}")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "_hash", hash((subject, predicate, object)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Triple:
+            return (self._hash == other._hash
+                    and (self.subject, self.predicate, self.object)
+                    == (other.subject, other.predicate, other.object))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."

@@ -290,9 +290,29 @@ class TestMalformedInput:
         assert not (workdir / "out.ttl").exists()
 
 
+def test_proof_deeper_than_the_recursion_limit_exits_1(tmp_path):
+    # x0..x2 are typed C0, C4500 and C9000 on a 9000-class subClassOf
+    # chain: proving the C9000 types from C0 recurses past the limit.
+    rdfs = "http://www.w3.org/2000/01/rdf-schema#"
+    schema = [f"<{CHAIN}C{i}> <{rdfs}subClassOf> <{CHAIN}C{i + 1}> ." for i in range(9000)]
+    data = [f"<{CHAIN}x{j}> a <{CHAIN}C{k}> ." for k in (0, 4500, 9000) for j in range(3)]
+    (tmp_path / "deep-schema.ttl").write_text("\n".join(schema) + "\n", encoding="utf-8")
+    (tmp_path / "deep.ttl").write_text("\n".join(data) + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "graphnorm", "minimize", "--data", "deep.ttl",
+         "--dlogic", "deep-schema.ttl", "--output", "out.ttl"],
+        cwd=tmp_path, capture_output=True, text=True, env=cli_env("0"),
+    )
+    assert result.returncode == 1
+    assert result.stderr == ("graphnorm: the input's proofs are too deep to check "
+                             "(recursion limit reached)\n")
+    assert not (tmp_path / "out.ttl").exists()
+
+
 def test_importing_the_cli_leaves_out_the_network_stack():
     probe = ("import sys, graphnorm.cli; "
-             "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+             "print([m for m in ('urllib.request', 'http.client', 'ssl', "
+             "'dataclasses', 'logging', 'inspect') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=cli_env("0"))
     assert result.returncode == 0, result.stderr

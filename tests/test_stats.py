@@ -158,7 +158,6 @@ class TestComputeStats:
         assert report.redundancy == Fraction(1, 3)
         assert report.out_link_density_plus == Fraction(1, 3)
         assert report.out_link_density_minus == Fraction(1, 2)
-        assert report.fallback_used is False
 
     def test_densities_omitted_without_namespaces(self):
         report = compute_stats(Graph([t("a", "p", "b")]), EMPTY_RULESET)

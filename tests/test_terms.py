@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from graphnorm import IRI, BlankNode, Literal, Triple, Variable
-from graphnorm.terms import RDF_TYPE, is_absolute_iri
+from graphnorm.terms import RDF_TYPE, XSD_INTEGER, is_absolute_iri
 
 
 class TestIRI:
@@ -99,3 +100,79 @@ class TestTriple:
         # Same subject: predicate decides; blank nodes ('_') sort after IRIs ('<').
         c = Triple(BlankNode("x"), IRI("http://e.org/p"), IRI("http://e.org/o"))
         assert b.sort_key() < c.sort_key()
+
+
+# A three-letter alphabet makes equal values drawn independently common.
+TEXT = st.text(alphabet="ab1", min_size=1, max_size=3)
+IRIS = st.builds(lambda s: IRI("urn:" + s), TEXT)
+BLANKS = st.builds(BlankNode, TEXT)
+LITERALS = st.one_of(
+    st.builds(Literal, TEXT),
+    st.builds(lambda s, lang: Literal(s, language=lang), TEXT, st.sampled_from(["en", "en-GB"])),
+    st.builds(lambda s, dt: Literal(s, datatype=dt), TEXT, st.sampled_from([XSD_INTEGER, "urn:a"])),
+)
+GROUND_TERMS = st.one_of(IRIS, BLANKS, LITERALS)
+TRIPLES = st.builds(Triple, st.one_of(IRIS, BLANKS), IRIS, GROUND_TERMS)
+
+
+def kind_and_fields(term):
+    if isinstance(term, IRI):
+        return ("IRI", term.value)
+    if isinstance(term, BlankNode):
+        return ("BlankNode", term.label)
+    if isinstance(term, Literal):
+        return ("Literal", term.lexical, term.datatype, term.language)
+    return ("Triple", *(kind_and_fields(t) for t in (term.subject, term.predicate, term.object)))
+
+
+def dataclass_repr(term):
+    if isinstance(term, IRI):
+        return f"IRI(value={term.value!r})"
+    if isinstance(term, BlankNode):
+        return f"BlankNode(label={term.label!r})"
+    if isinstance(term, Literal):
+        return (f"Literal(lexical={term.lexical!r}, datatype={term.datatype!r}, "
+                f"language={term.language!r})")
+    return (f"Triple(subject={dataclass_repr(term.subject)}, "
+            f"predicate={dataclass_repr(term.predicate)}, object={dataclass_repr(term.object)})")
+
+
+class TestValueSemantics:
+    @given(st.one_of(GROUND_TERMS, TRIPLES), st.one_of(GROUND_TERMS, TRIPLES))
+    def test_equal_exactly_when_kind_and_fields_agree(self, a, b):
+        same = kind_and_fields(a) == kind_and_fields(b)
+        assert (a == b) is same
+        assert (a != b) is not same
+        if same:
+            assert hash(a) == hash(b)
+
+    @given(TEXT)
+    def test_kinds_built_from_the_same_text_differ(self, text):
+        terms = [
+            IRI("urn:" + text), Literal("urn:" + text),
+            BlankNode(text), Literal(text),
+            Literal(text, language="en"), Literal(text, datatype=XSD_INTEGER),
+        ]
+        for i, a in enumerate(terms):
+            for j, b in enumerate(terms):
+                assert (a == b) is (i == j)
+
+    @given(st.one_of(GROUND_TERMS, TRIPLES))
+    def test_fields_cannot_be_assigned_or_added(self, value):
+        field = kind_and_fields(value)[0]
+        for name in {"IRI": ("value",), "BlankNode": ("label",),
+                     "Literal": ("lexical", "datatype", "language"),
+                     "Triple": ("subject", "predicate", "object")}[field] + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    @given(st.one_of(GROUND_TERMS, TRIPLES))
+    def test_repr_has_the_dataclass_form(self, value):
+        assert repr(value) == dataclass_repr(value)
+
+    def test_variable_value_semantics(self):
+        assert Variable("x") == Variable("x") and hash(Variable("x")) == hash(Variable("x"))
+        assert Variable("x") != Variable("y")
+        assert repr(Variable("x")) == "Variable(name='x')"
+        with pytest.raises(AttributeError):
+            Variable("x").name = "y"
