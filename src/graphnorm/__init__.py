@@ -43,9 +43,7 @@ from .stats import (
     compute_stats,
     counted_closure,
     decimal_string,
-    out_link_density,
     out_links,
-    redundancy,
 )
 from .provenance import (
     DEFAULT_GN_BASE,
@@ -107,14 +105,12 @@ __all__ = [
     "format_rules",
     "incremental_reduce",
     "load_dlogic",
-    "out_link_density",
     "out_links",
     "parse_rules",
     "parse_turtle",
     "read_description",
     "recompute",
     "reduce",
-    "redundancy",
     "serialize_turtle",
     "skolemize",
     "__version__",

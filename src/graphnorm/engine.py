@@ -2,22 +2,25 @@
 
 The engine works on interned triples. Each materialization encodes every
 ground term it meets as a dense int, once, and holds triples as (s, p, o)
-int tuples in one store, _Store, which builds an index for a combination
-of bound positions on the first lookup that needs it and keeps it from
-then on. Rules are compiled against the same dictionary: constants become
-term ids and variables negative ints. Terms are decoded back into Triple
-values only where closure() returns its Graph; input triples keep their
-own Triple objects. Ids are handed out in set-iteration order, which
-varies with the hash seed, so nothing observable may depend on them:
-Graph iteration sorts by the decoded terms.
+int tuples in one store, _Store, whose indexes are built on first use,
+per predicate for lookups that bind it, so adding a triple touches no
+index of another predicate. Rules are compiled against the same
+dictionary: constants become term ids and variables negative ints. Terms
+are decoded back into Triple values only where closure() returns its
+Graph; input triples keep their own Triple objects. Ids are handed out in
+set-iteration order, which varies with the hash seed, so nothing
+observable may depend on them: Graph iteration sorts by the decoded terms.
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
-in the previous round. A triple of that delta is sent only to the body
-atoms that can match it: atoms are dispatched on their constant
-predicate, or on their constant predicate and object when both are
-given, and only atoms with a variable predicate see every triple. The
-rest of the body is joined against the store.
+in the previous round. The delta is grouped by predicate (and object,
+where an atom has both constant), and each body atom is applied once to
+the batch its constants select; atoms with a variable predicate see the
+whole delta. A one-atom body that matches its whole batch is a
+projection: each head triple is picked out of the matched triple and the
+rule's constants. Other atoms are unified with each triple of the batch
+and the rest of the body is joined against the store. A round's new
+triples enter the store in one bulk add.
 
 backchain() answers whether one ground triple is entailed by looking it
 up in the closure, which is computed once per (graph, rules) pair.
@@ -62,7 +65,7 @@ from __future__ import annotations
 import sys
 import weakref
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .graph import EMPTY_GRAPH, Diff, Graph
 from .rules import RuleSet, TriplePattern
@@ -116,57 +119,72 @@ class _Terms:
 
 
 _S, _P, _O = itemgetter(0), itemgetter(1), itemgetter(2)
-_SP, _PO, _SO = itemgetter(0, 1), itemgetter(1, 2), itemgetter(0, 2)
+_SO = itemgetter(0, 2)
+_NO_INDEXES: dict = {}  # never mutated
 
 
 class _Store:
     """A mutable set of interned triples with lookup by bound positions.
 
-    The index for a combination of bound positions is built on the first
-    lookup that needs it and maintained by every later add and remove, so
-    a store keeps only the indexes its joins use. Callers must not mutate
-    the store while consuming a match.
+    Indexes are kept per predicate: a lookup with a bound predicate uses
+    indexes over that predicate's triples only, and one with a variable
+    predicate those filed under None, over all triples. Each is built on
+    the first lookup that needs it and maintained by every later add and
+    remove. Callers must not mutate the store while consuming a match.
     """
 
     __slots__ = ("triples", "_indexes")
 
     def __init__(self, triples: Iterable[_Ids]):
         self.triples: set[_Ids] = set(triples)
-        self._indexes: dict[itemgetter, dict] = {}
+        self._indexes: dict[int | None, dict[itemgetter, dict]] = {}
 
     def add(self, t: _Ids) -> None:
-        self.triples.add(t)
-        for key, index in self._indexes.items():
-            index.setdefault(key(t), set()).add(t)
+        self.update((t,))
+
+    def update(self, triples: Collection[_Ids]) -> None:
+        self.triples.update(triples)
+        indexes = self._indexes
+        if indexes:
+            for t in triples:
+                for p in (None, t[1]):
+                    for key, index in indexes.get(p, _NO_INDEXES).items():
+                        index.setdefault(key(t), set()).add(t)
 
     def remove(self, t: _Ids) -> None:
-        self.triples.discard(t)
-        for key, index in self._indexes.items():
-            index[key(t)].discard(t)
+        if t in self.triples:
+            self.triples.remove(t)
+            for p in (None, t[1]):
+                for key, index in self._indexes.get(p, _NO_INDEXES).items():
+                    index[key(t)].discard(t)
 
-    def _index(self, key: itemgetter) -> dict:
-        index = self._indexes.get(key)
+    def _index(self, key: itemgetter, p: int | None = None) -> dict:
+        indexes = self._indexes.get(p)
+        if indexes is None:
+            indexes = self._indexes[p] = {}
+        index = indexes.get(key)
         if index is None:
-            index = self._indexes[key] = {}
+            index = indexes[key] = {}
             for t in self.triples:
-                index.setdefault(key(t), set()).add(t)
+                if p is None or t[1] == p:
+                    index.setdefault(key(t), set()).add(t)
         return index
 
     def match(self, s: int | None, p: int | None, o: int | None) -> Iterable[_Ids]:
-        if s is None:
-            if p is None:
+        if p is None:
+            if s is None:
                 if o is None:
                     return self.triples
                 return self._index(_O).get(o, ())
             if o is None:
-                return self._index(_P).get(p, ())
-            return self._index(_PO).get((p, o), ())
-        if p is None:
-            if o is None:
                 return self._index(_S).get(s, ())
             return self._index(_SO).get((s, o), ())
+        if s is None:
+            if o is None:
+                return self._index(_P, p).get(p, ())
+            return self._index(_O, p).get(o, ())
         if o is None:
-            return self._index(_SP).get((s, p), ())
+            return self._index(_S, p).get(s, ())
         t = (s, p, o)
         return (t,) if t in self.triples else ()
 
@@ -210,7 +228,69 @@ def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
 
 def _dispatched(index: dict, t: _Ids) -> list:
     """The entries filed under the keys a triple can match."""
-    return index.get(t[1], []) + index.get(_PO(t), []) + index.get(None, [])
+    return index.get(t[1], []) + index.get(t[1:], []) + index.get(None, [])
+
+
+# Applies one body atom to the batch of a round's delta that its dispatch
+# key selects, adding the head instantiations to the given set.
+_Plan = Callable[[Collection[_Ids], set[_Ids]], None]
+
+
+def _group(triples: Iterable[_Ids], key: itemgetter) -> dict[int, list[_Ids]]:
+    groups: dict[int, list[_Ids]] = {}
+    for t in triples:
+        groups.setdefault(key(t), []).append(t)
+    return groups
+
+
+def _projection(atom: _Ids, head: tuple[_Ids, ...], kinds: bytearray) -> _Plan | None:
+    """A one-atom body as a projection, or None where its batch may hold
+    triples it does not match: with a constant subject, a repeated
+    variable, or a constant object under a variable predicate."""
+    s, p, o = atom
+    variables = [x for x in atom if x < 0]
+    if s >= 0 or len(set(variables)) != len(variables) or (p < 0 and o >= 0):
+        return None
+    constants = tuple(dict.fromkeys(x for h in head for x in h if x >= 0))
+    where = {x: i for i, x in enumerate(atom) if x < 0}
+    where.update((c, 3 + i) for i, c in enumerate(constants))
+    picks = []
+    for h in head:
+        # Only a term moved into subject or predicate position can be invalid.
+        checked = (h[0] < 0 and where[h[0]] != 0) or (h[1] < 0 and where[h[1]] != 1)
+        picks.append((itemgetter(*(where[x] for x in h)), checked))
+
+    def plan(batch: Collection[_Ids], produced: set[_Ids]) -> None:
+        rows = [t + constants for t in batch] if constants else batch
+        for pick, checked in picks:
+            if checked:
+                produced.update(h for h in map(pick, rows)
+                                if kinds[h[0]] != _LITERAL and kinds[h[1]] == _IRI)
+            else:
+                produced.update(map(pick, rows))
+    return plan
+
+
+def _join(atom: _Ids, rest: tuple[_Ids, ...], head: tuple[_Ids, ...], store: _Store,
+          kinds: bytearray) -> _Plan:
+    """Unify atom with each triple of the batch and join the rest of the
+    body against the store. Safe rules ground every head variable, but an
+    instantiation can still be positionally invalid (literal subject,
+    non-IRI predicate); it is skipped."""
+    def plan(batch: Collection[_Ids], produced: set[_Ids]) -> None:
+        for t in batch:
+            seed = _unify(atom, t, _NO_BINDING)
+            if seed is None:
+                continue
+            bindings = [seed]
+            for other in rest:
+                bindings = [b2 for b in bindings for _, b2 in _match(store, other, b)]
+            for b in bindings:
+                for h in head:
+                    s, p, o = (x if x >= 0 else b[x] for x in h)
+                    if kinds[s] != _LITERAL and kinds[p] == _IRI:
+                        produced.add((s, p, o))
+    return plan
 
 
 class _Materialization:
@@ -234,40 +314,35 @@ class _Materialization:
     def saturate(self) -> tuple[list[_Ids], int]:
         """Run the rules to fixpoint; returns the derived triples and rounds."""
         store, kinds = self.store, self.terms.kinds
-        by_atom: dict = {}
+        plans: dict[int | tuple[int, int] | None, list[_Plan]] = {}
         for body, head in self.rules:
             for i, atom in enumerate(body):
-                rest = body[:i] + body[i + 1:]
-                by_atom.setdefault(_dispatch_key(atom), []).append((atom, rest, head))
+                plan = ((len(body) == 1 and _projection(atom, head, kinds))
+                        or _join(atom, body[:i] + body[i + 1:], head, store, kinds))
+                plans.setdefault(_dispatch_key(atom), []).append(plan)
+        # The predicates whose batches are split again by object.
+        split = {key[0] for key in plans if isinstance(key, tuple)}
         derived: list[_Ids] = []
         rounds = 0
-        delta: Iterable[_Ids] = self.base
+        delta: Collection[_Ids] = self.base
         while True:
             produced: set[_Ids] = set()
-            for t in delta:
-                for atom, rest, head in _dispatched(by_atom, t):
-                    seed = _unify(atom, t, _NO_BINDING)
-                    if seed is None:
-                        continue
-                    bindings = [seed]
-                    for other in rest:
-                        bindings = [b2 for b in bindings for _, b2 in _match(store, other, b)]
-                    for b in bindings:
-                        for h in head:
-                            s, p, o = (x if x >= 0 else b[x] for x in h)
-                            # Safe rules ground every head variable; an
-                            # instantiation can still be positionally invalid
-                            # (literal subject, non-IRI predicate) and is skipped.
-                            if kinds[s] != _LITERAL and kinds[p] == _IRI:
-                                produced.add((s, p, o))
-            new = produced - store.triples
-            if not new:
+            for p, batch in _group(delta, _P).items():
+                for plan in plans.get(p, ()):
+                    plan(batch, produced)
+                if p in split:
+                    for o, sub in _group(batch, _O).items():
+                        for plan in plans.get((p, o), ()):
+                            plan(sub, produced)
+            for plan in plans.get(None, ()):
+                plan(delta, produced)
+            produced -= store.triples
+            if not produced:
                 return derived, rounds
             rounds += 1
-            derived.extend(new)
-            for t in new:
-                store.add(t)
-            delta = new
+            derived.extend(produced)
+            store.update(produced)
+            delta = produced
 
 
 class ClosureResult(_Frozen):

@@ -57,14 +57,6 @@ def counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> G
     return closure(graph | aux, rules).graph - (aux - graph)
 
 
-def redundancy(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Fraction:
-    """1 - |minimized| / |graph|, exact."""
-    if not graph:
-        raise EmptyGraphError("redundancy is undefined for an empty graph")
-    minimal = reduce(graph, rules, aux)
-    return Fraction(1) - Fraction(len(minimal), len(graph))
-
-
 def out_links(graph: Graph, namespaces: NamespaceDecl) -> Graph:
     """Triples pointing from a dataset subject to any external IRI.
 
@@ -77,20 +69,6 @@ def out_links(graph: Graph, namespaces: NamespaceDecl) -> Graph:
         if isinstance(t.object, IRI) and not namespaces.owns(t.object.value):
             selected.append(t)
     return Graph(selected)
-
-
-def out_link_density(graph: Graph, rules: RuleSet, aux: Graph,
-                     namespaces: NamespaceDecl, mode: str) -> Fraction:
-    """Share of out-links in the closure ('plus') or minimization ('minus')."""
-    if mode not in ("plus", "minus"):
-        raise ValueError(f"mode must be 'plus' or 'minus', got {mode!r}")
-    if mode == "plus":
-        normalized = counted_closure(graph, rules, aux)
-    else:
-        normalized = reduce(graph, rules, aux)
-    if not normalized:
-        raise EmptyGraphError(f"out-link density ({mode}) is undefined: normalized graph is empty")
-    return Fraction(len(out_links(normalized, namespaces)), len(normalized))
 
 
 def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,

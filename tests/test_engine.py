@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from graphnorm import (
     parse_turtle,
     reduce,
 )
+from graphnorm.engine import _Store
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
@@ -147,6 +149,161 @@ def test_every_dispatch_path_matches_naive_oracle():
     minimal = reduce(graph, rules)
     assert minimal == graph.discard(t("e", "r", "d"))
     assert naive_closure(minimal, rules) == closed
+
+
+# The store's model: after any interleaving of single adds, bulk adds and
+# removes, every lookup equals a filter of its triple set. Each step's
+# lookups build the indexes they need lazily (per predicate, or over all
+# triples), so later steps must maintain indexes built at any earlier one.
+_STORE_IDS = st.integers(min_value=0, max_value=2)
+_STORE_TRIPLES = st.tuples(_STORE_IDS, _STORE_IDS, _STORE_IDS)
+_STORE_STEPS = st.lists(st.tuples(st.one_of(
+    st.tuples(st.just("add"), _STORE_TRIPLES),
+    st.tuples(st.just("update"), st.sets(_STORE_TRIPLES, max_size=6)),
+    st.tuples(st.just("remove"), _STORE_TRIPLES),
+    st.none(),
+), _STORE_TRIPLES), max_size=25)
+
+
+def _check_lookups(store: _Store, probe) -> None:
+    for mask in range(8):
+        s, p, o = (x if mask >> i & 1 else None for i, x in enumerate(probe))
+        expected = {t for t in store.triples
+                    if all(want is None or want == got for want, got in zip((s, p, o), t))}
+        assert set(store.match(s, p, o)) == expected, (s, p, o)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sets(_STORE_TRIPLES, max_size=8), _STORE_STEPS)
+def test_store_lookups_match_a_filter_of_its_triples(initial, steps):
+    store = _Store(initial)
+    model = set(initial)
+    for mutation, probe in steps:
+        if mutation is not None:
+            op, arg = mutation
+            if op == "add":
+                store.add(arg)
+                model.add(arg)
+            elif op == "update":
+                store.update(arg)
+                model |= arg
+            else:
+                store.remove(arg)
+                model.discard(arg)
+        assert store.triples == model
+        _check_lookups(store, probe)
+    for probe in itertools.product(range(3), repeat=3):
+        _check_lookups(store, probe)
+
+
+# Random safe rules of the shapes compile_schema never emits: repeated
+# variables, constant subjects, variable predicates beside constant
+# objects, heads that move an object (possibly a literal) into subject
+# position, two-triple heads and bodies of two or three atoms.
+_NODES = [f"<{EX}n{i}>" for i in range(3)]
+_PREDS = [f"<{EX}p{i}>" for i in range(2)]
+_LITERALS = ['"lit"']
+_VARS = ["?x", "?y", "?z"]
+
+
+@st.composite
+def _safe_rule(draw) -> str:
+    body = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        s = draw(st.sampled_from(_VARS + _NODES))
+        p = draw(st.sampled_from(_VARS + _PREDS))
+        o = draw(st.sampled_from(_VARS + _NODES + _LITERALS))
+        body.append((s, p, o))
+    bound = sorted({x for atom in body for x in atom if x.startswith("?")})
+    head = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        s = draw(st.sampled_from(bound + _NODES))
+        p = draw(st.sampled_from(bound + _PREDS))
+        o = draw(st.sampled_from(bound + _NODES + _LITERALS))
+        head.append((s, p, o))
+    body_text = " ".join(f"{s} {p} {o} ." for s, p, o in body)
+    head_text = " ".join(f"{s} {p} {o} ." for s, p, o in head)
+    return f"{{ {body_text} }} => {{ {head_text} }} ."
+
+
+_GRAPH_TRIPLES = st.sets(st.tuples(
+    st.sampled_from(_NODES), st.sampled_from(_PREDS),
+    st.sampled_from(_NODES + _LITERALS)), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_safe_rule(), min_size=1, max_size=2), _GRAPH_TRIPLES)
+def test_rule_shapes_outside_the_schema_fragment_match_naive_oracle(rules_text, triples):
+    rules = parse_rules("\n".join(rules_text))
+    graph = parse_turtle("".join(f"{s} {p} {o} .\n" for s, p, o in triples))
+    closed = naive_closure(graph, rules)
+    assert closure(graph, rules).graph.triples == closed
+    minimal = reduce(graph, rules)
+    assert minimal.triples <= graph.triples
+    assert naive_closure(minimal, rules) == closed
+
+
+def test_closure_at_scale_matches_reachability():
+    """About 3k triples: a 300-class subClassOf chain and a transitive
+    forest, checked against a walk up the chain and BFS reachability."""
+    rng = random.Random(5)
+    k = 300
+    classes, rules = chain(k)
+    part_of = IRI(EX + "partOf")
+    rules = rules | trans("partOf")
+    # Carriers typed at C0 walk the whole chain; one at C150 walks half.
+    carriers = [(Triple(IRI(EX + f"x{j}"), RDF_TYPE, classes[0]), 0) for j in range(4)]
+    carriers.append((Triple(IRI(EX + "x4"), RDF_TYPE, classes[150]), 150))
+    # A forest of depth at most 6: each node points at a parent one level up.
+    depth = {0: 0}
+    levels: list[list[int]] = [[0]] + [[] for _ in range(6)]
+    parent: dict[int, int] = {}
+    for n in range(1, 2700):
+        level = 0 if rng.random() < 0.02 else rng.randint(1, 6)
+        if level == 0 or not levels[level - 1]:
+            level = 0  # a new root
+        else:
+            parent[n] = rng.choice(levels[level - 1])
+        depth[n] = level
+        levels[level].append(n)
+
+    def node(n: int) -> IRI:
+        return IRI(EX + f"f{n}")
+
+    edges = [Triple(node(a), part_of, node(b)) for a, b in parent.items()]
+    graph = Graph([t for t, _ in carriers] + edges)
+    assert 2500 <= len(graph) <= 3500
+
+    expected = set(graph.triples)
+    for typed, start in carriers:
+        expected.update(Triple(typed.subject, RDF_TYPE, c) for c in classes[start + 1:])
+    children: dict[int, list[int]] = {}
+    for a, b in parent.items():
+        children.setdefault(b, []).append(a)
+    for root in depth:
+        # Every node below another in its tree reaches it by partOf: BFS
+        # from each node over child links finds them.
+        seen, queue = set(), [root]
+        for n in queue:
+            for c in children.get(n, ()):
+                if c not in seen:
+                    seen.add(c)
+                    queue.append(c)
+        expected.update(Triple(node(c), part_of, node(root)) for c in seen)
+
+    result = closure(graph, rules)
+    assert result.graph.triples == expected
+    assert result.derived_count == len(expected) - len(graph)
+    # Each carrier gains the classes above its own; each forest node, one
+    # partOf triple per ancestor, of which the edge to its parent is given.
+    assert result.derived_count == (
+        4 * (k - 1) + (k - 1 - 150) + sum(depth.values()) - len(edges))
+    # The chain takes one round per link. A tree has one path between two
+    # nodes, and a round joins it from two halves at most as long as the
+    # paths already derived, so paths of up to six edges take three rounds.
+    assert max(depth.values()) == 6
+    assert result.rounds == k - 1
+    assert closure(Graph(edges), trans("partOf")).rounds == 3
 
 
 class TestBackchain:

@@ -15,11 +15,9 @@ from graphnorm import (
     compute_stats,
     counted_closure,
     decimal_string,
-    out_link_density,
     out_links,
     parse_rules,
     parse_turtle,
-    redundancy,
 )
 from graphnorm.rules import EMPTY_RULESET
 from graphnorm.terms import BlankNode, Literal
@@ -58,19 +56,19 @@ class TestNamespaceDecl:
 
 class TestRedundancy:
     def test_zero_without_rules(self):
-        assert redundancy(Graph([t("a", "p", "b")]), EMPTY_RULESET) == 0
+        assert compute_stats(Graph([t("a", "p", "b")]), EMPTY_RULESET).redundancy == 0
 
     def test_half(self):
         g = Graph([t("a", "p", "b"), t("b", "p", "a")])
-        assert redundancy(g, SYM) == Fraction(1, 2)
+        assert compute_stats(g, SYM).redundancy == Fraction(1, 2)
 
     def test_exact_fraction(self):
         g = Graph([t("a", "p", "b"), t("b", "p", "a"), t("a", "q", "b")])
-        assert redundancy(g, SYM) == Fraction(1, 3)
+        assert compute_stats(g, SYM).redundancy == Fraction(1, 3)
 
     def test_empty_graph_is_undefined(self):
         with pytest.raises(EmptyGraphError):
-            redundancy(EMPTY_GRAPH, EMPTY_RULESET)
+            compute_stats(EMPTY_GRAPH, EMPTY_RULESET)
 
 
 class TestCountedClosure:
@@ -128,18 +126,13 @@ class TestDensity:
         ])
         # closure = the same 3 triples (symmetry closes nothing new);
         # minimization drops one of the symmetric pair.
-        assert out_link_density(g, SYM, EMPTY_GRAPH, ns, "plus") == Fraction(1, 3)
-        assert out_link_density(g, SYM, EMPTY_GRAPH, ns, "minus") == Fraction(1, 2)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            out_link_density(Graph([t("a", "p", "b")]), EMPTY_RULESET, EMPTY_GRAPH,
-                             NamespaceDecl((EX,)), "sideways")
+        report = compute_stats(g, SYM, EMPTY_GRAPH, ns)
+        assert report.out_link_density_plus == Fraction(1, 3)
+        assert report.out_link_density_minus == Fraction(1, 2)
 
     def test_empty_input_is_undefined(self):
         with pytest.raises(EmptyGraphError):
-            out_link_density(EMPTY_GRAPH, EMPTY_RULESET, EMPTY_GRAPH,
-                             NamespaceDecl((EX,)), "plus")
+            compute_stats(EMPTY_GRAPH, EMPTY_RULESET, EMPTY_GRAPH, NamespaceDecl((EX,)))
 
 
 class TestComputeStats:
