@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .terms import IRI, BlankNode, Literal, Triple, Variable
-from .graph import EMPTY_GRAPH, Diff, Graph, apply_diff, skolemize
+from .graph import EMPTY_GRAPH, Graph, skolemize
 from .turtle import parse_turtle, serialize_turtle
 from .rules import (
     EMPTY_RULESET,
@@ -28,14 +28,7 @@ from .rules import (
     format_rules,
     parse_rules,
 )
-from .engine import (
-    ClosureResult,
-    IncrementalResult,
-    backchain,
-    closure,
-    incremental_reduce,
-    reduce,
-)
+from .engine import ClosureResult, closure, reduce
 from .stats import (
     NamespaceDecl,
     StatsReport,
@@ -66,7 +59,6 @@ __all__ = [
     "ClosureResult",
     "DEFAULT_GN_BASE",
     "Description",
-    "Diff",
     "EMPTY_GRAPH",
     "EMPTY_RULESET",
     "EmptyGraphError",
@@ -74,7 +66,6 @@ __all__ = [
     "Graph",
     "GraphNormError",
     "IRI",
-    "IncrementalResult",
     "Literal",
     "NamespaceDecl",
     "NormalisationSpec",
@@ -91,8 +82,6 @@ __all__ = [
     "UnsafeRuleError",
     "UnsupportedFeatureError",
     "Variable",
-    "apply_diff",
-    "backchain",
     "canonical_ratio",
     "check_safe",
     "closure",
@@ -103,7 +92,6 @@ __all__ = [
     "decimal_string",
     "emit_description",
     "format_rules",
-    "incremental_reduce",
     "load_dlogic",
     "out_links",
     "parse_rules",

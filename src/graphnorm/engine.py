@@ -22,9 +22,6 @@ rule's constants. Other atoms are unified with each triple of the batch
 and the rest of the body is joined against the store. A round's new
 triples enter the store in one bulk add.
 
-backchain() answers whether one ground triple is entailed by looking it
-up in the closure, which is computed once per (graph, rules) pair.
-
 reduce() is the redundancy eliminator: walk the graph in canonical order
 and drop every triple the remaining triples still entail. Auxiliary
 triples (typically schema) support the proofs but are never candidates
@@ -40,7 +37,10 @@ the triples of M that match it, not every combination of terms. A goal
 is tried only against the rule heads that can produce it, dispatched the
 same way as the forward body atoms. Body atoms are solved left-to-right,
 first against the stored triples and then against the derivable ones in
-M. An ancestor set cuts cyclic goals.
+M. An ancestor set cuts cyclic goals. The proof recursion can go deeper
+than the interpreter's default limit, so reduce() raises the limit while
+it proves and restores it before it returns or raises; importing the
+module changes no interpreter setting.
 
 Failure caching is the delicate part. A goal that failed only because a
 branch was cut on some ancestor might still be provable in another
@@ -63,17 +63,12 @@ on the path) and therefore never cached permanently.
 from __future__ import annotations
 
 import sys
-import weakref
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator
 
-from .graph import EMPTY_GRAPH, Diff, Graph
+from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet, TriplePattern
 from .terms import IRI, BlankNode, GroundTerm, Triple, Variable, _Frozen, _set
-
-# Proof depth is bounded by the number of distinct ground goals, which can
-# exceed the default interpreter recursion limit on chain-heavy graphs.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 # An interned triple (s, p, o) of term ids. In a compiled atom the same
 # positions hold term ids for constants and negative ints for variables.
@@ -368,15 +363,14 @@ def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
 
 
 class _Prover:
-    """One minimization pass over a working store that only shrinks.
+    """Backward proofs over a working store that only shrinks.
 
     The working store starts as the input of the materialization, whose
     closure therefore contains every triple the store can ever prove.
     """
 
     def __init__(self, m: _Materialization):
-        self._terms = m.terms
-        self._store = _Store(m.base)
+        self.store = _Store(m.base)
         self._closed = m.store
         self._heads: dict = {}
         for body, head in m.rules:
@@ -385,29 +379,6 @@ class _Prover:
         self._proved: set[_Ids] = set()
         self._failed: set[_Ids] = set()
         self._run_memo: dict[_Ids, frozenset[_Ids]] = {}
-
-    def drop_entailed(self, candidates: Iterable[Triple], kept: set[Triple],
-                      aux: Graph) -> bool:
-        """Drop from kept each candidate the rest of the store entails.
-
-        Candidates not in kept are skipped, and those in aux are dropped
-        without a proof. Returns whether any tested candidate was kept.
-        """
-        any_kept = False
-        for t in candidates:
-            if t not in kept:
-                continue
-            if t in aux:
-                kept.discard(t)
-                continue
-            goal = self._terms.encode(t)
-            self._store.remove(goal)
-            if self.prove(goal):
-                kept.discard(t)
-            else:
-                self._store.add(goal)
-                any_kept = True
-        return any_kept
 
     def prove(self, goal: _Ids) -> bool:
         # Proved goals hold only for the store as it is during this call.
@@ -426,7 +397,7 @@ class _Prover:
                 return False
 
     def _prove(self, goal: _Ids, path: set[_Ids]) -> tuple[bool, frozenset[_Ids]]:
-        if goal in self._store.triples:
+        if goal in self.store.triples:
             return True, _EMPTY_CUTS
         if goal not in self._closed.triples:
             return False, _EMPTY_CUTS
@@ -468,7 +439,7 @@ class _Prover:
             return True, _EMPTY_CUTS
         atom = atoms[i]
         cuts: set[_Ids] = set()
-        for _, extended in _match(self._store, atom, binding):
+        for _, extended in _match(self.store, atom, binding):
             ok, c = self._solve(atoms, i + 1, extended, path)
             if ok:
                 return True, _EMPTY_CUTS
@@ -482,7 +453,7 @@ class _Prover:
     def _solve_derived(self, atom, atoms, i, binding, path) -> tuple[bool, frozenset[_Ids]]:
         cuts: set[_Ids] = set()
         for goal, extended in _match(self._closed, atom, binding):
-            if goal in self._store.triples:
+            if goal in self.store.triples:
                 continue  # stored matches were already tried
             ok, c = self._prove(goal, path)
             if not ok:
@@ -493,26 +464,6 @@ class _Prover:
                 return True, _EMPTY_CUTS
             cuts |= c2
         return False, frozenset(cuts) if cuts else _EMPTY_CUTS
-
-
-_closure_cache: "weakref.WeakKeyDictionary[Graph, weakref.WeakKeyDictionary]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def backchain(graph: Graph, rules: RuleSet, goal: Triple) -> bool:
-    """True iff the goal is in the closure of the graph under the rules.
-
-    The closure is materialized on the first query and kept per (graph,
-    rules) pair: both are immutable, so later queries on the same pair are
-    set lookups. The cache holds both keys weakly.
-    """
-    by_rules = _closure_cache.setdefault(graph, weakref.WeakKeyDictionary())
-    closed = by_rules.get(rules)
-    if closed is None:
-        closed = closure(graph, rules).graph
-        by_rules[rules] = closed
-    return goal in closed
 
 
 def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
@@ -529,38 +480,22 @@ def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
     """
     if closed is None:
         closed = closure(graph | aux, rules)
-    kept = set(graph.triples)
-    _Prover(closed._materialization).drop_entailed(graph, kept, aux)
+    m = closed._materialization
+    prover = _Prover(m)
+    kept: list[Triple] = []
+    # Proof depth is bounded by the number of distinct ground goals, which
+    # can exceed the default recursion limit on chain-heavy graphs.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        for t in graph:
+            if t in aux:
+                continue
+            goal = m.terms.encode(t)
+            prover.store.remove(goal)
+            if not prover.prove(goal):
+                prover.store.add(goal)
+                kept.append(t)
+    finally:
+        sys.setrecursionlimit(limit)
     return Graph(kept)
-
-
-class IncrementalResult(NamedTuple):
-    graph: Graph
-    used_fallback: bool
-
-
-def incremental_reduce(prev_min: Graph, diff: Diff, rules: RuleSet,
-                       aux: Graph = EMPTY_GRAPH, *, full: Graph) -> IncrementalResult:
-    """Update a previous minimization for a diff without re-reducing everything.
-
-    Deletions are dropped from the previous minimal graph, insertions are
-    tested as removal candidates, and if any insertion survives, the prior
-    survivors are retested too (a new triple can make an old one redundant).
-    The shortcut is unsound when a deletion removes support for a triple the
-    previous minimization elided, so the result's closure is compared
-    against the full graph's closure; on mismatch, the full graph is
-    reduced from scratch and the fallback is flagged.
-    """
-    intermediate = prev_min - diff.deletions
-    joined = intermediate | diff.insertions
-    # Every drop is entailed by what stays, so the candidate's closure is
-    # the closure of joined | aux, the materialization the proofs use.
-    closed = closure(joined | aux, rules)
-    kept = set(joined.triples)
-    prover = _Prover(closed._materialization)
-    if prover.drop_entailed(diff.insertions, kept, aux):
-        prover.drop_entailed(intermediate, kept, aux)
-    full_closed = closure(full | aux, rules)
-    if closed.graph == full_closed.graph:
-        return IncrementalResult(Graph(kept), False)
-    return IncrementalResult(reduce(full, rules, aux, closed=full_closed), True)

@@ -1,4 +1,4 @@
-"""Immutable graphs, diffs between graph versions, and skolemization.
+"""Immutable graphs and skolemization.
 
 A Graph is a duplicate-free set of ground triples with value semantics:
 two graphs are equal when they hold the same triples, regardless of how
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .terms import IRI, BlankNode, Triple, _Frozen, _set, is_absolute_iri
+from .terms import IRI, BlankNode, Triple, is_absolute_iri
 
 
 class Graph:
     """An immutable set of ground triples iterated in canonical order."""
 
-    __slots__ = ("_triples", "_sorted", "__weakref__")
+    __slots__ = ("_triples", "_sorted")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         frozen = frozenset(triples)
@@ -74,28 +74,6 @@ class Graph:
 
 
 EMPTY_GRAPH = Graph()
-
-
-class Diff(_Frozen):
-    """Insertions and deletions between two graph versions.
-
-    A triple listed on both sides is a no-op and is dropped from both, so
-    the two sides are always disjoint.
-    """
-
-    __slots__ = _fields = ("insertions", "deletions")
-
-    def __init__(self, insertions: Graph = EMPTY_GRAPH, deletions: Graph = EMPTY_GRAPH) -> None:
-        common = insertions & deletions
-        if common:
-            insertions, deletions = insertions - common, deletions - common
-        _set(self, "insertions", insertions)
-        _set(self, "deletions", deletions)
-
-
-def apply_diff(graph: Graph, diff: Diff) -> Graph:
-    """Delete first, then insert; inserting a present triple is a no-op."""
-    return (graph - diff.deletions) | diff.insertions
 
 
 def skolemize(graph: Graph, scope: str | IRI) -> Graph:

@@ -160,7 +160,7 @@ def check_safe(rule: Rule) -> SafetyReport:
 class RuleSet:
     """An ordered, duplicate-free collection of rules."""
 
-    __slots__ = ("_rules", "__weakref__")
+    __slots__ = ("_rules",)
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self._rules: tuple[Rule, ...] = tuple(dict.fromkeys(rules))

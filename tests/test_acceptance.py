@@ -18,23 +18,21 @@ from fractions import Fraction
 import pytest
 
 from graphnorm import (
-    Diff,
     EMPTY_RULESET,
-    Graph,
     NamespaceDecl,
-    apply_diff,
-    backchain,
     canonical_ratio,
     closure,
     compile_schema,
     compute_stats,
-    incremental_reduce,
+    format_rules,
     load_dlogic,
     parse_rules,
     parse_turtle,
     read_description,
     reduce,
+    serialize_turtle,
 )
+from graphnorm.cli import main
 from graphnorm.provenance import DEFAULT_GN_BASE, FileResolver
 
 from support import (
@@ -142,31 +140,36 @@ def test_goal_directed_proof_matches_brute_force_membership(criterion):
         for seed in range(1000):
             graph, rules, universe = random_instance(random.Random(seed))
             truth = naive_closure(graph, rules)
+            entailed = closure(graph, rules).graph
             for candidate in all_candidates(universe):
-                if backchain(graph, rules, candidate) != (candidate in truth):
+                if (candidate in entailed) != (candidate in truth):
                     disagreements += 1
         elapsed = time.monotonic() - started
         assert disagreements == 0
         assert elapsed < 60.0
 
 
-def test_incremental_minimization_preserves_closure_on_random_updates(criterion):
+def test_incremental_minimization_preserves_closure_on_random_updates(
+        criterion, tmp_path, capsys):
     with criterion(6):
-        fallbacks = 0
+        rules_path = tmp_path / "rules.n3"
         for seed in range(200):
             graph, rules, insertions, deletions = random_diff_instance(
                 random.Random(seed))
-            diff = Diff(insertions, deletions)
-            prev_min = reduce(graph, rules)
-            full = apply_diff(graph, diff)
-            result = incremental_reduce(prev_min, diff, rules, full=full)
-            baseline = reduce(full, rules)
-            assert closure(result.graph, rules).graph == closure(baseline, rules).graph
-            if result.used_fallback:
-                fallbacks += 1
-            else:
-                assert len(result.graph) == len(baseline)
-        print(f"incremental runs falling back to a full pass: {fallbacks}/200")
+            full = (graph - deletions) | insertions
+            rules_path.write_text(format_rules(rules), encoding="utf-8")
+            argv = ["diff-minimize", "--rules", str(rules_path)]
+            for flag, g in (("--prev-min", reduce(graph, rules)), ("--full", full),
+                            ("--insert", insertions), ("--delete", deletions)):
+                path = tmp_path / f"{flag[2:]}.ttl"
+                path.write_text(serialize_turtle(g), encoding="utf-8")
+                argv += [flag, str(path)]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            assert out == serialize_turtle(reduce(full, rules))
+            assert err == "fallback: false\n"
+            assert closure(parse_turtle(out), rules).graph == closure(full, rules).graph
 
 
 _DESCRIBE_SETS = [

@@ -170,8 +170,39 @@ class TestDiffMinimize:
             ["diff-minimize", "--prev-min", "prev.ttl", "--full", "full.ttl",
              "--delete", "del.ttl", "--rules", "links-rules.n3"], capsys)
         assert code == 0
-        assert err == "fallback: true\n"
+        assert err == "fallback: false\n"
         assert out == f"<{LINKS}a> <{LINKS}links_to> <{LINKS}b> .\n"
+
+    def test_stale_previous_minimum_does_not_change_the_result(self, workdir, capsys):
+        # prev.ttl is a minimal graph of full.ttl too, but not the one
+        # minimize chooses: the output is minimize's, byte for byte.
+        (workdir / "sym.n3").write_text(
+            f"{{ ?x <{LINKS}p> ?y . }} => {{ ?y <{LINKS}p> ?x . }} .\n", encoding="utf-8")
+        (workdir / "full.ttl").write_text(
+            f"<{LINKS}a> <{LINKS}p> <{LINKS}b> .\n<{LINKS}b> <{LINKS}p> <{LINKS}a> .\n",
+            encoding="utf-8")
+        (workdir / "prev.ttl").write_text(
+            f"<{LINKS}a> <{LINKS}p> <{LINKS}b> .\n", encoding="utf-8")
+        code, expected, _ = run(
+            ["minimize", "--data", "full.ttl", "--rules", "sym.n3"], capsys)
+        assert code == 0
+        code, out, err = run(
+            ["diff-minimize", "--prev-min", "prev.ttl", "--full", "full.ttl",
+             "--rules", "sym.n3"], capsys)
+        assert code == 0
+        assert err == "fallback: false\n"
+        assert out == expected == f"<{LINKS}b> <{LINKS}p> <{LINKS}a> .\n"
+
+    def test_diff_files_are_still_read_and_parsed(self, workdir, capsys):
+        (workdir / "bad.ttl").write_text("ex:a ex:b ex:c .\n", encoding="utf-8")
+        base = ["diff-minimize", "--prev-min", "links.ttl", "--full", "links.ttl",
+                "--rules", "links-rules.n3"]
+        code, out, err = run(base + ["--insert", "bad.ttl"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("graphnorm: bad.ttl:1:1")
+        code, out, err = run(base + ["--delete", "absent.ttl"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("graphnorm: ")
 
 
 class TestDescribeVerify:
@@ -307,6 +338,15 @@ def test_proof_deeper_than_the_recursion_limit_exits_1(tmp_path):
     assert result.stderr == ("graphnorm: the input's proofs are too deep to check "
                              "(recursion limit reached)\n")
     assert not (tmp_path / "out.ttl").exists()
+
+
+def test_importing_the_cli_leaves_the_recursion_limit_alone():
+    probe = ("import sys; limit = sys.getrecursionlimit(); import graphnorm.cli; "
+             "print(sys.getrecursionlimit() == limit)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=cli_env("0"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
 
 
 def test_importing_the_cli_leaves_out_the_network_stack():

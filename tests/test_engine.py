@@ -1,25 +1,23 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphnorm import (
-    Diff,
     EMPTY_GRAPH,
     Graph,
     IRI,
     Literal,
     Triple,
-    backchain,
     closure,
     compile_schema,
-    incremental_reduce,
     parse_rules,
     parse_turtle,
     reduce,
 )
-from graphnorm.engine import _Store
+from graphnorm.engine import _Prover, _Store
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
@@ -307,31 +305,33 @@ def test_closure_at_scale_matches_reachability():
 
 
 class TestBackchain:
+    """Goal queries: whether one ground triple is entailed, answered by
+    membership in the closure."""
+
     def test_stored_triple(self):
         g = Graph([t("a", "p", "b")])
-        assert backchain(g, EMPTY_RULESET, t("a", "p", "b"))
+        assert t("a", "p", "b") in closure(g, EMPTY_RULESET).graph
 
     def test_absent_triple(self):
         g = Graph([t("a", "p", "b")])
-        assert not backchain(g, EMPTY_RULESET, t("b", "p", "a"))
+        assert t("b", "p", "a") not in closure(g, EMPTY_RULESET).graph
 
     def test_one_step_derivation(self):
         g = Graph([t("a", "p", "b")])
-        assert backchain(g, sym("p"), t("b", "p", "a"))
+        assert t("b", "p", "a") in closure(g, sym("p")).graph
 
     def test_cycle_terminates(self):
         g = Graph([t("a", "p", "b")])
-        rules = sym("p")
-        assert not backchain(g, rules, t("a", "p", "c"))
+        assert t("a", "p", "c") not in closure(g, sym("p")).graph
 
     def test_needs_intermediate_goal_outside_store(self):
         # b p b holds only via the derived (not stored) b p a:
         # a p b  =sym=>  b p a, then b p a + a p b  =trans=>  b p b.
         g = Graph([t("a", "p", "b")])
-        rules = sym("p") | trans("p")
-        assert backchain(g, rules, t("b", "p", "b"))
-        assert backchain(g, rules, t("a", "p", "a"))
-        assert not backchain(g, rules, t("a", "q", "a"))
+        closed = closure(g, sym("p") | trans("p")).graph
+        assert t("b", "p", "b") in closed
+        assert t("a", "p", "a") in closed
+        assert t("a", "q", "a") not in closed
 
     def test_subclass_chain(self):
         schema = Graph([
@@ -340,16 +340,17 @@ class TestBackchain:
         ])
         rules = compile_schema(schema)
         g = Graph([Triple(IRI(EX + "x"), RDF_TYPE, IRI(EX + "A"))])
-        assert backchain(g, rules, Triple(IRI(EX + "x"), RDF_TYPE, IRI(EX + "C")))
-        assert not backchain(g, rules, Triple(IRI(EX + "y"), RDF_TYPE, IRI(EX + "C")))
+        closed = closure(g, rules).graph
+        assert Triple(IRI(EX + "x"), RDF_TYPE, IRI(EX + "C")) in closed
+        assert Triple(IRI(EX + "y"), RDF_TYPE, IRI(EX + "C")) not in closed
 
     def test_repeated_queries_are_consistent(self):
         g = Graph([t("a", "p", "b")])
         rules = sym("p")
         goal = t("b", "p", "a")
-        assert all(backchain(g, rules, goal) for _ in range(5))
+        assert all(goal in closure(g, rules).graph for _ in range(5))
         missing = t("c", "p", "a")
-        assert not any(backchain(g, rules, missing) for _ in range(5))
+        assert not any(missing in closure(g, rules).graph for _ in range(5))
 
 
 @settings(deadline=None, max_examples=40)
@@ -358,8 +359,9 @@ def test_backchain_agrees_with_oracle_everywhere(seed):
     rng = random.Random(seed)
     graph, rules, universe = random_instance(rng, max_triples=8, max_nodes=4)
     closed = naive_closure(graph, rules)
+    entailed = closure(graph, rules).graph
     for goal in all_candidates(universe):
-        assert backchain(graph, rules, goal) == (goal in closed), goal.ntriples()
+        assert (goal in entailed) == (goal in closed), goal.ntriples()
 
 
 class TestReduce:
@@ -491,68 +493,54 @@ def test_transitive_reduce_on_200_triples_over_60_nodes():
         assert not _reachable(edges - {(a, b)}, a, b)
 
 
-class TestIncrementalReduce:
-    def test_pure_insertion_redundant(self):
-        rules = sym("p")
-        full0 = Graph([t("b", "p", "a")])
-        prev = reduce(full0, rules)
-        diff = Diff(insertions=Graph([t("a", "p", "b")]))
-        full = Graph([t("b", "p", "a"), t("a", "p", "b")])
-        result = incremental_reduce(prev, diff, rules, full=full)
-        assert not result.used_fallback
-        assert result.graph == Graph([t("b", "p", "a")])
+_PERSON_DATA = parse_turtle(f"@prefix ex: <{EX}> .\nex:bob ex:knows ex:alice .\n")
+_PERSON_AUX = parse_turtle(
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    f"@prefix ex: <{EX}> .\n"
+    "ex:knows rdfs:domain ex:Person .\n"
+)
+_C1_UNDER_C2 = compile_schema(
+    Graph([Triple(IRI(EX + "C1"), RDFS_SUBCLASSOF, IRI(EX + "C2"))]))
+_N_C1 = Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C1"))
+_N_C2 = Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C2"))
 
-    def test_surviving_insertion_triggers_retest_of_old_survivors(self):
-        # One subclass rule: C1 under C2. The old minimal graph states the
-        # superclass; inserting the subclass makes the old statement redundant.
-        rules = compile_schema(Graph([Triple(IRI(EX + "C1"), RDFS_SUBCLASSOF, IRI(EX + "C2"))]))
-        old = Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C2"))
-        new = Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C1"))
-        prev = Graph([old])
-        diff = Diff(insertions=Graph([new]))
-        full = Graph([old, new])
-        result = incremental_reduce(prev, diff, rules, full=full)
-        assert not result.used_fallback
-        assert result.graph == Graph([new])
-        assert len(result.graph) == len(reduce(full, rules))
 
-    def test_deletion_of_support_falls_back(self):
-        # The previous minimization kept only (b p a); deleting it leaves the
-        # shortcut path unable to re-derive (a p b), which is still in the
-        # full graph, so the closure check forces a full reduce.
-        rules = sym("p")
-        g0 = Graph([t("a", "p", "b"), t("b", "p", "a")])
-        prev = reduce(g0, rules)
-        assert prev == Graph([t("b", "p", "a")])
-        diff = Diff(deletions=Graph([t("b", "p", "a")]))
-        full = Graph([t("a", "p", "b")])
-        result = incremental_reduce(prev, diff, rules, full=full)
-        assert result.used_fallback
-        assert result.graph == Graph([t("a", "p", "b")])
+# Updated graphs and their minimal graphs: each full graph is the result of
+# a diff, and reducing it gives the same survivors whatever came before.
+@pytest.mark.parametrize("full, rules, aux, expected", [
+    # The inserted a p b is redundant next to b p a.
+    (Graph([t("b", "p", "a"), t("a", "p", "b")]), sym("p"), EMPTY_GRAPH,
+     Graph([t("b", "p", "a")])),
+    # The inserted subclass statement makes the superclass one redundant.
+    (Graph([_N_C2, _N_C1]), _C1_UNDER_C2, EMPTY_GRAPH, Graph([_N_C1])),
+    # Deleting b p a, the survivor of {a p b, b p a}, leaves a p b.
+    (Graph([t("a", "p", "b")]), sym("p"), EMPTY_GRAPH, Graph([t("a", "p", "b")])),
+    # An empty diff keeps the previous result.
+    (Graph([t("a", "p", "b"), t("b", "p", "a")]), sym("p"), EMPTY_GRAPH,
+     Graph([t("b", "p", "a")])),
+    # The inserted type statement is derivable through aux's domain.
+    (_PERSON_DATA.add(Triple(IRI(EX + "bob"), RDF_TYPE, IRI(EX + "Person"))),
+     compile_schema(_PERSON_AUX), _PERSON_AUX, _PERSON_DATA),
+], ids=["pure_insertion_redundant", "surviving_insertion_makes_old_survivor_redundant",
+        "deletion_of_support", "empty_diff_keeps_previous_result", "aux_threads_through"])
+def test_reduce_of_an_updated_graph(full, rules, aux, expected):
+    assert reduce(full, rules, aux) == expected
 
-    def test_empty_diff_keeps_previous_result(self):
-        g = Graph([t("a", "p", "b"), t("b", "p", "a")])
-        rules = sym("p")
-        prev = reduce(g, rules)
-        result = incremental_reduce(prev, Diff(), rules, full=g)
-        assert not result.used_fallback
-        assert result.graph == prev
 
-    def test_aux_threads_through(self):
-        data = parse_turtle(
-            f"@prefix ex: <{EX}> .\n"
-            "ex:bob ex:knows ex:alice .\n"
-        )
-        aux = parse_turtle(
-            "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
-            f"@prefix ex: <{EX}> .\n"
-            "ex:knows rdfs:domain ex:Person .\n"
-        )
-        rules = compile_schema(aux)
-        prev = reduce(data, rules, aux)
-        inserted = Triple(IRI(EX + "bob"), RDF_TYPE, IRI(EX + "Person"))
-        diff = Diff(insertions=Graph([inserted]))
-        full = data.add(inserted)
-        result = incremental_reduce(prev, diff, rules, aux, full=full)
-        assert not result.used_fallback
-        assert result.graph == data  # the type statement is derivable again
+def test_reduce_raises_the_recursion_limit_only_while_it_proves(monkeypatch):
+    limit = sys.getrecursionlimit()
+    g = Graph([t("a", "p", "b"), t("b", "p", "a")])
+    assert reduce(g, sym("p")) == Graph([t("b", "p", "a")])
+    assert sys.getrecursionlimit() == limit
+
+    seen = []
+
+    def too_deep(self, goal):
+        seen.append(sys.getrecursionlimit())
+        raise RecursionError
+
+    monkeypatch.setattr(_Prover, "prove", too_deep)
+    with pytest.raises(RecursionError):
+        reduce(g, sym("p"))
+    assert seen == [max(limit, 20000)]
+    assert sys.getrecursionlimit() == limit

@@ -1,6 +1,6 @@
 import pytest
 
-from graphnorm import Diff, EMPTY_GRAPH, Graph, IRI, Triple, apply_diff, skolemize
+from graphnorm import EMPTY_GRAPH, Graph, IRI, Triple, skolemize
 from graphnorm.terms import BlankNode
 
 
@@ -44,24 +44,6 @@ class TestGraph:
     def test_rejects_non_triples(self):
         with pytest.raises(TypeError):
             Graph(["not a triple"])
-
-
-class TestDiff:
-    def test_common_triples_cancel(self):
-        d = Diff(insertions=Graph([t("a", "p", "b"), t("x", "p", "y")]),
-                 deletions=Graph([t("a", "p", "b")]))
-        assert d.insertions == Graph([t("x", "p", "y")])
-        assert d.deletions == EMPTY_GRAPH
-
-    def test_apply_diff(self):
-        g = Graph([t("a", "p", "b"), t("c", "p", "d")])
-        d = Diff(insertions=Graph([t("e", "p", "f")]), deletions=Graph([t("a", "p", "b")]))
-        assert apply_diff(g, d) == Graph([t("c", "p", "d"), t("e", "p", "f")])
-
-    def test_apply_diff_insert_present_is_noop(self):
-        g = Graph([t("a", "p", "b")])
-        d = Diff(insertions=Graph([t("a", "p", "b")]))
-        assert apply_diff(g, d) == g
 
 
 class TestSkolemize:
