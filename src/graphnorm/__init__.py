@@ -34,9 +34,9 @@ from .stats import (
     StatsReport,
     canonical_ratio,
     compute_stats,
-    counted_closure,
     decimal_string,
     out_links,
+    serialize_counted_closure,
 )
 from .provenance import (
     DEFAULT_GN_BASE,
@@ -88,7 +88,6 @@ __all__ = [
     "compare_description",
     "compile_schema",
     "compute_stats",
-    "counted_closure",
     "decimal_string",
     "emit_description",
     "format_rules",
@@ -99,6 +98,7 @@ __all__ = [
     "read_description",
     "recompute",
     "reduce",
+    "serialize_counted_closure",
     "serialize_turtle",
     "skolemize",
     "__version__",

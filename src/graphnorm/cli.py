@@ -43,7 +43,8 @@ from .provenance import (
     recompute,
 )
 from .rules import EMPTY_RULESET, RuleSet, compile_schema, parse_rules
-from .stats import NamespaceDecl, StatsReport, compute_stats, counted_closure, decimal_string
+from .stats import (NamespaceDecl, StatsReport, compute_stats, decimal_string,
+                    serialize_counted_closure)
 from .turtle import parse_turtle, serialize_turtle
 
 _EXIT_USAGE = 1
@@ -128,8 +129,7 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
 def _cmd_closure(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data, args.base)
     rules, aux = _load_rules(args)
-    closed = counted_closure(graph, rules, aux)
-    _write_output(serialize_turtle(closed), args.output)
+    _write_output(serialize_counted_closure(graph, rules, aux), args.output)
     return 0
 
 

@@ -5,11 +5,14 @@ ground term it meets as a dense int, once, and holds triples as (s, p, o)
 int tuples in one store, _Store, whose indexes are built on first use,
 per predicate for lookups that bind it, so adding a triple touches no
 index of another predicate. Rules are compiled against the same
-dictionary: constants become term ids and variables negative ints. Terms
-are decoded back into Triple values only where closure() returns its
-Graph; input triples keep their own Triple objects. Ids are handed out in
-set-iteration order, which varies with the hash seed, so nothing
-observable may depend on them: Graph iteration sorts by the decoded terms.
+dictionary: constants become term ids and variables negative ints.
+closure() decodes nothing: ClosureResult.graph decodes the derived
+triples into Triple values on its first read, beside the input's own
+Triple objects, and the closure command renders its text from the store,
+each distinct term once (_Materialization.render), without ever building
+Triples. Ids are handed out in set-iteration order, which varies with the
+hash seed, so nothing observable may depend on them: Graph iteration and
+render() sort by the rendered terms.
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -339,27 +342,48 @@ class _Materialization:
             store.update(produced)
             delta = produced
 
+    def render(self, without: Graph) -> str:
+        """The store minus the input triples in without, as the text
+        serialize_turtle gives for their Graph: each line is the
+        Triple.ntriples() of its terms' own renderings, and the lines are
+        sorted the same way."""
+        ids = self.terms.ids
+        dropped = {(ids[t.subject], ids[t.predicate], ids[t.object]) for t in without.triples}
+        texts = [term.ntriples() for term in self.terms.terms]
+        return "".join(sorted([f"{texts[s]} {texts[p]} {texts[o]} .\n"
+                               for s, p, o in self.store.triples - dropped]))
+
 
 class ClosureResult(_Frozen):
     # _materialization, the interned closure for the prover (reduce(...,
-    # closed=result)), stays out of equality and repr.
-    __slots__ = ("graph", "derived_count", "rounds", "_materialization")
+    # closed=result)) and for render(), stays out of equality and repr.
+    # graph is decoded from it on first read and kept.
+    __slots__ = ("_input", "_derived", "_graph", "derived_count", "rounds",
+                 "_materialization")
     _fields = ("graph", "derived_count", "rounds")
 
-    def __init__(self, graph: Graph, derived_count: int, rounds: int,
+    def __init__(self, graph: Graph, derived: list[_Ids], rounds: int,
                  _materialization: _Materialization) -> None:
-        _set(self, "graph", graph)
-        _set(self, "derived_count", derived_count)
+        _set(self, "_input", graph)
+        _set(self, "_derived", derived)
+        _set(self, "_graph", None)
+        _set(self, "derived_count", len(derived))
         _set(self, "rounds", rounds)
         _set(self, "_materialization", _materialization)
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            decode = self._materialization.terms.decode
+            _set(self, "_graph", Graph(self._input.triples.union(map(decode, self._derived))))
+        return self._graph
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
     m = _Materialization(graph, rules)
     derived, rounds = m.saturate()
-    closed = Graph(graph.triples.union(map(m.terms.decode, derived)))
-    return ClosureResult(closed, len(derived), rounds, m)
+    return ClosureResult(graph, derived, rounds, m)
 
 
 class _Prover:

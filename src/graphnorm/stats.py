@@ -48,13 +48,14 @@ class StatsReport(NamedTuple):
     out_link_density_minus: Fraction | None = None
 
 
-def counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:
-    """The closure as counted by the statistics.
+def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> str:
+    """The closure as counted by the statistics, in serialize_turtle's text.
 
     Auxiliary triples support inference but belong to the count only where
-    they overlap the published graph, keeping published <= closure.
+    they overlap the published graph, keeping published <= closure. The
+    text is rendered from the interned closure; no Triple is decoded.
     """
-    return closure(graph | aux, rules).graph - (aux - graph)
+    return closure(graph | aux, rules)._materialization.render(aux - graph)
 
 
 def out_links(graph: Graph, namespaces: NamespaceDecl) -> Graph:

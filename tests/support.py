@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from graphnorm import Graph, IRI, Literal, Triple, Variable, compile_schema
+from graphnorm import BlankNode, Graph, IRI, Literal, Triple, Variable, compile_schema
 from graphnorm.rules import (
     OWL_INVERSEOF,
     OWL_SYMMETRIC,
@@ -108,11 +108,13 @@ SCHEMA_KINDS = ("domain", "range", "inverse", "symmetric", "transitive", "subcla
 def random_instance(rng: random.Random, *, min_triples: int = 1, max_triples: int = 12,
                     min_nodes: int = 2, max_nodes: int = 6, max_rules: int = 4,
                     kinds: tuple[str, ...] = SCHEMA_KINDS, external: bool = False,
-                    literals: bool = False):
+                    literals: bool = False, rich: bool = False):
     """A random (graph, compiled ruleset) pair over a small constant universe.
 
     The graph holds at least min_triples distinct triples, so min_nodes
-    must leave room for them. Schema triples are drawn from kinds.
+    must leave room for them. Schema triples are drawn from kinds. rich
+    adds blank nodes, and literals with a language tag or characters
+    that N-Triples escapes.
     Returns (graph, rules, universe) where universe is the candidate term
     vocabulary: (subjects, predicates, objects).
     """
@@ -125,6 +127,11 @@ def random_instance(rng: random.Random, *, min_triples: int = 1, max_triples: in
     if literals:
         objects.append(Literal("twelve"))
         objects.append(Literal("12", datatype="http://www.w3.org/2001/XMLSchema#integer"))
+    if rich:
+        nodes.extend(BlankNode(f"b{i}") for i in range(2))
+        objects.extend(nodes[-2:])
+        objects.append(Literal('say "hi"\n\\ \t\r', language="en"))
+        objects.append(Literal("\u00e9t\u00e9", language="fr-CA"))
 
     def draw() -> Triple:
         if rng.random() < 0.3:

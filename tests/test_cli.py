@@ -10,11 +10,14 @@ from graphnorm import (
     NormalisationSpec,
     RuleSource,
     StatsReport,
+    closure,
     compile_schema,
     compute_stats,
     decimal_string,
     emit_description,
     parse_turtle,
+    serialize_turtle,
+    skolemize,
 )
 from graphnorm.cli import main
 
@@ -81,6 +84,43 @@ class TestClosure:
         assert code == 0
         assert "_:" not in out
         assert "/.well-known/genid/" in out
+
+    def test_schema_triple_also_in_data_is_printed(self, workdir, capsys):
+        domain = ("<http://xmlns.com/foaf/0.1/knows> "
+                  "<http://www.w3.org/2000/01/rdf-schema#domain> "
+                  "<http://xmlns.com/foaf/0.1/Person> .")
+        (workdir / "overlap.ttl").write_text(
+            "<http://example.org/people/bob> <http://xmlns.com/foaf/0.1/knows> "
+            f"<http://example.org/people/alice> .\n{domain}\n", encoding="utf-8")
+        code, out, _ = run(
+            ["closure", "--data", "overlap.ttl", "--dlogic", "vocab.ttl"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert domain in lines
+        assert not any("rdf-schema#range" in line for line in lines)
+        assert len(lines) == 4  # knows, domain, and both ends typed Person
+
+    def test_output_matches_graph_definition(self, workdir, capsys):
+        (workdir / "rich.ttl").write_text(
+            f"_:x <{LINKS}links_to> _:y .\n"
+            f'_:y <{LINKS}label> "a \\"quoted\\" tab\\t"@en-GB .\n'
+            f"<{LINKS}a> <{LINKS}links_to> _:x .\n"
+            f"<{LINKS}a> <{LINKS}size> 12 .\n"
+            f'<{LINKS}a> <{LINKS}note> "caf\u00e9"^^<{LINKS}text> .\n',
+            encoding="utf-8")
+        (workdir / "rich-vocab.ttl").write_text(
+            f"<{LINKS}links_to> <http://www.w3.org/2000/01/rdf-schema#range> <{LINKS}Page> .\n"
+            f"<{LINKS}label> <http://www.w3.org/2000/01/rdf-schema#domain> <{LINKS}Page> .\n",
+            encoding="utf-8")
+        base = "http://example.org/g"
+        code, _, _ = run(["closure", "--data", "rich.ttl", "--dlogic", "rich-vocab.ttl",
+                          "--base", base, "--output", "out.ttl"], capsys)
+        assert code == 0
+        graph = skolemize(parse_turtle((workdir / "rich.ttl").read_text(encoding="utf-8")), base)
+        aux = parse_turtle((workdir / "rich-vocab.ttl").read_text(encoding="utf-8"))
+        expected = closure(graph | aux, compile_schema(aux)).graph - (aux - graph)
+        assert len(expected) == 7  # five published, both blanks typed Page
+        assert (workdir / "out.ttl").read_bytes() == serialize_turtle(expected).encode("utf-8")
 
 
 class TestMinimize:

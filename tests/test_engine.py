@@ -92,6 +92,19 @@ class TestClosure:
         result = closure(g, sym("p"))
         assert result.derived_count == 0
 
+    def test_graph_is_the_same_on_every_read(self):
+        g = Graph([t("a", "p", "b"), t("b", "p", "c")])
+        first, second = closure(g, trans("p")), closure(g, trans("p"))
+        assert first.graph is first.graph
+        assert first.graph == second.graph
+        assert first == second and hash(first) == hash(second)
+        assert first != closure(g, EMPTY_RULESET)
+
+    def test_repr_shows_graph_and_counts(self):
+        result = closure(Graph([t("a", "p", "b"), t("b", "p", "c")]), trans("p"))
+        assert repr(result) == (
+            "ClosureResult(graph=Graph(3 triples), derived_count=1, rounds=1)")
+
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=10_000))

@@ -12,17 +12,19 @@ from graphnorm import (
     NamespaceDecl,
     Triple,
     canonical_ratio,
+    closure,
     compute_stats,
-    counted_closure,
     decimal_string,
     out_links,
     parse_rules,
     parse_turtle,
+    serialize_counted_closure,
+    serialize_turtle,
 )
 from graphnorm.rules import EMPTY_RULESET
 from graphnorm.terms import BlankNode, Literal
 
-from support import random_instance, DATA_NS, EXT_NS, PRED_NS, CLASS_NS
+from support import all_candidates, random_instance, DATA_NS, EXT_NS, PRED_NS, CLASS_NS
 
 EX = "http://example.org/"
 
@@ -81,14 +83,31 @@ class TestCountedClosure:
             "{ ?s ?p ?o . ?p <http://www.w3.org/2000/01/rdf-schema#domain> ?c . }"
             " => { ?s a ?c . } ."
         )
-        closed = counted_closure(data, rules, aux)
+        closed = parse_turtle(serialize_counted_closure(data, rules, aux))
         assert len(closed) == 2  # the knows triple plus the derived type
         assert not (closed.triples & aux.triples)
 
     def test_aux_triples_already_published_stay_counted(self):
         shared = t("a", "p", "b")
         g = Graph([shared])
-        assert counted_closure(g, EMPTY_RULESET, Graph([shared])) == g
+        assert parse_turtle(serialize_counted_closure(g, EMPTY_RULESET, Graph([shared]))) == g
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_counted_closure_text_matches_graph_definition(seed):
+    """The text rendered from the interned closure is the serialization of
+    the Graph-level definition, for aux that overlaps the data, aux that
+    does not, and rules that may derive nothing."""
+    rng = random.Random(seed)
+    graph, rules, universe = random_instance(rng, literals=True, rich=True)
+    if rng.random() < 0.25:
+        rules = EMPTY_RULESET
+    aux = {x for x in graph if rng.random() < 0.3}
+    aux.update(rng.sample(all_candidates(universe), rng.randint(0, 4)))
+    aux = Graph(aux)
+    expected = serialize_turtle(closure(graph | aux, rules).graph - (aux - graph))
+    assert serialize_counted_closure(graph, rules, aux) == expected
 
 
 class TestOutLinks:

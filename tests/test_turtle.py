@@ -206,39 +206,37 @@ class TestSerialization:
         assert parse_turtle(serialize_turtle(g)) == g
 
 
-@st.composite
-def ground_triples(draw):
-    iri = st.builds(
-        lambda s: IRI("http://t.org/" + s),
-        st.text(alphabet="abcdefg0123456789", min_size=1, max_size=6),
-    )
-    # Labels [A-Za-z0-9][A-Za-z0-9_]{0,5}, drawn without a regex strategy,
-    # whose generation was slow enough to fail the too_slow health check.
-    alnum = string.ascii_letters + string.digits
-    blank = st.builds(
-        lambda first, rest: BlankNode(first + rest),
-        st.sampled_from(alnum),
-        st.text(alphabet=alnum + "_", max_size=5),
-    )
-    literal = st.one_of(
-        st.builds(Literal, st.text(max_size=12)),
-        st.builds(lambda s: Literal(s, language="en"), st.text(max_size=8)),
-        st.builds(lambda s: Literal(s, datatype=XSD_INTEGER), st.text(max_size=8)),
-    )
-    return Triple(
-        draw(st.one_of(iri, blank)),
-        draw(iri),
-        draw(st.one_of(iri, blank, literal)),
-    )
+# Term strategies are built once, here, not inside a composite on every
+# draw: rebuilding them per triple made generation slow enough to fail the
+# too_slow health check on a busy host.
+_IRIS = st.builds(
+    lambda s: IRI("http://t.org/" + s),
+    st.text(alphabet="abcdefg0123456789", min_size=1, max_size=6),
+)
+# Labels [A-Za-z0-9][A-Za-z0-9_]{0,5}, drawn without a regex strategy,
+# whose generation was slow enough to fail the too_slow health check.
+_ALNUM = string.ascii_letters + string.digits
+_BLANKS = st.builds(
+    lambda first, rest: BlankNode(first + rest),
+    st.sampled_from(_ALNUM),
+    st.text(alphabet=_ALNUM + "_", max_size=5),
+)
+_LITERALS = st.one_of(
+    st.builds(Literal, st.text(max_size=12)),
+    st.builds(lambda s: Literal(s, language="en"), st.text(max_size=8)),
+    st.builds(lambda s: Literal(s, datatype=XSD_INTEGER), st.text(max_size=8)),
+)
+_GROUND_TRIPLES = st.builds(
+    Triple, st.one_of(_IRIS, _BLANKS), _IRIS, st.one_of(_IRIS, _BLANKS, _LITERALS))
 
 
-@given(st.lists(ground_triples(), max_size=20))
+@given(st.lists(_GROUND_TRIPLES, max_size=20))
 def test_serialize_parse_round_trip_any_graph(triples):
     g = Graph(triples)
     assert parse_turtle(serialize_turtle(g)) == g
 
 
-@given(st.lists(ground_triples(), max_size=20))
+@given(st.lists(_GROUND_TRIPLES, max_size=20))
 def test_serialization_is_deterministic(triples):
     assert serialize_turtle(Graph(triples)) == serialize_turtle(Graph(reversed(triples)))
 
