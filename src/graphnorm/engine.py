@@ -30,42 +30,34 @@ and drop every triple the remaining triples still entail. Auxiliary
 triples (typically schema) support the proofs but are never candidates
 and never part of the result.
 
-Each of those decisions is a backward proof over the shrinking working
-store, grounded in the materialization M = closure(graph | aux), whose
-store and dictionary the prover shares rather than indexing M again. The
-rules are monotone and the working store is always a subset of
-graph | aux, so every triple provable from it already lies in M: a goal
-outside M fails at once, and the candidate groundings of a body atom are
-the triples of M that match it, not every combination of terms. A goal
-is tried only against the rule heads that can produce it, dispatched the
-same way as the forward body atoms. Body atoms are solved left-to-right,
-first against the stored triples and then against the derivable ones in
-M. An ancestor set cuts cyclic goals. The proof recursion can go deeper
-than the interpreter's default limit, so reduce() raises the limit while
-it proves and restores it before it returns or raises; importing the
-module changes no interpreter setting.
+Each of those decisions is a proof over the shrinking working store,
+grounded in the materialization M = closure(graph | aux), whose store and
+dictionary the prover shares rather than indexing M again. The rules are
+monotone and the working store is always a subset of graph | aux, so
+every triple it entails lies in M. Entailment is then the least fixpoint
+over the ground rule instances whose body atoms all lie in M, as for
+propositional Horn clauses (Dowling and Gallier, 1984): a goal holds if
+it is stored or if some instance with that head has every body atom
+stored or proved. The prover explores that fixpoint from the candidate
+with an explicit stack, so no proof depth reaches the interpreter's
+recursion limit. A goal is tried only against the rule heads that can
+produce it, dispatched the same way as the forward body atoms. Each body
+atom is matched against the stored triples first and then against the
+rest of M. A grounding stops at its first atom that is neither stored
+nor proved: it watches that atom, which is explored in turn, and resumes
+once the atom is proved. The candidate holds as soon as it is proved and
+fails once nothing is left to explore.
 
-Failure caching is the delicate part. A goal that failed only because a
-branch was cut on some ancestor might still be provable in another
-context, so each failure is tagged with the set of goals whose cuts it
-depended on. Failures with no dependencies are definitive and cached
-permanently; dependent failures are memoized only for the current run,
-which bounds every run to one expansion per goal. A run that neither
-proves the query nor proves any new subgoal is quiescent, and for
-monotone rules quiescence makes the failure final: any derivable goal
-would have to have a minimal-height derivation whose body atoms were all
-either found or themselves visited-and-failed at smaller height.
-
-Permanent failure entries stay valid across the candidate tests of one
-reduce() pass: the tested graph only ever shrinks, except for the one
-triple under test, and any failure that depended on that triple's absence
-was cut on it (the candidate is the root of its own proof, hence always
-on the path) and therefore never cached permanently.
+A failure outlives its candidate by one rule. When the candidate fails,
+an explored goal that cannot reach it along watch edges (from a goal to
+the atoms its groundings wait on) fails from every later store as well:
+later stores are subsets of this one plus the candidate, and the goal
+failed without waiting on the candidate. Later candidates skip every
+grounding that needs such a goal.
 """
 
 from __future__ import annotations
 
-import sys
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -78,7 +70,9 @@ from .terms import IRI, BlankNode, GroundTerm, Triple, Variable, _Frozen, _set
 _Ids = tuple[int, int, int]
 _Binding = dict[int, int]
 _NO_BINDING: _Binding = {}  # never mutated: _unify copies before it writes
-_EMPTY_CUTS: frozenset[_Ids] = frozenset()
+# An instance waiting on an atom: its head, body, the body position after
+# the atom, and the binding that grounds the atom.
+_Watch = tuple[_Ids, tuple[_Ids, ...], int, _Binding]
 
 _IRI, _BLANK, _LITERAL = 0, 1, 2
 
@@ -208,11 +202,18 @@ def _unify(atom: _Ids, t: _Ids, binding: _Binding) -> _Binding | None:
 def _match(store: _Store, atom: _Ids, binding: _Binding) -> Iterator[tuple[_Ids, _Binding]]:
     """Each triple of the store that atom matches under binding, with the
     binding extended by the match."""
-    s, p, o = (x if x >= 0 else binding.get(x) for x in atom)
-    for t in store.match(s, p, o):
-        extended = _unify(atom, t, binding)
-        if extended is not None:
-            yield t, extended
+    s, p, o = atom
+    if s < 0:
+        s = binding.get(s)
+    if p < 0:
+        p = binding.get(p)
+    if o < 0:
+        o = binding.get(o)
+    if s is not None and p is not None and o is not None:
+        t = (s, p, o)
+        return iter(((t, binding),) if t in store.triples else ())
+    return ((t, extended) for t in store.match(s, p, o)
+            if (extended := _unify(atom, t, binding)) is not None)
 
 
 def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
@@ -387,7 +388,7 @@ def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
 
 
 class _Prover:
-    """Backward proofs over a working store that only shrinks.
+    """Proofs over a working store that only shrinks.
 
     The working store starts as the input of the materialization, whose
     closure therefore contains every triple the store can ever prove.
@@ -400,94 +401,88 @@ class _Prover:
         for body, head in m.rules:
             for atom in head:
                 self._heads.setdefault(_dispatch_key(atom), []).append((atom, body))
-        self._proved: set[_Ids] = set()
+        # Goals that fail from every store this prover will hold.
         self._failed: set[_Ids] = set()
-        self._run_memo: dict[_Ids, frozenset[_Ids]] = {}
 
     def prove(self, goal: _Ids) -> bool:
-        # Proved goals hold only for the store as it is during this call.
-        self._proved = set()
-        while True:
-            self._run_memo = {}
-            proved_before = len(self._proved)
-            ok, cuts = self._prove(goal, set())
-            if ok:
-                return True
-            if not cuts:
-                return False
-            if len(self._proved) == proved_before:
-                # Quiescent run: nothing new became provable, so the
-                # cut-dependent failures cannot resolve any further.
-                return False
+        """Whether the working store entails goal, a triple of M outside it."""
+        proved: set[_Ids] = set()
+        watchers: dict[_Ids, list[_Watch]] = {}
+        explored: set[_Ids] = set()
+        stack: list[tuple[_Ids, Iterator[_Ids | None]]] = []
 
-    def _prove(self, goal: _Ids, path: set[_Ids]) -> tuple[bool, frozenset[_Ids]]:
-        if goal in self.store.triples:
-            return True, _EMPTY_CUTS
-        if goal not in self._closed.triples:
-            return False, _EMPTY_CUTS
-        if goal in self._proved:
-            return True, _EMPTY_CUTS
-        if goal in self._failed:
-            return False, _EMPTY_CUTS
-        memo = self._run_memo.get(goal)
-        if memo is not None:
-            return False, memo
-        if goal in path:
-            return False, frozenset((goal,))
-        path.add(goal)
-        cuts: set[_Ids] = set()
-        for atom, body in _dispatched(self._heads, goal):
-            binding = _unify(atom, goal, _NO_BINDING)
-            if binding is None:
-                continue
-            ok, c = self._solve(body, 0, binding, path)
-            if ok:
-                path.remove(goal)
-                self._proved.add(goal)
-                return True, _EMPTY_CUTS
-            cuts |= c
-        path.remove(goal)
-        cuts.discard(goal)
-        if not cuts:
-            # No branch was cut on any open goal, so every consulted failure
-            # was itself definitive: the failure holds in any context.
-            self._failed.add(goal)
-            return False, _EMPTY_CUTS
-        frozen = frozenset(cuts)
-        self._run_memo[goal] = frozen
-        return False, frozen
+        def explore(atom: _Ids) -> None:
+            explored.add(atom)
+            instances = ((body, 0, binding) for pattern, body in _dispatched(self._heads, atom)
+                         if (binding := _unify(pattern, atom, _NO_BINDING)) is not None)
+            stack.append((atom, self._ground(atom, instances, proved, watchers)))
 
-    def _solve(self, atoms: tuple[_Ids, ...], i: int, binding: _Binding,
-               path: set[_Ids]) -> tuple[bool, frozenset[_Ids]]:
-        if i == len(atoms):
-            return True, _EMPTY_CUTS
-        atom = atoms[i]
-        cuts: set[_Ids] = set()
-        for _, extended in _match(self.store, atom, binding):
-            ok, c = self._solve(atoms, i + 1, extended, path)
-            if ok:
-                return True, _EMPTY_CUTS
-            cuts |= c
-        ok, c = self._solve_derived(atom, atoms, i, binding, path)
-        if ok:
-            return True, _EMPTY_CUTS
-        cuts |= c
-        return False, frozenset(cuts) if cuts else _EMPTY_CUTS
+        explore(goal)
+        while stack:
+            head, frame = stack[-1]
+            atom = () if head in proved else next(frame, ())
+            if atom is None:
+                # An instance of head is complete: head holds, and so may
+                # the instances that wait on it.
+                heads = [head]
+                while heads:
+                    head = heads.pop()
+                    if head == goal:
+                        return True
+                    if head not in proved:
+                        proved.add(head)
+                        for waiting, body, i, binding in watchers.pop(head, ()):
+                            if i == len(body):
+                                heads.append(waiting)
+                            elif waiting not in proved:
+                                stack.append((waiting, self._ground(
+                                    waiting, ((body, i, binding),), proved, watchers)))
+            elif not atom:
+                stack.pop()
+            elif atom not in explored:
+                explore(atom)
+        # An explored goal that cannot reach goal along watch edges failed
+        # without waiting on it, so it fails from every later store too.
+        reach = {goal}
+        todo = [goal]
+        while todo:
+            for head, *_ in watchers.get(todo.pop(), ()):
+                if head not in reach:
+                    reach.add(head)
+                    todo.append(head)
+        self._failed |= explored - proved - reach
+        return False
 
-    def _solve_derived(self, atom, atoms, i, binding, path) -> tuple[bool, frozenset[_Ids]]:
-        cuts: set[_Ids] = set()
-        for goal, extended in _match(self._closed, atom, binding):
-            if goal in self.store.triples:
-                continue  # stored matches were already tried
-            ok, c = self._prove(goal, path)
-            if not ok:
-                cuts |= c
-                continue
-            ok2, c2 = self._solve(atoms, i + 1, extended, path)
-            if ok2:
-                return True, _EMPTY_CUTS
-            cuts |= c2
-        return False, frozenset(cuts) if cuts else _EMPTY_CUTS
+    def _ground(self, head: _Ids, instances: Iterable[tuple[tuple[_Ids, ...], int, _Binding]],
+                proved: set[_Ids], watchers: dict[_Ids, list[_Watch]]) -> Iterator[_Ids | None]:
+        """Walk the groundings of each body from its position on, with one
+        match iterator per body position: stored triples first, then the
+        rest of M. A grounding stops at its first atom that is neither
+        stored nor proved; it watches that atom, which is yielded to be
+        explored. None is yielded when a grounding completes."""
+        store, closed = self.store, self._closed
+        stored, failed = store.triples, self._failed
+        for body, i, binding in instances:
+            last = len(body) - 1
+            positions = [(i, binding, _match(store, body[i], binding), False)]
+            while positions:
+                j, b, matches, derived = positions[-1]
+                for t, extended in matches:
+                    if derived and t not in proved:
+                        if t not in stored and t not in failed:
+                            watchers.setdefault(t, []).append((head, body, j + 1, extended))
+                            yield t
+                    elif j == last:
+                        yield None
+                        return
+                    else:
+                        positions.append((j + 1, extended,
+                                          _match(store, body[j + 1], extended), False))
+                        break
+                else:
+                    positions.pop()
+                    if not derived:
+                        positions.append((j, b, _match(closed, body[j], b), True))
 
 
 def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
@@ -507,19 +502,12 @@ def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
     m = closed._materialization
     prover = _Prover(m)
     kept: list[Triple] = []
-    # Proof depth is bounded by the number of distinct ground goals, which
-    # can exceed the default recursion limit on chain-heavy graphs.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20000))
-    try:
-        for t in graph:
-            if t in aux:
-                continue
-            goal = m.terms.encode(t)
-            prover.store.remove(goal)
-            if not prover.prove(goal):
-                prover.store.add(goal)
-                kept.append(t)
-    finally:
-        sys.setrecursionlimit(limit)
+    for t in graph:
+        if t in aux:
+            continue
+        goal = m.terms.encode(t)
+        prover.store.remove(goal)
+        if not prover.prove(goal):
+            prover.store.add(goal)
+            kept.append(t)
     return Graph(kept)

@@ -69,6 +69,9 @@ _VOID_STAT_ITEM = VOID_NS + "statItem"
 _SCOVO_DIMENSION = SCOVO_NS + "dimension"
 
 _SOURCE_FORMATS = ("n3", "dlogic", "rif")
+# The writer nests anonymous nodes three deep. The reader recurses once per
+# level, so deeper nesting is refused long before the interpreter's limit.
+_MAX_NESTING = 16
 _KINDS = ("none", "closure", "mini_rdf")
 
 
@@ -271,6 +274,7 @@ class _DescriptionReader:
     def __init__(self, text: str, source: str | None):
         self.cur = _TokenCursor(tokenize(text, source), source)
         self.prefixes: dict[str, str] = {}
+        self.depth = 0
 
     def read(self) -> dict[_Ref, dict[str, list]]:
         subjects: dict[_Ref, dict[str, list]] = {}
@@ -371,11 +375,15 @@ class _DescriptionReader:
                     return Fraction(value)
             return value
         if tok.kind == LBRACKET:
+            if self.depth == _MAX_NESTING:
+                raise self.cur.error(f"anonymous nodes nest more than {_MAX_NESTING} deep", tok)
             props: dict[str, list] = {}
             if self.cur.peek().kind == RBRACKET:
                 self.cur.next()
                 return props
+            self.depth += 1
             self._predicate_object_list(props, closing=RBRACKET)
+            self.depth -= 1
             return props
         if tok.kind == BLANK:
             raise self.cur.error("labeled blank nodes are not supported in descriptions", tok)

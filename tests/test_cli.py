@@ -352,6 +352,21 @@ class TestMalformedInput:
         assert result.stderr == f"graphnorm: {message}\n"
         assert not (workdir / "out.ttl").exists()
 
+    def test_description_nested_5000_deep_exits_2(self, workdir):
+        head = f"<{CHAIN}d> <{CHAIN}p> "
+        level = f"[ <{CHAIN}p> "
+        (workdir / "deep.ttl").write_text(
+            head + level * 5000 + "1" + " ]" * 5000 + " .\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "graphnorm", "verify", "deep.ttl", "--output", "out.txt"],
+            cwd=workdir, capture_output=True, text=True, env=cli_env("0"),
+        )
+        assert result.returncode == 2
+        column = len(head) + 16 * len(level) + 1  # the 17th '['
+        assert result.stderr == (f"graphnorm: deep.ttl:1:{column}: "
+                                 "anonymous nodes nest more than 16 deep\n")
+        assert not (workdir / "out.txt").exists()
+
     def test_undecodable_surrogate_exits_1(self, workdir):
         # UTF-8 bytes of U+D800 are not valid UTF-8: the file fails to decode.
         result = self._closure(workdir, b'"\xed\xa0\x80"')
@@ -361,9 +376,9 @@ class TestMalformedInput:
         assert not (workdir / "out.ttl").exists()
 
 
-def test_proof_deeper_than_the_recursion_limit_exits_1(tmp_path):
+def test_minimize_over_a_9000_class_chain_keeps_the_c0_types(tmp_path):
     # x0..x2 are typed C0, C4500 and C9000 on a 9000-class subClassOf
-    # chain: proving the C9000 types from C0 recurses past the limit.
+    # chain: the proofs of the C9000 types walk 9000 steps from C0.
     rdfs = "http://www.w3.org/2000/01/rdf-schema#"
     schema = [f"<{CHAIN}C{i}> <{rdfs}subClassOf> <{CHAIN}C{i + 1}> ." for i in range(9000)]
     data = [f"<{CHAIN}x{j}> a <{CHAIN}C{k}> ." for k in (0, 4500, 9000) for j in range(3)]
@@ -374,10 +389,10 @@ def test_proof_deeper_than_the_recursion_limit_exits_1(tmp_path):
          "--dlogic", "deep-schema.ttl", "--output", "out.ttl"],
         cwd=tmp_path, capture_output=True, text=True, env=cli_env("0"),
     )
-    assert result.returncode == 1
-    assert result.stderr == ("graphnorm: the input's proofs are too deep to check "
-                             "(recursion limit reached)\n")
-    assert not (tmp_path / "out.ttl").exists()
+    assert result.returncode == 0, result.stderr
+    rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+    assert (tmp_path / "out.ttl").read_text(encoding="utf-8") == "".join(
+        f"<{CHAIN}x{j}> <{rdf_type}> <{CHAIN}C0> .\n" for j in range(3))
 
 
 def test_importing_the_cli_leaves_the_recursion_limit_alone():

@@ -17,7 +17,7 @@ from graphnorm import (
     parse_turtle,
     reduce,
 )
-from graphnorm.engine import _Prover, _Store
+from graphnorm.engine import _Store
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
@@ -397,6 +397,16 @@ class TestReduce:
         g = Graph([t("a", "p", "b"), t("b", "p", "c"), t("a", "p", "c")])
         assert reduce(g, trans("p")) == Graph([t("a", "p", "b"), t("b", "p", "c")])
 
+    def test_constant_atom_between_variable_atoms(self):
+        # A proof of a r c returns to the constant middle atom once b p c
+        # fails; it must move past it, not match it again.
+        rules = parse_rules(f"@prefix ex: <{EX}> .\n"
+                            "{ ?x ex:p ?y . ex:a ex:q ex:b . ?y ex:p ?z } => { ?x ex:r ?z } .")
+        g = Graph([t("a", "p", "b"), t("a", "q", "b"), t("a", "r", "c")])
+        assert reduce(g, rules) == g
+        assert reduce(g.add(t("b", "p", "c")), rules) == g.add(t("b", "p", "c")).discard(
+            t("a", "r", "c"))
+
     def test_closure_is_preserved(self):
         g = Graph([
             t("a", "p", "b"), t("b", "p", "c"), t("a", "p", "c"), t("c", "p", "a"),
@@ -471,26 +481,50 @@ def test_reduce_is_minimal_on_graphs_of_100_to_300_triples(seed):
         assert triple not in naive_closure(rest, rules), triple.ntriples()
 
 
-def _reachable(edges: set, start, goal) -> bool:
+def _reaches(successors: dict, start, goal, skip=None) -> bool:
+    """Whether a path of edges other than skip leads from start to goal."""
     seen, frontier = {start}, [start]
     while frontier:
         node = frontier.pop()
-        for a, b in edges:
-            if a == node and b not in seen:
-                if b == goal:
-                    return True
-                seen.add(b)
-                frontier.append(b)
+        for nxt in successors.get(node, ()):
+            if (node, nxt) == skip:
+                continue
+            if nxt == goal:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     return False
 
 
-def test_transitive_reduce_on_200_triples_over_60_nodes():
-    rng = random.Random(3)
+def _assert_transitive_reduction(graph: Graph, minimal: Graph, p: IRI) -> None:
+    """With p's transitivity the only rule, minimal keeps every triple of
+    another predicate, still joins the ends of every p triple of graph,
+    and keeps no p triple that its other p triples join."""
+    assert minimal.triples <= graph.triples
+    assert {x for x in graph if x.predicate != p} <= minimal.triples
+    successors: dict = {}
+    for x in minimal:
+        if x.predicate == p:
+            successors.setdefault(x.subject, []).append(x.object)
+    for x in graph:
+        if x.predicate == p:
+            assert _reaches(successors, x.subject, x.object), x.ntriples()
+    for a, ends in successors.items():
+        for b in ends:
+            assert not _reaches(successors, a, b, skip=(a, b)), (a, b)
+
+
+def _random_triples(rng: random.Random, n: int, nodes: int, predicates: str) -> Graph:
     triples = set()
-    while len(triples) < 200:
-        a, b = rng.sample(range(60), 2)
-        triples.add(t(f"n{a}", rng.choice("pqr"), f"n{b}"))
-    graph = Graph(triples)
+    while len(triples) < n:
+        a, b = rng.sample(range(nodes), 2)
+        triples.add(t(f"n{a}", rng.choice(predicates), f"n{b}"))
+    return Graph(triples)
+
+
+def test_transitive_reduce_on_200_triples_over_60_nodes():
+    graph = _random_triples(random.Random(3), 200, 60, "pqr")
     rules = trans("p")
     minimal = reduce(graph, rules)
     closed = naive_closure(graph, rules)
@@ -499,11 +533,46 @@ def test_transitive_reduce_on_200_triples_over_60_nodes():
     # Only p has a rule, so every q and r triple stays, and a p triple is
     # redundant exactly when the other kept p triples still join its ends.
     p = IRI(EX + "p")
-    assert {x for x in graph if x.predicate != p} <= minimal.triples
-    edges = {(x.subject, x.object) for x in minimal if x.predicate == p}
-    assert len(edges) < sum(1 for x in graph if x.predicate == p)
-    for a, b in edges:
-        assert not _reachable(edges - {(a, b)}, a, b)
+    _assert_transitive_reduction(graph, minimal, p)
+    assert (sum(1 for x in minimal if x.predicate == p)
+            < sum(1 for x in graph if x.predicate == p))
+
+
+def _sparse_forest(rng: random.Random) -> Graph:
+    """1000 p triples over 700 nodes: a random forest of depth at most
+    5 whose edges point at parents, shortcuts from nodes to their further
+    ancestors, and 50 edges between random nodes, which can close cycles."""
+    parent: dict[int, int] = {}
+    depth = {0: 0}
+    for n in range(1, 700):
+        a = rng.randrange(n)
+        if depth[a] < 5 and rng.random() > 0.02:
+            parent[n], depth[n] = a, depth[a] + 1
+        else:
+            depth[n] = 0
+    edges = set(parent.items())
+    while len(edges) < 950:
+        n = m = rng.randrange(700)
+        ancestors = []
+        while m in parent:
+            m = parent[m]
+            ancestors.append(m)
+        if ancestors:
+            edges.add((n, rng.choice(ancestors)))
+    while len(edges) < 1000:
+        edges.add(tuple(rng.sample(range(700), 2)))
+    return Graph([t(f"n{a}", "p", f"n{b}") for a, b in edges])
+
+
+# The naive oracle would take one closure per kept triple to check
+# minimality here, so these graphs are checked by reachability alone.
+@pytest.mark.parametrize("graph", [
+    _random_triples(random.Random(3), 200, 60, "pq"),
+    _sparse_forest(random.Random(1)),
+], ids=["dense_200_triples_two_predicates", "sparse_1000_triples"])
+def test_transitive_reduce_is_minimal_by_reachability(graph):
+    minimal = reduce(graph, trans("p"))
+    _assert_transitive_reduction(graph, minimal, IRI(EX + "p"))
 
 
 _PERSON_DATA = parse_turtle(f"@prefix ex: <{EX}> .\nex:bob ex:knows ex:alice .\n")
@@ -540,20 +609,12 @@ def test_reduce_of_an_updated_graph(full, rules, aux, expected):
     assert reduce(full, rules, aux) == expected
 
 
-def test_reduce_raises_the_recursion_limit_only_while_it_proves(monkeypatch):
+def test_reduce_of_a_9000_class_chain_leaves_the_recursion_limit_alone():
+    # x0..x2 are typed C0, C4500 and C9000: the proofs of the last two
+    # types walk 4500 and 9000 subClassOf steps.
+    classes, rules = chain(9001)
+    graph = Graph([Triple(IRI(EX + f"x{j}"), RDF_TYPE, classes[k])
+                   for k in (0, 4500, 9000) for j in range(3)])
     limit = sys.getrecursionlimit()
-    g = Graph([t("a", "p", "b"), t("b", "p", "a")])
-    assert reduce(g, sym("p")) == Graph([t("b", "p", "a")])
-    assert sys.getrecursionlimit() == limit
-
-    seen = []
-
-    def too_deep(self, goal):
-        seen.append(sys.getrecursionlimit())
-        raise RecursionError
-
-    monkeypatch.setattr(_Prover, "prove", too_deep)
-    with pytest.raises(RecursionError):
-        reduce(g, sym("p"))
-    assert seen == [max(limit, 20000)]
+    assert reduce(graph, rules) == Graph([x for x in graph if x.object == classes[0]])
     assert sys.getrecursionlimit() == limit

@@ -21,7 +21,7 @@ from graphnorm import (
     read_description,
     recompute,
 )
-from graphnorm.provenance import DEFAULT_GN_BASE
+from graphnorm.provenance import DEFAULT_GN_BASE, _MAX_NESTING, _DescriptionReader
 
 from support import fixture_text
 
@@ -168,6 +168,20 @@ class TestRead:
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError):
             read_description("<d.ttl> a", source="desc.ttl")
+
+    def test_nesting_beyond_the_limit_is_a_positioned_parse_error(self):
+        def nested(depth: int) -> str:
+            return f"<d.ttl> <{EX}p> " + f"[ <{EX}p> " * depth + "1" + " ]" * depth + " .\n"
+
+        node = _DescriptionReader(nested(_MAX_NESTING), "desc.ttl").read()["d.ttl"]
+        for _ in range(_MAX_NESTING):
+            (node,) = node[EX + "p"]
+        assert node == {EX + "p": [1]}
+        with pytest.raises(ParseError) as raised:
+            _DescriptionReader(nested(_MAX_NESTING + 1), "desc.ttl").read()
+        column = len(f"<d.ttl> <{EX}p> ") + _MAX_NESTING * len(f"[ <{EX}p> ") + 1
+        assert str(raised.value) == (
+            f"desc.ttl:1:{column}: anonymous nodes nest more than {_MAX_NESTING} deep")
 
 
 class TestFileResolver:
