@@ -1,203 +1,228 @@
 """Shared tokenizer for Turtle data, rule text, and descriptions.
 
-One scanner serves all three grammars; the parsers decide which tokens are
-legal where. Positions are 1-based (line, column) and attach to every token
-so errors can point at the input.
+One compiled pattern, run once through ``re.findall``, splits the text
+into token strings; the list ends with ``''`` at the end of the input.
+Each match skips whitespace and comments, then takes one token, or a
+single character that starts no token, so every character is accounted
+for and the scan is linear. The parsers decide a token's kind from its
+first character (``kind``) and which tokens are legal where.
+
+Tokens carry no positions. ``tokenize`` makes every lexical check before
+any parser runs: characters that start no token, words other than ``a``,
+and the escapes in string literals, which it decodes in place. A lexical
+error is therefore reported before any syntax error, at the first
+offending place in the text. When an error is raised, ``Reader.error``
+finds the offset of the token by running the same pattern again with
+``finditer``, and turns it into a 1-based line and column.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import ParseError
 
+# Token kinds that group many spellings; every other token (punctuation,
+# "a", "=>", "@prefix", '' at the end) is its own kind.
 IRIREF = "iriref"
 PNAME = "pname"
 BLANK = "blank"
 STRING = "string"
-DTMARK = "dtmark"
 INTEGER = "integer"
 DECIMAL = "decimal"
 VAR = "var"
-DOT = "dot"
-SEMI = "semi"
-COMMA = "comma"
-LBRACE = "lbrace"
-RBRACE = "rbrace"
-LBRACKET = "lbracket"
-RBRACKET = "rbracket"
-IMPLIES = "implies"
-IFF = "iff"
-AT = "at"
-KW_A = "a"
-EOF = "eof"
 
+# _IRI_BODY and _STRING_HEAD are parts of _TOKEN that the error path also
+# matches alone. re's cache compiles them there on first use, as it does
+# _ESCAPE, so that importing stays cheap.
+# The body of an IRI reference ends at the first character not allowed in
+# it, and that character ('>', a newline, or a forbidden one) decides
+# between the token and an error.
+_IRI_BODY = r'[^>\n<" {}|^`\\]*'
+# A string literal up to its closing quote: escapes take any character but
+# a newline, so a quote or backslash after a backslash does not end it.
+_STRING_HEAD = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*'
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
-_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.\-]*")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)")
-_LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-_BLANK_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
-_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
-# The body of an IRI reference: it ends at the first character that is not
-# allowed in it, and that character ('>', a newline, or a forbidden one)
-# decides between the token and an error.
-_IRI_BODY_RE = re.compile(r'[^>\n<" {}|^`\\]*')
+_TOKEN = re.compile(
+    # Whitespace, then comments, each running to the end of its line and
+    # followed by more whitespace. No two parts can match the same
+    # characters, so there is one way to skip any run.
+    r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+    "("
+    + "|".join([
+        "<=>",
+        "<" + _IRI_BODY + ">",
+        _STRING_HEAD + '"',
+        "@[A-Za-z]+(?:-[A-Za-z0-9]+)*",
+        r"\^\^",
+        "=>",
+        r"\?[A-Za-z_][A-Za-z0-9_\-]*",
+        r"_:[A-Za-z0-9_][A-Za-z0-9_\-]*",
+        "_:",  # no label: an error, not an empty prefix
+        # "4." is the integer 4 followed by a statement dot
+        r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)",
+        r"[.;,{}\[\]]",
+        # a prefixed name ends before any trailing dots
+        r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?",
+        r"[A-Za-z_][A-Za-z0-9_\-]*",
+        # a character that starts no token, or the end of the input
+        r"(?s:.)",
+        r"\Z",
+    ])
+    + ")"
+)
+_ESCAPE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]?))"
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
-_SINGLE = {";": SEMI, ",": COMMA, "{": LBRACE, "}": RBRACE, "[": LBRACKET, "]": RBRACKET}
+_KINDS = {"<": IRIREF, '"': STRING, "?": VAR, **dict.fromkeys("+-0123456789", INTEGER)}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# Characters that are a whole token by themselves ('a' and ':' as names).
+_ALONE = frozenset(".;,{}[]0123456789:a")
+_ALONE_ERRORS = {
+    "@": "expected a name after '@'",
+    "^": "unexpected '^'",
+    "=": "unexpected '='",
+    "?": "expected a variable name after '?'",
+}
 
 
-def tokenize(text: str, source: str | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    line = 1
-    line_start = 0
+def kind(tok: str) -> str:
+    """The kind of a checked token, from its first character: one of the
+    kinds above, or the token itself."""
+    c = tok[:1]
+    if c in _WORD_START or c == ":":
+        return tok if tok == "a" else BLANK if tok.startswith("_:") else PNAME
+    k = _KINDS.get(c)
+    if k is INTEGER or (c == "." and tok != "."):
+        return DECIMAL if "." in tok else INTEGER
+    return tok if k is None or tok == "<=>" else k
 
-    def err(message: str, pos: int) -> ParseError:
-        return ParseError(message, line, pos - line_start + 1, source)
 
-    def emit(kind: str, value: str, pos: int) -> None:
-        tokens.append(Token(kind, value, line, pos - line_start + 1))
+def value(tok: str) -> str:
+    """What error messages quote: the token without its delimiters."""
+    c = tok[:1]
+    if c == '"' or (c == "<" and tok != "<=>"):
+        return tok[1:-1]
+    if c in ("?", "@"):
+        return tok[1:]
+    return tok[2:] if tok.startswith("_:") else tok
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if c == "<":
-            if text.startswith("<=>", i):
-                emit(IFF, "<=>", start)
-                i += 3
-                continue
-            i = _IRI_BODY_RE.match(text, i + 1).end()
-            if i < n and text[i] == ">":
-                emit(IRIREF, text[start + 1 : i], start)
-                i += 1
-                continue
-            if i >= n or text[i] == "\n":
-                raise err("unterminated IRI reference", start)
-            raise err(f"forbidden character {text[i]!r} in IRI reference", i)
-        if c == "=":
-            if text.startswith("=>", i):
-                emit(IMPLIES, "=>", start)
-                i += 2
-                continue
-            raise err("unexpected '='", start)
-        if c == '"':
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise err("unterminated string literal", start)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise err("unterminated escape sequence", i)
-                    esc = text[i + 1]
-                    if esc in _ESCAPES:
-                        parts.append(_ESCAPES[esc])
-                        i += 2
-                    elif esc in "uU":
-                        width = 4 if esc == "u" else 8
-                        hexpart = text[i + 2 : i + 2 + width]
-                        if len(hexpart) != width or not _HEX_RE.fullmatch(hexpart):
-                            raise err(f"invalid \\{esc} escape", i)
-                        code = int(hexpart, 16)
-                        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                            raise err(f"\\{esc}{hexpart} is not a Unicode scalar value", i)
-                        parts.append(chr(code))
-                        i += 2 + width
-                    else:
-                        raise err(f"unknown escape sequence \\{esc}", i)
-                else:
-                    parts.append(ch)
-                    i += 1
-            emit(STRING, "".join(parts), start)
-            continue
-        if c == "@":
-            m = _LANG_RE.match(text, i + 1)
-            if not m:
-                raise err("expected a name after '@'", start)
-            emit(AT, m.group(0), start)
-            i = m.end()
-            continue
-        if c == "^":
-            if text.startswith("^^", i):
-                emit(DTMARK, "^^", start)
-                i += 2
-                continue
-            raise err("unexpected '^'", start)
-        if c == "?":
-            m = _WORD_RE.match(text, i + 1)
-            if not m:
-                raise err("expected a variable name after '?'", start)
-            emit(VAR, m.group(0), start)
-            i = m.end()
-            continue
-        if c == "_" and text.startswith("_:", i):
-            m = _BLANK_RE.match(text, i + 2)
-            if not m:
-                raise err("expected a blank node label after '_:'", start)
-            emit(BLANK, m.group(0), start)
-            i = m.end()
-            continue
-        if c in "+-.0123456789":
-            # "4." is the integer 4 followed by a statement dot; a sign
-            # that starts no number falls through to "unexpected character"
-            m = _NUMBER_RE.match(text, i)
-            if m:
-                value = m.group(0)
-                emit(DECIMAL if "." in value else INTEGER, value, start)
-                i = m.end()
-                continue
-            if c == ".":
-                emit(DOT, ".", start)
-                i += 1
-                continue
-        if c in _SINGLE:
-            emit(_SINGLE[c], c, start)
-            i += 1
-            continue
-        m = _PNAME_RE.match(text, i)
-        if m and ":" in m.group(0):
-            value = m.group(0)
-            while value.endswith("."):
-                value = value[:-1]
-            emit(PNAME, value, start)
-            i = start + len(value)
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            if word == "a":
-                emit(KW_A, "a", start)
-                i = m.end()
-                continue
-            raise err(f"unexpected token {word!r}", start)
-        raise err(f"unexpected character {c!r}", start)
 
-    tokens.append(Token(EOF, "", line, n - line_start + 1))
+def _unescape(body: str) -> tuple[str, tuple[str, int] | None]:
+    """Decode a string body: (decoded, None), or ('', (message, offset))
+    for its first bad escape."""
+    parts: list[str] = []
+    last = 0
+    for m in re.finditer(_ESCAPE, body):
+        hexpart = m.group(1) or m.group(2)
+        esc = m.group(0)[1:2]
+        if hexpart:
+            code = int(hexpart, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                return "", (f"\\{esc}{hexpart} is not a Unicode scalar value", m.start())
+            char = chr(code)
+        elif esc in _ESCAPES:
+            char = _ESCAPES[esc]
+        elif not esc:
+            return "", ("unterminated escape sequence", m.start())
+        elif esc in "uU":
+            return "", (f"invalid \\{esc} escape", m.start())
+        else:
+            return "", (f"unknown escape sequence {m.group(0)!r}", m.start())
+        parts.append(body[last : m.start()])
+        parts.append(char)
+        last = m.end()
+    parts.append(body[last:])
+    return "".join(parts), None
+
+
+def _lexical_error(text: str, tok: str, off: int) -> tuple[str, int]:
+    """The message and offset of the error in the bad token at ``off``."""
+    c = tok[0]
+    if tok == "_:":
+        return "expected a blank node label after '_:'", off
+    if c in _WORD_START:
+        return f"unexpected token {tok!r}", off
+    if c == "<":
+        end = re.compile(_IRI_BODY).match(text, off + 1).end()
+        if end >= len(text) or text[end] == "\n":
+            return "unterminated IRI reference", off
+        return f"forbidden character {text[end]!r} in IRI reference", end
+    if c == '"':
+        # A bad escape comes first; then a literal without its closing
+        # quote ends at a newline, at the end of the text, or at a
+        # backslash before either.
+        end = re.compile(_STRING_HEAD).match(text, off).end()
+        problem = _unescape(text[off + 1 : end])[1]
+        if problem:
+            return problem[0], off + 1 + problem[1]
+        if end >= len(text) or text[end] == "\n":
+            return "unterminated string literal", off
+        return _unescape(text[end : end + 2])[1][0], end
+    return _ALONE_ERRORS.get(c, f"unexpected character {c!r}"), off
+
+
+def tokenize(text: str, source: str | None = None) -> list[str]:
+    """Split text into checked tokens, ending with ''.
+
+    String tokens come back with their escapes decoded, still between
+    quotes. Raises ParseError at the first lexical error in the text.
+    """
+    tokens = _TOKEN.findall(text)
+    decoded: dict[str, str] = {}
+    # Distinct tokens in the order they first occur: the first bad one is
+    # the first bad token in the text.
+    for tok in dict.fromkeys(tokens):
+        c = tok[:1]
+        if c == '"' and len(tok) > 1:
+            if "\\" not in tok:
+                continue
+            body, problem = _unescape(tok[1:-1])
+            decoded[tok] = f'"{body}"'
+            bad = problem is not None
+        elif c in _WORD_START:
+            bad = (":" not in tok and tok != "a") or tok == "_:"
+        else:
+            bad = len(tok) == 1 and c not in _ALONE
+        if bad:
+            message, at = _lexical_error(text, tok, _offset(text, tokens.index(tok)))
+            raise ParseError(message, *_position(text, at), source)
+    if decoded:
+        tokens = [decoded.get(tok, tok) for tok in tokens]
     return tokens
+
+
+def _offset(text: str, k: int) -> int:
+    """Where token k starts: the pattern is run again up to it."""
+    return next(islice(_TOKEN.finditer(text), k, None)).start(1)
+
+
+def _position(text: str, off: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset."""
+    line_start = text.rfind("\n", 0, off) + 1
+    return text.count("\n", 0, off) + 1, off - line_start + 1
+
+
+class Reader:
+    """A tokenized text, for parsers that index its tokens."""
+
+    def __init__(self, text: str, source: str | None):
+        self.text = text
+        self.source = source
+        self.toks = tokenize(text, source)
+
+    def position(self, k: int) -> tuple[int, int]:
+        """The 1-based line and column of token k."""
+        return _position(self.text, _offset(self.text, k))
+
+    def error(self, message: str, k: int) -> ParseError:
+        """A ParseError at the position of token k."""
+        return ParseError(message, *self.position(k), self.source)
+
+    def want(self, k: int, want: str, what: str) -> str:
+        """Token k, which must be of kind ``want``."""
+        tok = self.toks[k]
+        if kind(tok) != want:
+            raise self.error(f"expected {what}, got {value(tok)!r}", k)
+        return tok

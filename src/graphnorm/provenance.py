@@ -36,27 +36,20 @@ from urllib.parse import urlsplit
 from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
 from .graph import EMPTY_GRAPH, Graph
 from .lex import (
-    AT,
     BLANK,
-    COMMA,
     DECIMAL,
-    DOT,
-    DTMARK,
-    EOF,
     INTEGER,
     IRIREF,
-    KW_A,
-    LBRACKET,
     PNAME,
-    RBRACKET,
-    SEMI,
     STRING,
-    tokenize,
+    Reader,
+    kind,
+    value,
 )
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
 from .stats import NamespaceDecl, StatsReport, canonical_ratio, decimal_string, compute_stats
 from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set
-from .turtle import _TokenCursor, parse_turtle
+from .turtle import parse_turtle
 
 DEFAULT_GN_BASE = "http://purl.org/gn#"
 VOID_NS = "http://rdfs.org/ns/void#"
@@ -270,124 +263,119 @@ class _Ref(str):
     """An IRI reference as written, possibly relative."""
 
 
-class _DescriptionReader:
+class _DescriptionReader(Reader):
     def __init__(self, text: str, source: str | None):
-        self.cur = _TokenCursor(tokenize(text, source), source)
+        super().__init__(text, source)
         self.prefixes: dict[str, str] = {}
         self.depth = 0
 
     def read(self) -> dict[_Ref, dict[str, list]]:
+        toks = self.toks
         subjects: dict[_Ref, dict[str, list]] = {}
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == EOF:
-                break
-            if tok.kind == AT:
-                self._directive()
+        i = 0
+        while toks[i]:
+            if toks[i][0] == "@":
+                i = self._directive(i)
                 continue
-            subject = self._subject()
-            props = subjects.setdefault(subject, {})
-            self._predicate_object_list(props, closing=DOT)
+            props = subjects.setdefault(self._subject(i), {})
+            i = self._predicate_object_list(i + 1, props, closing=".")
         return subjects
 
-    def _directive(self) -> None:
-        tok = self.cur.next()
-        if tok.value != "prefix":
-            raise self.cur.error(f"unsupported directive '@{tok.value}'", tok)
-        name = self.cur.expect(PNAME, "a prefix name ending in ':'")
-        prefix, _, local = name.value.partition(":")
+    def _directive(self, i: int) -> int:
+        tok = self.toks[i]
+        if tok != "@prefix":
+            raise self.error(f"unsupported directive '{tok}'", i)
+        prefix, _, local = self.want(i + 1, PNAME, "a prefix name ending in ':'").partition(":")
         if local:
-            raise self.cur.error("prefix declarations take a bare 'name:' form", name)
-        iri = self.cur.expect(IRIREF, "an IRI")
-        self.cur.expect(DOT, "'.'")
-        self.prefixes[prefix] = iri.value
+            raise self.error("prefix declarations take a bare 'name:' form", i + 1)
+        iri = self.want(i + 2, IRIREF, "an IRI")
+        self.want(i + 3, ".", "'.'")
+        self.prefixes[prefix] = iri[1:-1]
+        return i + 4
 
-    def _subject(self) -> _Ref:
-        tok = self.cur.next()
-        if tok.kind == IRIREF:
-            return _Ref(tok.value)
-        if tok.kind == PNAME:
-            return _Ref(self._expand(tok))
-        raise self.cur.error(f"expected a subject IRI, got {tok.value!r}", tok)
+    def _subject(self, i: int) -> _Ref:
+        name = self._name(i)
+        if name is None:
+            raise self.error(f"expected a subject IRI, got {value(self.toks[i])!r}", i)
+        return _Ref(name)
 
-    def _expand(self, tok) -> str:
-        prefix, _, local = tok.value.partition(":")
+    def _name(self, i: int) -> str | None:
+        """The IRI that token i writes, expanded; None if it is no IRI."""
+        tok = self.toks[i]
+        k = kind(tok)
+        if k == IRIREF:
+            return tok[1:-1]
+        if k != PNAME:
+            return None
+        prefix, _, local = tok.partition(":")
         if prefix not in self.prefixes:
-            raise self.cur.error(f"undeclared prefix '{prefix}:'", tok)
+            raise self.error(f"undeclared prefix '{prefix}:'", i)
         return self.prefixes[prefix] + local
 
-    def _predicate_object_list(self, props: dict[str, list], closing: str) -> None:
+    def _predicate_object_list(self, i: int, props: dict[str, list], closing: str) -> int:
+        """Read up to and including ``closing``; return the index after it."""
+        toks = self.toks
         while True:
-            tok = self.cur.next()
-            if tok.kind == KW_A:
-                predicate = _RDF_TYPE
-            elif tok.kind == IRIREF:
-                predicate = tok.value
-            elif tok.kind == PNAME:
-                predicate = self._expand(tok)
-            else:
-                raise self.cur.error(f"expected a predicate, got {tok.value!r}", tok)
+            predicate = _RDF_TYPE if toks[i] == "a" else self._name(i)
+            if predicate is None:
+                raise self.error(f"expected a predicate, got {value(toks[i])!r}", i)
             values = props.setdefault(predicate, [])
+            i += 1
             while True:
-                values.append(self._object())
-                if self.cur.peek().kind == COMMA:
-                    self.cur.next()
-                    continue
-                break
-            tok = self.cur.next()
-            if tok.kind == SEMI:
-                if self.cur.peek().kind == closing:
-                    self.cur.next()
-                    return
+                obj, i = self._object(i)
+                values.append(obj)
+                if toks[i] != ",":
+                    break
+                i += 1
+            tok = toks[i]
+            if tok == ";":
+                if toks[i + 1] == closing:
+                    return i + 2
+                i += 1
                 continue
-            if tok.kind == closing:
-                return
-            raise self.cur.error(f"expected ';' or end of node, got {tok.value!r}", tok)
+            if tok == closing:
+                return i + 1
+            raise self.error(f"expected ';' or end of node, got {value(tok)!r}", i)
 
-    def _object(self):
-        tok = self.cur.next()
-        if tok.kind == IRIREF:
-            return _Ref(tok.value)
-        if tok.kind == PNAME:
-            return _Ref(self._expand(tok))
-        if tok.kind == INTEGER:
-            return int(tok.value)
-        if tok.kind == DECIMAL:
-            return Fraction(tok.value)
-        if tok.kind == STRING:
-            value = tok.value
-            nxt = self.cur.peek()
-            if nxt.kind == AT:
-                self.cur.next()
-                return value
-            if nxt.kind == DTMARK:
-                self.cur.next()
-                dt = self.cur.next()
-                if dt.kind == IRIREF:
-                    datatype = dt.value
-                elif dt.kind == PNAME:
-                    datatype = self._expand(dt)
-                else:
-                    raise self.cur.error("expected a datatype IRI after '^^'", dt)
+    def _object(self, i: int):
+        """The object at token i and the index after it."""
+        toks = self.toks
+        tok = toks[i]
+        k = kind(tok)
+        if k in (IRIREF, PNAME):
+            return _Ref(self._name(i)), i + 1
+        if k == INTEGER:
+            return int(tok), i + 1
+        if k == DECIMAL:
+            return Fraction(tok), i + 1
+        if k == STRING:
+            lexical = tok[1:-1]
+            nxt = toks[i + 1]
+            if nxt[:1] == "@":
+                return lexical, i + 2
+            if nxt == "^^":
+                datatype = self._name(i + 2)
+                if datatype is None:
+                    raise self.error("expected a datatype IRI after '^^'", i + 2)
                 if datatype == XSD_INTEGER:
-                    return int(value)
+                    return int(lexical), i + 3
                 if datatype == XSD_DECIMAL:
-                    return Fraction(value)
-            return value
-        if tok.kind == LBRACKET:
+                    return Fraction(lexical), i + 3
+                return lexical, i + 3
+            return lexical, i + 1
+        if k == "[":
             if self.depth == _MAX_NESTING:
-                raise self.cur.error(f"anonymous nodes nest more than {_MAX_NESTING} deep", tok)
+                raise self.error(f"anonymous nodes nest more than {_MAX_NESTING} deep", i)
             props: dict[str, list] = {}
-            if self.cur.peek().kind == RBRACKET:
-                self.cur.next()
-                return props
+            if toks[i + 1] == "]":
+                return props, i + 2
             self.depth += 1
-            self._predicate_object_list(props, closing=RBRACKET)
+            i = self._predicate_object_list(i + 1, props, closing="]")
             self.depth -= 1
-            return props
-        if tok.kind == BLANK:
-            raise self.cur.error("labeled blank nodes are not supported in descriptions", tok)
-        raise self.cur.error(f"expected an object, got {tok.value!r}", tok)
+            return props, i
+        if k == BLANK:
+            raise self.error("labeled blank nodes are not supported in descriptions", i)
+        raise self.error(f"expected an object, got {value(tok)!r}", i)
 
 
 def _one(props: dict, predicate: str, what: str):

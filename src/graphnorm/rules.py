@@ -24,21 +24,15 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import ParseError, UnsafeRuleError
 from .graph import Graph
 from .lex import (
-    AT,
     BLANK,
     DECIMAL,
-    DOT,
-    EOF,
-    IFF,
-    IMPLIES,
     INTEGER,
     IRIREF,
-    KW_A,
-    LBRACE,
     PNAME,
-    RBRACE,
     STRING,
     VAR,
+    kind,
+    value,
 )
 from .terms import (
     IRI,
@@ -197,28 +191,29 @@ class _RuleParser(_TurtleParser):
     """Reuses the Turtle term machinery for the pattern terms."""
 
     def parse_rules(self) -> RuleSet:
+        toks = self.toks
         rules: list[Rule] = []
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == EOF:
-                break
-            if tok.kind == AT:
-                self._directive()
+        i = 0
+        while toks[i]:
+            tok = toks[i]
+            if tok[0] == "@":
+                i = self._directive(i)
                 continue
-            if tok.kind != LBRACE:
-                raise self.cur.error(f"expected '{{' to open a rule body, got {tok.value!r}", tok)
-            body = self._pattern_block("body")
-            arrow = self.cur.next()
-            if arrow.kind not in (IMPLIES, IFF):
-                raise self.cur.error(f"expected '=>' or '<=>', got {arrow.value!r}", arrow)
-            head = self._pattern_block("head")
-            self.cur.expect(DOT, "'.'")
-            self._emit(rules, body, head, arrow.line, arrow.col)
-            if arrow.kind == IFF:
-                self._emit(rules, head, body, arrow.line, arrow.col)
+            if tok != "{":
+                raise self.error(f"expected '{{' to open a rule body, got {value(tok)!r}", i)
+            body, i = self._pattern_block(i, "body")
+            arrow = i
+            if toks[arrow] not in ("=>", "<=>"):
+                raise self.error(f"expected '=>' or '<=>', got {value(toks[arrow])!r}", arrow)
+            head, i = self._pattern_block(i + 1, "head")
+            self.want(i, ".", "'.'")
+            self._emit(rules, body, head, arrow)
+            if toks[arrow] == "<=>":
+                self._emit(rules, head, body, arrow)
+            i += 1
         return RuleSet(rules)
 
-    def _emit(self, rules, body, head, line, col) -> None:
+    def _emit(self, rules, body, head, arrow: int) -> None:
         rule = Rule(tuple(body), tuple(head), label=f"r{len(rules) + 1}")
         report = check_safe(rule)
         if not report.ok:
@@ -229,53 +224,50 @@ class _RuleParser(_TurtleParser):
             if report.blank_head_labels:
                 names = ", ".join(f"_:{b}" for b in report.blank_head_labels)
                 problems.append(f"blank nodes in head: {names}")
+            line, col = self.position(arrow)
             raise UnsafeRuleError(f"unsafe rule {rule.label} at {line}:{col}: " + "; ".join(problems))
         rules.append(rule)
 
-    def _pattern_block(self, side: str) -> list[TriplePattern]:
-        self.cur.expect(LBRACE, "'{'")
+    def _pattern_block(self, i: int, side: str) -> tuple[list[TriplePattern], int]:
+        toks = self.toks
+        self.want(i, "{", "'{'")
+        i += 1
         patterns: list[TriplePattern] = []
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == RBRACE:
-                self.cur.next()
-                break
-            patterns.append(self._pattern(side))
-            tok = self.cur.peek()
-            if tok.kind == DOT:
-                self.cur.next()
+        while toks[i] != "}":
+            s = self._pattern_term(i, "subject", side)
+            p = self._pattern_term(i + 1, "predicate", side)
+            o, i = self._pattern_object(i + 2, side)
+            patterns.append(TriplePattern(s, p, o))
+            if toks[i] == ".":
+                i += 1
         if not patterns:
-            tok = self.cur.peek()
-            raise self.cur.error(f"a rule {side} needs at least one pattern", tok)
-        return patterns
+            raise self.error(f"a rule {side} needs at least one pattern", i + 1)
+        return patterns, i + 1
 
-    def _pattern(self, side: str) -> TriplePattern:
-        s = self._pattern_term("subject", side)
-        p = self._pattern_term("predicate", side)
-        o = self._pattern_term("object", side)
-        return TriplePattern(s, p, o)
+    def _pattern_object(self, i: int, side: str) -> tuple[Term, int]:
+        if kind(self.toks[i]) in (STRING, INTEGER, DECIMAL):
+            return self._literal(i)
+        return self._pattern_term(i, "object", side), i + 1
 
-    def _pattern_term(self, position: str, side: str) -> Term:
-        tok = self.cur.next()
-        if tok.kind == VAR:
-            return Variable(tok.value)
-        if tok.kind in (IRIREF, PNAME):
-            return self._iri_token(tok)
-        if tok.kind == KW_A:
+    def _pattern_term(self, i: int, position: str, side: str) -> Term:
+        tok = self.toks[i]
+        k = kind(tok)
+        if k == VAR:
+            return Variable(tok[1:])
+        if k in (IRIREF, PNAME):
+            return self._iri(i)
+        if k == "a":
             if position != "predicate":
-                raise self.cur.error("'a' is only valid in predicate position", tok)
+                raise self.error("'a' is only valid in predicate position", i)
             return RDF_TYPE
-        if tok.kind == BLANK:
+        if k == BLANK:
             if side == "head":
-                raise UnsafeRuleError(
-                    f"blank node _:{tok.value} in rule head at {tok.line}:{tok.col}"
-                )
-            raise self.cur.error("blank nodes are not allowed in rule patterns", tok)
-        if tok.kind in (STRING, INTEGER, DECIMAL):
-            if position != "object":
-                raise self.cur.error(f"a literal cannot be a pattern {position}", tok)
-            return self._literal(tok)
-        raise self.cur.error(f"expected a pattern {position}, got {tok.value!r}", tok)
+                line, col = self.position(i)
+                raise UnsafeRuleError(f"blank node {tok} in rule head at {line}:{col}")
+            raise self.error("blank nodes are not allowed in rule patterns", i)
+        if k in (STRING, INTEGER, DECIMAL):
+            raise self.error(f"a literal cannot be a pattern {position}", i)
+        raise self.error(f"expected a pattern {position}, got {value(tok)!r}", i)
 
 
 def parse_rules(text: str, source: str | None = None) -> RuleSet:

@@ -21,27 +21,18 @@ yields the original graph.
 
 from __future__ import annotations
 
-from .errors import ParseError
 from .graph import Graph
 from .lex import (
-    AT,
     BLANK,
-    COMMA,
     DECIMAL,
-    DOT,
-    DTMARK,
-    EOF,
     INTEGER,
     IRIREF,
-    KW_A,
-    LBRACE,
-    LBRACKET,
     PNAME,
-    SEMI,
     STRING,
     VAR,
-    Token,
-    tokenize,
+    Reader,
+    kind,
+    value,
 )
 from .terms import (
     IRI,
@@ -55,147 +46,141 @@ from .terms import (
 )
 
 
-class _TokenCursor:
-    def __init__(self, tokens: list[Token], source: str | None):
-        self._tokens = tokens
-        self._pos = 0
-        self.source = source
-
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != EOF:
-            self._pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise self.error(f"expected {what}, got {tok.value!r}", tok)
-        return tok
-
-    def error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col, self.source)
-
-
-class _TurtleParser:
+class _TurtleParser(Reader):
     def __init__(self, text: str, source: str | None):
-        self.cur = _TokenCursor(tokenize(text, source), source)
+        super().__init__(text, source)
         self.prefixes: dict[str, str] = {}
-        # One IRI per distinct string, so each is validated once per parse.
-        self._iris: dict[str, IRI] = {RDF_TYPE.value: RDF_TYPE}
+        # IRI tokens, as written, to their IRIs: each distinct one is
+        # expanded and validated once. A rebound prefix clears it.
+        self.iris: dict[str, IRI] = {}
 
     def parse(self) -> Graph:
+        toks = self.toks
         triples: set[Triple] = set()
-        while True:
-            tok = self.cur.peek()
-            if tok.kind == EOF:
-                break
-            if tok.kind == AT:
-                self._directive()
+        i = 0
+        while toks[i]:
+            if toks[i][0] == "@":
+                i = self._directive(i)
             else:
-                self._triples_statement(triples)
+                i = self._triples_statement(i, triples.add)
         return Graph(triples)
 
-    def _directive(self) -> None:
-        tok = self.cur.next()
-        if tok.value != "prefix":
-            raise self.cur.error(f"unsupported directive '@{tok.value}'", tok)
-        name = self.cur.expect(PNAME, "a prefix name ending in ':'")
-        prefix, _, local = name.value.partition(":")
+    def _directive(self, i: int) -> int:
+        tok = self.toks[i]
+        if tok != "@prefix":
+            raise self.error(f"unsupported directive '{tok}'", i)
+        prefix, _, local = self.want(i + 1, PNAME, "a prefix name ending in ':'").partition(":")
         if local:
-            raise self.cur.error("prefix declarations take a bare 'name:' form", name)
-        iri = self.cur.expect(IRIREF, "an IRI")
-        if not is_absolute_iri(iri.value):
-            raise self.cur.error(f"relative IRI not allowed: <{iri.value}>", iri)
-        self.cur.expect(DOT, "'.'")
-        self.prefixes[prefix] = iri.value
+            raise self.error("prefix declarations take a bare 'name:' form", i + 1)
+        iri = self.want(i + 2, IRIREF, "an IRI")[1:-1]
+        if not is_absolute_iri(iri):
+            raise self.error(f"relative IRI not allowed: <{iri}>", i + 2)
+        self.want(i + 3, ".", "'.'")
+        if prefix in self.prefixes:
+            self.iris.clear()
+        self.prefixes[prefix] = iri
+        return i + 4
 
-    def _triples_statement(self, triples: set[Triple]) -> None:
-        subject = self._term("subject")
+    def _triples_statement(self, i: int, add) -> int:
+        toks, iris, term = self.toks, self.iris, self._term
+        subject = iris.get(toks[i]) or term(i, "subject")
+        i += 1
         while True:
-            predicate = self._term("predicate")
+            tok = toks[i]
+            predicate = iris.get(tok) or (RDF_TYPE if tok == "a" else term(i, "predicate"))
+            i += 1
             while True:
-                obj = self._term("object")
-                triples.add(Triple(subject, predicate, obj))
-                if self.cur.peek().kind == COMMA:
-                    self.cur.next()
-                    continue
-                break
-            tok = self.cur.next()
-            if tok.kind == SEMI:
-                if self.cur.peek().kind == DOT:
-                    self.cur.next()
-                    return
+                obj = iris.get(toks[i])
+                if obj is None:
+                    obj, i = self._object(i)
+                else:
+                    i += 1
+                add(Triple(subject, predicate, obj))
+                if toks[i] != ",":
+                    break
+                i += 1
+            tok = toks[i]
+            if tok == ";":
+                if toks[i + 1] == ".":
+                    return i + 2
+                i += 1
                 continue
-            if tok.kind == DOT:
-                return
-            raise self.cur.error(f"expected ';' or '.', got {tok.value!r}", tok)
+            if tok == ".":
+                return i + 1
+            raise self.error(f"expected ';' or '.', got {value(tok)!r}", i)
 
-    def _iri_token(self, tok: Token) -> IRI:
-        if tok.kind == IRIREF:
-            value = tok.value
+    def _iri(self, i: int) -> IRI:
+        tok = self.toks[i]
+        iri = self.iris.get(tok)
+        if iri is not None:
+            return iri
+        if tok[0] == "<":
+            iri_value = tok[1:-1]
+            if not is_absolute_iri(iri_value):
+                raise self.error(f"relative IRI not allowed: <{iri_value}>", i)
         else:
-            prefix, _, local = tok.value.partition(":")
+            prefix, _, local = tok.partition(":")
             if prefix not in self.prefixes:
-                raise self.cur.error(f"undeclared prefix '{prefix}:'", tok)
-            value = self.prefixes[prefix] + local
-        iri = self._iris.get(value)
-        if iri is None:
-            if tok.kind == IRIREF and not is_absolute_iri(value):
-                raise self.cur.error(f"relative IRI not allowed: <{value}>", tok)
-            try:
-                iri = self._iris[value] = IRI(value)
-            except ValueError as exc:
-                raise self.cur.error(str(exc), tok) from None
+                raise self.error(f"undeclared prefix '{prefix}:'", i)
+            iri_value = self.prefixes[prefix] + local
+        try:
+            iri = self.iris[tok] = IRI(iri_value)
+        except ValueError as exc:
+            raise self.error(str(exc), i) from None
         return iri
 
-    def _term(self, position: str):
-        tok = self.cur.next()
-        if tok.kind in (IRIREF, PNAME):
-            return self._iri_token(tok)
-        if tok.kind == KW_A:
-            if position != "predicate":
-                raise self.cur.error("'a' is only valid in predicate position", tok)
-            return RDF_TYPE
-        if tok.kind == BLANK:
-            if position == "predicate":
-                raise self.cur.error("a blank node cannot be a predicate", tok)
-            return BlankNode(tok.value)
-        if tok.kind == VAR:
-            raise self.cur.error(f"variable ?{tok.value} is not allowed in graph data", tok)
-        if tok.kind in (STRING, INTEGER, DECIMAL):
-            if position != "object":
-                raise self.cur.error(f"a literal cannot be a {position}", tok)
-            return self._literal(tok)
-        if tok.kind == LBRACKET:
-            raise self.cur.error("blank node property lists are not supported", tok)
-        if tok.kind == LBRACE:
-            raise self.cur.error("graph data cannot contain rule braces", tok)
-        raise self.cur.error(f"expected a {position} term, got {tok.value!r}", tok)
+    def _object(self, i: int):
+        """The object term at token i and the index after it."""
+        if kind(self.toks[i]) in (STRING, INTEGER, DECIMAL):
+            return self._literal(i)
+        return self._term(i, "object"), i + 1
 
-    def _literal(self, tok: Token) -> Literal:
-        if tok.kind == INTEGER:
-            return Literal(tok.value, datatype=XSD_INTEGER)
-        if tok.kind == DECIMAL:
-            return Literal(tok.value, datatype=XSD_DECIMAL)
-        nxt = self.cur.peek()
+    def _term(self, i: int, position: str):
+        """The subject, predicate or non-literal object at token i."""
+        tok = self.toks[i]
+        k = kind(tok)
+        if k in (IRIREF, PNAME):
+            return self._iri(i)
+        if k == "a":
+            if position != "predicate":
+                raise self.error("'a' is only valid in predicate position", i)
+            return RDF_TYPE
+        if k == BLANK:
+            if position == "predicate":
+                raise self.error("a blank node cannot be a predicate", i)
+            return BlankNode(tok[2:])
+        if k == VAR:
+            raise self.error(f"variable {tok} is not allowed in graph data", i)
+        if k in (STRING, INTEGER, DECIMAL):
+            raise self.error(f"a literal cannot be a {position}", i)
+        if k == "[":
+            raise self.error("blank node property lists are not supported", i)
+        if k == "{":
+            raise self.error("graph data cannot contain rule braces", i)
+        raise self.error(f"expected a {position} term, got {value(tok)!r}", i)
+
+    def _literal(self, i: int) -> tuple[Literal, int]:
+        """The literal starting at token i and the index after it."""
+        toks = self.toks
+        tok = toks[i]
+        k = kind(tok)
+        if k != STRING:
+            return Literal(tok, datatype=XSD_DECIMAL if k == DECIMAL else XSD_INTEGER), i + 1
+        nxt = toks[i + 1]
         datatype = language = None
-        if nxt.kind == AT:
-            self.cur.next()
-            language = nxt.value
-        elif nxt.kind == DTMARK:
-            self.cur.next()
-            dt = self.cur.next()
-            if dt.kind not in (IRIREF, PNAME):
-                raise self.cur.error("expected a datatype IRI after '^^'", dt)
-            datatype = self._iri_token(dt).value
+        end = i + 1
+        if nxt[:1] == "@":
+            language = nxt[1:]
+            end = i + 2
+        elif nxt == "^^":
+            if kind(toks[i + 2]) not in (IRIREF, PNAME):
+                raise self.error("expected a datatype IRI after '^^'", i + 2)
+            datatype = self._iri(i + 2).value
+            end = i + 3
         try:
-            return Literal(tok.value, datatype=datatype, language=language)
+            return Literal(tok[1:-1], datatype=datatype, language=language), end
         except ValueError as exc:
-            raise self.cur.error(str(exc), tok) from None
+            raise self.error(str(exc), i) from None
 
 
 def parse_turtle(text: str, source: str | None = None) -> Graph:

@@ -1,10 +1,14 @@
+import random
+import re
 import string
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphnorm import Graph, IRI, Literal, ParseError, Triple, parse_turtle, serialize_turtle
-from graphnorm.terms import BlankNode, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER
+from graphnorm.terms import RDF_NS, BlankNode, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_NS
+from support import CLASS_NS, DATA_NS, EXT_NS, PRED_NS, random_instance
 
 EX = "http://example.org/"
 
@@ -169,6 +173,9 @@ POSITIONED_ERRORS = [
     # escapes that name no Unicode scalar value
     (S_P + '"\\uD800" .', "\\uD800 is not a Unicode scalar value", 1, 36),
     (S_P + '"\\U00110000" .', "\\U00110000 is not a Unicode scalar value", 1, 36),
+    # an unknown escape is quoted, so a backslash before a newline stays on one line
+    (S_P + '"a\\q" .', "unknown escape sequence '\\\\q'", 1, 37),
+    (S_P + '"a\\\nb" .', "unknown escape sequence '\\\\\\n'", 1, 37),
 ]
 
 
@@ -264,3 +271,153 @@ def test_canonical_order_is_sort_key_order(triples):
     graph = Graph(triples)
     assert list(graph) == expected
     assert serialize_turtle(graph) == "".join(t.ntriples() + "\n" for t in expected)
+
+
+# ---------------------------------------------------------------- the scanner
+
+_SKIP_LINES = "  \t# a comment # with more # signs <\"{\r\n\n\t  # \\ ^ |\n"
+_SKIP_RUN = _SKIP_LINES * ((1 << 20) // len(_SKIP_LINES) + 1)  # just over 1 MiB
+_TRIPLE = "<http://e.org/s> <http://e.org/p> <http://e.org/o> ."
+_LONG = 200_000
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset, counted by splitting lines."""
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+@pytest.mark.parametrize("text, error", [
+    (_SKIP_RUN + _TRIPLE, None),
+    (_SKIP_RUN + "|", ("unexpected character '|'", *_line_col(_SKIP_RUN, len(_SKIP_RUN)))),
+    (f"<http://e.org/{'i' * _LONG}> <http://e.org/p> <http://e.org/o> .", None),
+    (S_P + '"' + "s" * _LONG + '" .', None),
+    (f"@prefix ex: <{EX}> . ex:{'n' * _LONG} ex:p ex:o .", None),
+], ids=["skip-run", "skip-run-then-bad-character", "long-iri", "long-string", "long-name"])
+def test_scanning_is_linear_in_long_runs(text, error):
+    """A pattern that backtracks over a long run takes quadratic time or
+    worse; each of these inputs takes milliseconds when it does not."""
+    start = time.perf_counter()
+    if error is None:
+        assert len(parse_turtle(text)) == 1
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == error
+    assert time.perf_counter() - start < 10
+
+
+_NAMESPACES = {"d": DATA_NS, "p": PRED_NS, "c": CLASS_NS, "x": EXT_NS, "rdf": RDF_NS, "xsd": XSD_NS}
+_BREAKS = [" ", "\n  ", "\r\n\t", " # a comment, with . ; and \"\n  ", "\n# a line of its own\n"]
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _write_literal(literal: Literal, rng: random.Random) -> str:
+    chars = []
+    for ch in literal.lexical:
+        if ch in _ESCAPES:
+            chars.append(_ESCAPES[ch])
+        elif rng.random() < 0.2:
+            chars.append(f"\\u{ord(ch):04X}" if ord(ch) <= 0xFFFF else f"\\U{ord(ch):08X}")
+        else:
+            chars.append(ch)
+    text = '"' + "".join(chars) + '"'
+    if literal.language is not None:
+        return f"{text}@{literal.language}"
+    if literal.datatype == XSD_INTEGER and rng.random() < 0.5:
+        return text + rng.choice(["^^xsd:integer", f"^^<{XSD_INTEGER}>"])
+    if literal.datatype is not None:
+        return f"{text}^^<{literal.datatype}>"
+    return text
+
+
+def _write_term(term, names: dict[str, str], rng: random.Random, predicate: bool = False) -> str:
+    if isinstance(term, Literal):
+        return _write_literal(term, rng)
+    if isinstance(term, BlankNode):
+        return term.ntriples()
+    if predicate and term == RDF_TYPE and rng.random() < 0.5:
+        return "a"
+    for prefix, ns in names.items():
+        local = term.value[len(ns):]
+        if term.value.startswith(ns) and re.fullmatch(r"[A-Za-z0-9_]*", local) and rng.random() < 0.8:
+            return f"{prefix}:{local}"
+    return term.ntriples()
+
+
+def _write_turtle(graph: Graph, rng: random.Random, *, plain: bool = False) -> str:
+    """Turtle for a graph, with ';' and ',' groupings and CRLF line ends.
+    Unless plain, also with prefixed names (one prefix rebound halfway),
+    escapes and comments."""
+    breaks = _BREAKS[:3] if plain else _BREAKS
+    names = {} if plain else dict(_NAMESPACES)
+    out = [f"@prefix {p}: <{ns}> .\n" for p, ns in names.items()]
+    triples = list(graph)
+    rng.shuffle(triples)
+    half = len(triples) // 2
+    for part, rebind in ((triples[:half], not plain), (triples[half:], False)):
+        groups: dict = {}
+        for t in part:
+            groups.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+        for subject, predicates in groups.items():
+            items = [
+                _write_term(p, names, rng, predicate=True) + " "
+                + f",{rng.choice(breaks)}".join(_write_term(o, names, rng) for o in objects)
+                for p, objects in predicates.items()
+            ]
+            tail = rng.choice([" .", " ; .", f"{rng.choice(breaks)}."])
+            out.append(_write_term(subject, names, rng) + rng.choice(breaks)
+                       + f" ;{rng.choice(breaks)}".join(items) + tail + rng.choice(["\n", "\r\n"]))
+        if rebind:
+            names["d"] = PRED_NS
+            out.append(f"@prefix d: <{PRED_NS}> .\n")
+    return "".join(out)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32))
+def test_written_turtle_parses_back_to_the_graph(seed):
+    rng = random.Random(seed)
+    graph, _, _ = random_instance(rng, max_triples=20, literals=True, rich=True)
+    assert parse_turtle(_write_turtle(graph, rng)) == graph
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32), st.sampled_from("|`\\"), st.data())
+def test_a_forbidden_character_is_reported_where_it_was_inserted(seed, char, data):
+    """Outside strings, comments and names, these characters are an error
+    wherever they stand: inside an IRI reference or between tokens. (In a
+    prefixed name or '@prefix' they would leave a bad word before them.)"""
+    rng = random.Random(seed)
+    graph, _, _ = random_instance(rng, max_triples=8)
+    text = _write_turtle(graph, rng, plain=True)
+    offset = data.draw(st.integers(0, len(text)))
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(text[:offset] + char + text[offset:])
+    assert exc.value.message in (f"unexpected character {char!r}",
+                                 f"forbidden character {char!r} in IRI reference")
+    assert (exc.value.line, exc.value.column) == _line_col(text, offset)
+
+
+_SYNTAX_ERRORS = [
+    "<http://e.org/s> <http://e.org/p> .",
+    "ex:s <http://e.org/p> <http://e.org/o> .",
+    '<http://e.org/s> "p" <http://e.org/o> .',
+    "[] <http://e.org/p> <http://e.org/o> .",
+    "@base <http://e.org/> .",
+    "<s> <http://e.org/p> <http://e.org/o> .",
+    "<http://e.org/s> <http://e.org/p> <http://e.org/o> <http://e.org/o> .",
+]
+_LEXICAL_ERRORS = ["|", "`", "²", "^", "=", "?", "@", "_:", '"open', "+", "bad", "\\"]
+
+
+@given(st.sampled_from(_SYNTAX_ERRORS), st.sampled_from(_LEXICAL_ERRORS), st.integers(0, 4))
+def test_a_lexical_error_is_reported_before_an_earlier_syntax_error(syntax, lexical, at):
+    """The lexer checks the whole text before the parser reads it, so
+    a bad token on line 3 wins over the syntax error on line 1."""
+    tokens = ["<http://e.org/s>", "<http://e.org/p>", "<http://e.org/o>", "."]
+    before = " ".join(tokens[:at])
+    line3 = " ".join(tokens[:at] + [lexical] + tokens[at:])
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(f"{syntax}\n{_TRIPLE}\n{line3}\n")
+    assert (exc.value.line, exc.value.column) == (3, len(before) + (1 if before else 0) + 1)
