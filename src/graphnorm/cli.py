@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands mirror the library: ``closure``, ``minimize``, ``stats`` and
-``diff-minimize`` operate on local files, ``describe`` emits a
-machine-readable description of the computed statistics, and ``verify``
+``diff-minimize`` operate on local files, ``describe`` is ``stats --format
+turtle``, a machine-readable description of the statistics, and ``verify``
 recomputes a description's statistics from its referenced sources and
 compares. Results go to stdout (or ``--output``); diagnostics go to
 stderr. Identical invocations produce byte-identical output.
@@ -43,8 +43,7 @@ from .provenance import (
     recompute,
 )
 from .rules import EMPTY_RULESET, RuleSet, compile_schema, parse_rules
-from .stats import (NamespaceDecl, StatsReport, compute_stats, decimal_string,
-                    serialize_counted_closure)
+from .stats import NamespaceDecl, compute_stats, serialize_counted_closure, stat_texts
 from .turtle import parse_turtle, serialize_turtle
 
 _EXIT_USAGE = 1
@@ -104,20 +103,6 @@ def _namespaces(args: argparse.Namespace) -> NamespaceDecl | None:
     return None
 
 
-def _report_rows(report: StatsReport) -> list[tuple[str, str]]:
-    rows = [
-        ("publishedTriples", str(report.published_cardinality)),
-        ("closureTriples", str(report.closure_cardinality)),
-        ("minimalTriples", str(report.minimal_cardinality)),
-        ("redundancy", decimal_string(report.redundancy)),
-    ]
-    if report.out_link_density_plus is not None:
-        rows.append(("outLinkDensityPlus", decimal_string(report.out_link_density_plus)))
-    if report.out_link_density_minus is not None:
-        rows.append(("outLinkDensityMinus", decimal_string(report.out_link_density_minus)))
-    return rows
-
-
 def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
     sources = [RuleSource("n3", path) for path in args.rules or []]
     sources.extend(RuleSource("dlogic", path) for path in args.dlogic or [])
@@ -150,7 +135,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         text = emit_description(dataset, report, _description_spec(args),
                                 namespaces=_namespaces(args), gn_base=_gn_base())
     else:
-        rows = _report_rows(report)
+        rows = stat_texts(report)
         if args.format == "tsv":
             text = "".join(f"{name}\t{value}\n" for name, value in rows)
         else:
@@ -176,22 +161,11 @@ def _cmd_diff_minimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_describe(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.data, args.base)
-    rules, aux = _load_rules(args)
-    report = compute_stats(graph, rules, aux, _namespaces(args))
-    dataset = args.dataset or args.data
-    text = emit_description(dataset, report, _description_spec(args),
-                            namespaces=_namespaces(args), gn_base=_gn_base())
-    _write_output(text, args.output)
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_file(args.description)
     base_dir = os.path.dirname(os.path.abspath(args.description))
-    description = read_description(text, source=args.description, gn_base=_gn_base())
-    report = recompute(text, FileResolver(base_dir), gn_base=_gn_base())
+    description = read_description(_read_file(args.description), source=args.description,
+                                   gn_base=_gn_base())
+    report = recompute(description, FileResolver(base_dir))
     mismatches = compare_description(description, report, gn_base=_gn_base())
     if mismatches:
         _write_output("".join(f"mismatch: {m}\n" for m in mismatches), args.output)
@@ -272,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit a machine-readable description of the statistics")
     _add_data_flags(p)
     _add_stat_flags(p)
-    p.set_defaults(func=_cmd_describe)
+    p.set_defaults(func=_cmd_stats, format="turtle")
 
     p = sub.add_parser("verify",
                        help="recompute a description's statistics and compare")

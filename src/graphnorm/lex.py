@@ -4,8 +4,10 @@ One compiled pattern, run once through ``re.findall``, splits the text
 into token strings; the list ends with ``''`` at the end of the input.
 Each match skips whitespace and comments, then takes one token, or a
 single character that starts no token, so every character is accounted
-for and the scan is linear. The parsers decide a token's kind from its
-first character (``kind``) and which tokens are legal where.
+for and the scan is linear. A run of words joined by dots, such as
+``a.a.a``, is matched whole and split afterwards, so that no alternative
+scans it again from each of its words. The parsers decide a token's kind
+from its first character (``kind``) and which tokens are legal where.
 
 Tokens carry no positions. ``tokenize`` makes every lexical check before
 any parser runs: characters that start no token, words other than ``a``,
@@ -63,6 +65,10 @@ _TOKEN = re.compile(
         # "4." is the integer 4 followed by a statement dot
         r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)",
         r"[.;,{}\[\]]",
+        # Words joined by dots with no ':' after them: matched whole, or the
+        # prefixed name below would rescan the run at each of its words.
+        # tokenize splits the run into the tokens it is made of (_RUN_PART).
+        r"[A-Za-z_][A-Za-z0-9_\-]*\.[0-9.\-]*[A-Za-z_][A-Za-z0-9_.\-]*(?![A-Za-z0-9_.\-:])",
         # a prefixed name ends before any trailing dots
         r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?",
         r"[A-Za-z_][A-Za-z0-9_\-]*",
@@ -72,6 +78,8 @@ _TOKEN = re.compile(
     ])
     + ")"
 )
+# The tokens of a dotted run, as the alternatives of _TOKEN give them there.
+_RUN_PART = r"[A-Za-z_][A-Za-z0-9_\-]*|-?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)|[.\-]"
 _ESCAPE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\s\S]?))"
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
@@ -169,7 +177,14 @@ def tokenize(text: str, source: str | None = None) -> list[str]:
     String tokens come back with their escapes decoded, still between
     quotes. Raises ParseError at the first lexical error in the text.
     """
-    tokens = _TOKEN.findall(text)
+    return _checked(text, _TOKEN.findall(text), source)
+
+
+def _is_run(tok: str) -> bool:
+    return tok[:1] in _WORD_START and "." in tok and ":" not in tok
+
+
+def _checked(text: str, tokens: list[str], source: str | None) -> list[str]:
     decoded: dict[str, str] = {}
     # Distinct tokens in the order they first occur: the first bad one is
     # the first bad token in the text.
@@ -182,6 +197,10 @@ def tokenize(text: str, source: str | None = None) -> list[str]:
             decoded[tok] = f'"{body}"'
             bad = problem is not None
         elif c in _WORD_START:
+            if _is_run(tok):
+                # A dotted run: check the tokens it is made of instead.
+                return _checked(text, [part for t in tokens for part in (
+                    re.findall(_RUN_PART, t) if _is_run(t) else (t,))], source)
             bad = (":" not in tok and tok != "a") or tok == "_:"
         else:
             bad = len(tok) == 1 and c not in _ALONE
@@ -195,7 +214,17 @@ def tokenize(text: str, source: str | None = None) -> list[str]:
 
 def _offset(text: str, k: int) -> int:
     """Where token k starts: the pattern is run again up to it."""
-    return next(islice(_TOKEN.finditer(text), k, None)).start(1)
+    return next(islice(_starts(text), k, None))
+
+
+def _starts(text: str):
+    """The offset of each token, counting each token of a dotted run."""
+    for m in _TOKEN.finditer(text):
+        tok, start = m.group(1), m.start(1)
+        if _is_run(tok):
+            yield from (start + part.start() for part in re.finditer(_RUN_PART, tok))
+        else:
+            yield start
 
 
 def _position(text: str, off: int) -> tuple[int, int]:

@@ -47,7 +47,8 @@ from .lex import (
     value,
 )
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
-from .stats import NamespaceDecl, StatsReport, canonical_ratio, decimal_string, compute_stats
+from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, compute_stats,
+                    decimal_string, stat_texts)
 from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set
 from .turtle import parse_turtle
 
@@ -68,30 +69,6 @@ _MAX_NESTING = 16
 _KINDS = ("none", "closure", "mini_rdf")
 
 
-class _Gn:
-    """The statistics vocabulary under a configurable base IRI."""
-
-    def __init__(self, base: str):
-        self.base = base
-        self.mini_rdf = base + "MiniRDF"
-        self.closure = base + "Closure"
-        self.rule_set = base + "RuleSet"
-        self.constraint_set = base + "ConstraintSet"
-        self.normalisation = base + "normalisation"
-        self.rules = base + "rules"
-        self.constraints = base + "constraints"
-        self.namespace = base + "namespace"
-        self.n3 = base + "n3"
-        self.dlogic = base + "dlogic"
-        self.rif = base + "rif"
-        self.dim_published = base + "publishedTriples"
-        self.dim_closure = base + "closureTriples"
-        self.dim_minimal = base + "minimalTriples"
-        self.dim_redundancy = base + "redundancy"
-        self.dim_density_plus = base + "outLinkDensityPlus"
-        self.dim_density_minus = base + "outLinkDensityMinus"
-
-
 class RuleSource(_Frozen):
     __slots__ = _fields = ("format", "locator")
 
@@ -103,19 +80,15 @@ class RuleSource(_Frozen):
 
 
 class NormalisationSpec(_Frozen):
-    __slots__ = _fields = ("kind", "rule_sources", "constraints")
+    __slots__ = _fields = ("kind", "rule_sources")
 
-    def __init__(self, kind: str, rule_sources: tuple[RuleSource, ...] = (),
-                 constraints: tuple = ()) -> None:
+    def __init__(self, kind: str, rule_sources: tuple[RuleSource, ...] = ()) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown normalisation kind: {kind!r}")
         if kind == "none" and rule_sources:
             raise ValueError("a 'none' normalisation cannot carry rule sources")
-        if constraints:
-            raise ValueError("constraints are always empty in this version")
         _set(self, "kind", kind)
         _set(self, "rule_sources", rule_sources)
-        _set(self, "constraints", constraints)
 
 
 class StatDescription(NamedTuple):
@@ -172,46 +145,24 @@ class FileResolver(_Frozen):
             raise ResolverError(f"cannot resolve {locator!r}: {exc}") from None
 
 
-def _ratio_text(value: Fraction) -> str:
-    return decimal_string(canonical_ratio(value))
-
-
-def _report_values(report: StatsReport, gn: _Gn) -> list[tuple[str, str]]:
-    pairs = [
-        (gn.dim_published, str(report.published_cardinality)),
-        (gn.dim_closure, str(report.closure_cardinality)),
-        (gn.dim_minimal, str(report.minimal_cardinality)),
-        (gn.dim_redundancy, _ratio_text(report.redundancy)),
-    ]
-    if report.out_link_density_plus is not None:
-        pairs.append((gn.dim_density_plus, _ratio_text(report.out_link_density_plus)))
-    if report.out_link_density_minus is not None:
-        pairs.append((gn.dim_density_minus, _ratio_text(report.out_link_density_minus)))
-    return sorted(pairs)
-
-
 def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
                      *, namespaces: NamespaceDecl | None = None,
                      gn_base: str = DEFAULT_GN_BASE) -> str:
     """Render a deterministic description of the report.
 
-    Stat items are sorted by dimension IRI; equal inputs produce
+    Stat items are sorted by dimension name; equal inputs produce
     byte-identical output. Datasets with out-link densities must supply
     the namespace declaration, otherwise the densities could never be
     recomputed from the description alone.
     """
-    gn = _Gn(gn_base)
     has_density = (report.out_link_density_plus is not None
                    or report.out_link_density_minus is not None)
     if has_density and namespaces is None:
         raise ValueError("reports with out-link densities need the namespace declaration")
 
-    def pname(iri: str) -> str:
-        return "gn:" + iri[len(gn.base):]
-
     norm_lines: list[str] = []
     if spec.kind != "none":
-        kind_class = pname(gn.mini_rdf) if spec.kind == "mini_rdf" else pname(gn.closure)
+        kind_class = "gn:MiniRDF" if spec.kind == "mini_rdf" else "gn:Closure"
         norm_lines.append("        gn:normalisation [")
         norm_lines.append(f"            a {kind_class} ;")
         norm_lines.append("            gn:rules [")
@@ -234,10 +185,10 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
         norm_lines.append("        ]")
 
     items: list[str] = []
-    for dim, value in _report_values(report, gn):
+    for name, value in sorted(stat_texts(report)):
         lines = [
             "    void:statItem [",
-            f"        scovo:dimension {pname(dim)} ;",
+            f"        scovo:dimension gn:{name} ;",
             f"        rdf:value {value}" + (" ;" if norm_lines else ""),
         ]
         lines.extend(norm_lines)
@@ -245,7 +196,7 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
         items.append("\n".join(lines))
 
     header = [
-        f"@prefix gn: <{gn.base}> .",
+        f"@prefix gn: <{gn_base}> .",
         f"@prefix rdf: <{RDF_NS}> .",
         f"@prefix scovo: <{SCOVO_NS}> .",
         f"@prefix void: <{VOID_NS}> .",
@@ -260,7 +211,10 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
 
 
 class _Ref(str):
-    """An IRI reference as written, possibly relative."""
+    """An IRI reference as written, possibly relative.
+
+    It compares equal to a plain string literal of the same text, so
+    positions that need an IRI test the type (_iris)."""
 
 
 class _DescriptionReader(Reader):
@@ -378,33 +332,42 @@ class _DescriptionReader(Reader):
         raise self.error(f"expected an object, got {value(tok)!r}", i)
 
 
-def _one(props: dict, predicate: str, what: str):
-    values = props.get(predicate, [])
+def _one(values: list, what: str):
     if len(values) != 1:
         raise GraphNormError(f"description item needs exactly one {what}")
     return values[0]
 
 
-def _read_spec(props: dict, gn: _Gn) -> NormalisationSpec:
-    nodes = props.get(gn.normalisation, [])
+def _iris(props: dict, predicate: str, what: str) -> list[_Ref]:
+    """The values of a predicate, each of which must be an IRI reference:
+    a literal with the same text is not one."""
+    values = props.get(predicate, [])
+    for v in values:
+        if not isinstance(v, _Ref):
+            raise GraphNormError(f"{what} must be an IRI, got {v!r}")
+    return values
+
+
+def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
+    nodes = props.get(gn_base + "normalisation", [])
     if not nodes:
         return NormalisationSpec("none")
     node = nodes[0]
     if not isinstance(node, dict):
         raise GraphNormError("gn:normalisation must be an anonymous node")
-    types = node.get(_RDF_TYPE, [])
-    if _Ref(gn.mini_rdf) in types:
+    types = _iris(node, _RDF_TYPE, "rdf:type")
+    if gn_base + "MiniRDF" in types:
         kind = "mini_rdf"
-    elif _Ref(gn.closure) in types:
+    elif gn_base + "Closure" in types:
         kind = "closure"
     else:
         raise GraphNormError("gn:normalisation node carries no recognized kind")
     sources: list[RuleSource] = []
-    for rules_node in node.get(gn.rules, []):
+    for rules_node in node.get(gn_base + "rules", []):
         if not isinstance(rules_node, dict):
             raise GraphNormError("gn:rules must be an anonymous node")
-        for fmt, pred in (("n3", gn.n3), ("dlogic", gn.dlogic), ("rif", gn.rif)):
-            for ref in rules_node.get(pred, []):
+        for fmt in _SOURCE_FORMATS:
+            for ref in _iris(rules_node, gn_base + fmt, "gn:" + fmt):
                 sources.append(RuleSource(fmt, str(ref)))
     return NormalisationSpec(kind, tuple(sources))
 
@@ -412,12 +375,11 @@ def _read_spec(props: dict, gn: _Gn) -> NormalisationSpec:
 def read_description(text: str, source: str | None = None,
                      *, gn_base: str = DEFAULT_GN_BASE) -> Description:
     """Parse a description; exactly one void:Dataset is expected."""
-    gn = _Gn(gn_base)
     subjects = _DescriptionReader(text, source).read()
     datasets = [
         (subject, props)
         for subject, props in subjects.items()
-        if _Ref(_VOID_DATASET) in props.get(_RDF_TYPE, [])
+        if _VOID_DATASET in _iris(props, _RDF_TYPE, "rdf:type")
     ]
     if len(datasets) != 1:
         raise GraphNormError(f"description must contain exactly one void:Dataset, found {len(datasets)}")
@@ -426,13 +388,14 @@ def read_description(text: str, source: str | None = None,
     for item_node in props.get(_VOID_STAT_ITEM, []):
         if not isinstance(item_node, dict):
             raise GraphNormError("void:statItem must be an anonymous node")
-        dimension = _one(item_node, _SCOVO_DIMENSION, "scovo:dimension")
-        value = _one(item_node, _RDF_VALUE, "rdf:value")
+        dimension = _one(_iris(item_node, _SCOVO_DIMENSION, "scovo:dimension"),
+                         "scovo:dimension")
+        value = _one(item_node.get(_RDF_VALUE, []), "rdf:value")
         if not isinstance(value, (int, Fraction)):
             raise GraphNormError(f"rdf:value must be numeric, got {value!r}")
-        spec = _read_spec(item_node, gn)
+        spec = _read_spec(item_node, gn_base)
         items.append(StatDescription(str(dataset), str(dimension), value, spec))
-    namespaces = tuple(str(ref) for ref in props.get(gn.namespace, []))
+    namespaces = tuple(str(ref) for ref in _iris(props, gn_base + "namespace", "gn:namespace"))
     description = Description(str(dataset), tuple(items), namespaces)
     description.normalisation  # reject inconsistent specs early
     return description
@@ -459,8 +422,8 @@ def load_dlogic(sources: Iterable[str], resolver: Resolver) -> Graph:
     return merged
 
 
-def recompute(text: str, resolver: Resolver, *, gn_base: str = DEFAULT_GN_BASE) -> StatsReport:
-    """Re-run the statistics pipeline a description points at.
+def recompute(description: Description, resolver: Resolver) -> StatsReport:
+    """Re-run the statistics pipeline a parsed description points at.
 
     Fetches the dataset and every rule source through the resolver,
     compiles dlogic schemas (following owl:imports once each, cycles
@@ -468,7 +431,6 @@ def recompute(text: str, resolver: Resolver, *, gn_base: str = DEFAULT_GN_BASE) 
     recomputes the full report with the dlogic graphs as auxiliary
     support. RIF sources are unsupported.
     """
-    description = read_description(text, gn_base=gn_base)
     spec = description.normalisation
     if any(src.format == "rif" for src in spec.rule_sources):
         raise UnsupportedFeatureError("unsupported: RIF")
@@ -490,34 +452,20 @@ def recompute(text: str, resolver: Resolver, *, gn_base: str = DEFAULT_GN_BASE) 
 def compare_description(description: Description, report: StatsReport,
                         *, gn_base: str = DEFAULT_GN_BASE) -> list[str]:
     """Describe every stated value that the recomputed report contradicts."""
-    gn = _Gn(gn_base)
-    integer_dims = {
-        gn.dim_published: report.published_cardinality,
-        gn.dim_closure: report.closure_cardinality,
-        gn.dim_minimal: report.minimal_cardinality,
-    }
-    ratio_dims = {
-        gn.dim_redundancy: report.redundancy,
-        gn.dim_density_plus: report.out_link_density_plus,
-        gn.dim_density_minus: report.out_link_density_minus,
-    }
+    values = {gn_base + name: value for name, value in zip(STAT_NAMES, report)}
+    texts = {gn_base + name: text for name, text in stat_texts(report)}
     mismatches: list[str] = []
     for item in description.items:
-        if item.dimension in integer_dims:
-            expected = integer_dims[item.dimension]
-            if Fraction(item.value) != Fraction(expected):
-                mismatches.append(
-                    f"{item.dimension}: stated {item.value}, recomputed {expected}"
-                )
-        elif item.dimension in ratio_dims:
-            recomputed = ratio_dims[item.dimension]
-            if recomputed is None:
-                mismatches.append(f"{item.dimension}: stated {item.value}, not recomputable")
-            elif Fraction(item.value) != canonical_ratio(recomputed):
-                mismatches.append(
-                    f"{item.dimension}: stated {decimal_string(Fraction(item.value))}, "
-                    f"recomputed {_ratio_text(recomputed)}"
-                )
-        else:
-            mismatches.append(f"unknown dimension {item.dimension}")
+        dim = item.dimension
+        if dim not in values:
+            mismatches.append(f"unknown dimension {dim}")
+        elif values[dim] is None:
+            mismatches.append(f"{dim}: stated {item.value}, not recomputable")
+        elif Fraction(item.value) != canonical_ratio(values[dim]):
+            # A ratio quotes the stated value in canonical text too; a count
+            # quotes it as read.
+            stated = item.value
+            if isinstance(values[dim], Fraction):
+                stated = decimal_string(Fraction(item.value))
+            mismatches.append(f"{dim}: stated {stated}, recomputed {texts[dim]}")
     return mismatches

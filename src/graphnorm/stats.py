@@ -48,6 +48,19 @@ class StatsReport(NamedTuple):
     out_link_density_minus: Fraction | None = None
 
 
+# The statistics' names in StatsReport field order: the rows of the CLI
+# report and, under the gn: base, the dimension IRIs of descriptions.
+STAT_NAMES = ("publishedTriples", "closureTriples", "minimalTriples",
+              "redundancy", "outLinkDensityPlus", "outLinkDensityMinus")
+
+
+def stat_texts(report: StatsReport) -> list[tuple[str, str]]:
+    """(name, canonical text) of each value the report holds, in field
+    order: counts as integers, ratios as decimal_string gives them."""
+    return [(name, decimal_string(v) if isinstance(v, Fraction) else str(v))
+            for name, v in zip(STAT_NAMES, report) if v is not None]
+
+
 def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> str:
     """The closure as counted by the statistics, in serialize_turtle's text.
 

@@ -172,6 +172,30 @@ class TestStats:
         assert report.closure_cardinality == 13
         assert report.minimal_cardinality == 8
 
+    def test_table_and_tsv_with_densities(self, workdir, capsys):
+        args = ["stats", "--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl",
+                "--namespace", "http://example.org/cat/"]
+        code, out, err = run(args, capsys)
+        assert code == 0 and err == ""
+        assert out == (
+            "publishedTriples     11\n"
+            "closureTriples       13\n"
+            "minimalTriples       8\n"
+            "redundancy           0.272727\n"
+            "outLinkDensityPlus   0.153846\n"
+            "outLinkDensityMinus  0.25\n"
+        )
+        code, out, err = run(args + ["--format", "tsv"], capsys)
+        assert code == 0 and err == ""
+        assert out == (
+            "publishedTriples\t11\n"
+            "closureTriples\t13\n"
+            "minimalTriples\t8\n"
+            "redundancy\t0.272727\n"
+            "outLinkDensityPlus\t0.153846\n"
+            "outLinkDensityMinus\t0.25\n"
+        )
+
     def test_turtle_format_uses_dataset_locator(self, workdir, capsys):
         code, out, _ = run(
             ["stats", "--data", "social.ttl", "--format", "turtle",
@@ -249,6 +273,20 @@ class TestDescribeVerify:
     DESCRIBE = ["describe", "--data", "social.ttl",
                 "--rules", "rules.n3", "--dlogic", "vocab.ttl"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--data", "social.ttl", "--rules", "rules.n3", "--dlogic", "vocab.ttl",
+         "--dataset", "http://example.org/datasets/social"],
+        ["--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl",
+         "--namespace", "http://example.org/cat/"],
+    ])
+    def test_describe_is_stats_in_turtle(self, workdir, capsys, flags):
+        code, described, err = run(["describe", *flags], capsys)
+        assert code == 0 and err == ""
+        code, stated, err = run(["stats", *flags, "--format", "turtle"], capsys)
+        assert code == 0 and err == ""
+        assert described == stated
+        assert "void:Dataset" in described
+
     def test_round_trip_verifies(self, workdir, capsys):
         code, out, _ = run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
         assert code == 0
@@ -265,6 +303,15 @@ class TestDescribeVerify:
         assert code == 4
         assert out.startswith("mismatch: ")
         assert "stated 7, recomputed 4" in out
+
+    def test_literal_locator_exits_1(self, workdir, capsys):
+        run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
+        text = (workdir / "desc.ttl").read_text(encoding="utf-8")
+        (workdir / "desc.ttl").write_text(
+            text.replace("gn:n3 <rules.n3>", 'gn:n3 "rules.n3"'), encoding="utf-8")
+        code, out, err = run(["verify", "desc.ttl"], capsys)
+        assert code == 1 and out == ""
+        assert err == "graphnorm: gn:n3 must be an IRI, got 'rules.n3'\n"
 
     def test_description_resolves_relative_to_its_own_directory(
             self, workdir, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphnorm import (
+    Description,
     FileResolver,
     Graph,
     GraphNormError,
@@ -12,6 +13,7 @@ from graphnorm import (
     ParseError,
     ResolverError,
     RuleSource,
+    StatDescription,
     StatsReport,
     Triple,
     UnsupportedFeatureError,
@@ -165,6 +167,31 @@ class TestRead:
         with pytest.raises(GraphNormError):
             read_description(replaced)
 
+    @pytest.mark.parametrize("iri, literal, message", [
+        ("a void:Dataset", '"http://rdfs.org/ns/void#Dataset"',
+         "rdf:type must be an IRI, got 'http://rdfs.org/ns/void#Dataset'"),
+        ("scovo:dimension gn:closureTriples", '"http://purl.org/gn#closureTriples"',
+         "scovo:dimension must be an IRI, got 'http://purl.org/gn#closureTriples'"),
+        ("a gn:MiniRDF", '"http://purl.org/gn#MiniRDF"',
+         "rdf:type must be an IRI, got 'http://purl.org/gn#MiniRDF'"),
+        ("gn:n3 <rules.n3>", '"rules.n3"', "gn:n3 must be an IRI, got 'rules.n3'"),
+        ("gn:dlogic <vocab.ttl>", '"vocab.ttl"', "gn:dlogic must be an IRI, got 'vocab.ttl'"),
+        ("gn:namespace <http://example.org/>", '"http://example.org/"',
+         "gn:namespace must be an IRI, got 'http://example.org/'"),
+    ])
+    def test_a_literal_does_not_pass_for_an_iri(self, iri, literal, message):
+        text = emit_description("data.ttl", REPORT_WITH_DENSITIES, MINI,
+                                namespaces=NamespaceDecl((EX,)))
+        read_description(text)
+        # Every occurrence is replaced, so the items' specs stay consistent.
+        predicate = iri.split(" ")[0]
+        bad = text.replace(iri, f"{predicate} {literal}")
+        assert bad != text
+        with pytest.raises(GraphNormError) as raised:
+            read_description(bad)
+        assert type(raised.value) is GraphNormError
+        assert str(raised.value) == message
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError):
             read_description("<d.ttl> a", source="desc.ttl")
@@ -267,7 +294,7 @@ class TestRecompute:
     def test_matches_stated_report(self, tmp_path):
         ws = _Workspace(tmp_path)
         text = emit_description("data.ttl", ws.report, ws.spec)
-        recomputed = recompute(text, ws.resolver)
+        recomputed = recompute(read_description(text), ws.resolver)
         assert recomputed == ws.report
         assert compare_description(read_description(text), recomputed) == []
 
@@ -275,7 +302,8 @@ class TestRecompute:
         ws = _Workspace(tmp_path)
         wrong = StatsReport(5, 4, 2, Fraction(1, 2))
         text = emit_description("data.ttl", wrong, ws.spec)
-        mismatches = compare_description(read_description(text), recompute(text, ws.resolver))
+        description = read_description(text)
+        mismatches = compare_description(description, recompute(description, ws.resolver))
         assert len(mismatches) == 1
         assert "publishedTriples" in mismatches[0]
 
@@ -283,14 +311,16 @@ class TestRecompute:
         ws = _Workspace(tmp_path)
         wrong = StatsReport(4, 4, 2, Fraction(1, 4))
         text = emit_description("data.ttl", wrong, ws.spec)
-        mismatches = compare_description(read_description(text), recompute(text, ws.resolver))
+        description = read_description(text)
+        mismatches = compare_description(description, recompute(description, ws.resolver))
         assert mismatches and "redundancy" in mismatches[0]
 
     def test_unknown_dimension_is_a_mismatch(self, tmp_path):
         ws = _Workspace(tmp_path)
         text = emit_description("data.ttl", ws.report, ws.spec)
         text = text.replace("gn:publishedTriples", "gn:tripleFeeling")
-        mismatches = compare_description(read_description(text), recompute(text, ws.resolver))
+        description = read_description(text)
+        mismatches = compare_description(description, recompute(description, ws.resolver))
         assert any("unknown dimension" in m for m in mismatches)
 
     def test_density_stated_without_namespace_is_a_mismatch(self, tmp_path):
@@ -304,7 +334,8 @@ class TestRecompute:
         text = "\n".join(
             line for line in text.splitlines() if "gn:namespace" not in line
         ) + "\n"
-        mismatches = compare_description(read_description(text), recompute(text, ws.resolver))
+        description = read_description(text)
+        mismatches = compare_description(description, recompute(description, ws.resolver))
         assert any("not recomputable" in m for m in mismatches)
 
     def test_rif_sources_unsupported(self, tmp_path):
@@ -312,7 +343,7 @@ class TestRecompute:
         spec = NormalisationSpec("mini_rdf", (RuleSource("rif", "rules.rif"),))
         text = emit_description("data.ttl", ws.report, spec)
         with pytest.raises(UnsupportedFeatureError, match="unsupported: RIF"):
-            recompute(text, ws.resolver)
+            recompute(read_description(text), ws.resolver)
 
     def test_imports_pull_extra_schema(self, tmp_path):
         ws = _Workspace(tmp_path)
@@ -329,7 +360,7 @@ class TestRecompute:
             encoding="utf-8",
         )
         text = emit_description("data.ttl", ws.report, ws.spec)
-        recomputed = recompute(text, ws.resolver)
+        recomputed = recompute(read_description(text), ws.resolver)
         # The imported subclass axiom enlarges the closure: both people
         # also become foaf:Agent.
         assert recomputed.closure_cardinality == 6
@@ -339,5 +370,56 @@ class TestRecompute:
         ws = _Workspace(tmp_path)
         plain = StatsReport(4, 4, 4, Fraction(0))
         text = emit_description("data.ttl", plain, NormalisationSpec("none"))
-        recomputed = recompute(text, ws.resolver)
+        recomputed = recompute(read_description(text), ws.resolver)
         assert recomputed == plain
+
+
+def _stated(name: str, value) -> StatDescription:
+    return StatDescription("data.ttl", DEFAULT_GN_BASE + name, value, NormalisationSpec("none"))
+
+
+class TestCompareLines:
+    """The exact line compare_description gives for each kind of item."""
+
+    @pytest.mark.parametrize("dimension, stated, line", [
+        ("publishedTriples", 7, "publishedTriples: stated 7, recomputed 4"),
+        ("publishedTriples", Fraction("3.5"), "publishedTriples: stated 7/2, recomputed 4"),
+        ("publishedTriples", Fraction("4.0"), None),
+        ("redundancy", Fraction("0.25"), "redundancy: stated 0.25, recomputed 0.5"),
+        ("redundancy", 1, "redundancy: stated 1.0, recomputed 0.5"),
+        ("redundancy", Fraction(1, 2), None),
+        ("outLinkDensityPlus", Fraction("0.3"),
+         "outLinkDensityPlus: stated 0.3, recomputed 0.333333"),
+        ("outLinkDensityPlus", Fraction("0.333333"), None),
+        ("outLinkDensityMinus", Fraction("0.5"), None),
+    ])
+    def test_recomputable_items(self, dimension, stated, line):
+        mismatches = compare_description(
+            Description("data.ttl", (_stated(dimension, stated),)), REPORT_WITH_DENSITIES)
+        assert mismatches == ([] if line is None else [DEFAULT_GN_BASE + line])
+
+    def test_density_absent_from_the_report_is_not_recomputable(self):
+        items = (_stated("outLinkDensityPlus", Fraction("0.5")),
+                 _stated("outLinkDensityMinus", 0))
+        assert compare_description(Description("data.ttl", items), REPORT) == [
+            "http://purl.org/gn#outLinkDensityPlus: stated 1/2, not recomputable",
+            "http://purl.org/gn#outLinkDensityMinus: stated 0, not recomputable",
+        ]
+
+    def test_unknown_dimensions(self):
+        items = (_stated("tripleFeeling", 4),
+                 StatDescription("data.ttl", "publishedTriples", 4, NormalisationSpec("none")),
+                 _stated("minimalTriples", 2))
+        assert compare_description(Description("data.ttl", items), REPORT) == [
+            "unknown dimension http://purl.org/gn#tripleFeeling",
+            "unknown dimension publishedTriples",
+        ]
+
+    def test_dimensions_follow_the_base(self):
+        base = "http://stats.example/v#"
+        items = (StatDescription("data.ttl", base + "closureTriples", 5, NormalisationSpec("none")),
+                 _stated("closureTriples", 5))
+        assert compare_description(Description("data.ttl", items), REPORT, gn_base=base) == [
+            "http://stats.example/v#closureTriples: stated 5, recomputed 6",
+            "unknown dimension http://purl.org/gn#closureTriples",
+        ]

@@ -176,6 +176,12 @@ POSITIONED_ERRORS = [
     # an unknown escape is quoted, so a backslash before a newline stays on one line
     (S_P + '"a\\q" .', "unknown escape sequence '\\\\q'", 1, 37),
     (S_P + '"a\\\nb" .', "unknown escape sequence '\\\\\\n'", 1, 37),
+    # words joined by dots are matched as one run, then reported token by token
+    (S_P + "a.b.c .", "unexpected token 'b'", 1, 37),
+    (S_P + "a.-a.a .", "unexpected character '-'", 1, 37),
+    (S_P + "a.5a.b .", "unexpected token 'b'", 1, 40),
+    ("\n" + S_P + "x_1.a-b..c .", "unexpected token 'x_1'", 2, 35),
+    ("<http://e.org/s> a.a.a <http://e.org/o> .", "expected a object term, got '.'", 1, 19),
 ]
 
 
@@ -184,6 +190,11 @@ def test_error_message_and_position(text, message, line, col):
     with pytest.raises(ParseError) as exc:
         parse_turtle(text)
     assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, col)
+
+
+def test_a_dotted_run_before_a_colon_is_a_prefix():
+    graph = parse_turtle(f"@prefix a.b: <{EX}> . a.b:s a.b:p a.b:o.a.b .")
+    assert list(graph) == [Triple(IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o.a.b"))]
 
 
 class TestSerialization:
@@ -293,7 +304,11 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     (f"<http://e.org/{'i' * _LONG}> <http://e.org/p> <http://e.org/o> .", None),
     (S_P + '"' + "s" * _LONG + '" .', None),
     (f"@prefix ex: <{EX}> . ex:{'n' * _LONG} ex:p ex:o .", None),
-], ids=["skip-run", "skip-run-then-bad-character", "long-iri", "long-string", "long-name"])
+    # Dotted words: 'a.' 20k and 100k times, 40k and 200k characters.
+    (S_P + "a." * 20_000, ("'a' is only valid in predicate position", 1, len(S_P) + 1)),
+    (S_P + "a." * (_LONG // 2), ("'a' is only valid in predicate position", 1, len(S_P) + 1)),
+], ids=["skip-run", "skip-run-then-bad-character", "long-iri", "long-string", "long-name",
+        "dotted-words-40k", "dotted-words-200k"])
 def test_scanning_is_linear_in_long_runs(text, error):
     """A pattern that backtracks over a long run takes quadratic time or
     worse; each of these inputs takes milliseconds when it does not."""
