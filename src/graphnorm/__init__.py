@@ -35,7 +35,6 @@ from .stats import (
     canonical_ratio,
     compute_stats,
     decimal_string,
-    out_links,
     serialize_counted_closure,
 )
 from .provenance import (
@@ -92,7 +91,6 @@ __all__ = [
     "emit_description",
     "format_rules",
     "load_dlogic",
-    "out_links",
     "parse_rules",
     "parse_turtle",
     "read_description",

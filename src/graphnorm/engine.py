@@ -7,12 +7,12 @@ per predicate for lookups that bind it, so adding a triple touches no
 index of another predicate. Rules are compiled against the same
 dictionary: constants become term ids and variables negative ints.
 closure() decodes nothing: ClosureResult.graph decodes the derived
-triples into Triple values on its first read, beside the input's own
-Triple objects, and the closure command renders its text from the store,
-each distinct term once (_Materialization.render), without ever building
-Triples. Ids are handed out in set-iteration order, which varies with the
-hash seed, so nothing observable may depend on them: Graph iteration and
-render() sort by the rendered terms.
+triples into Triple values on its first read only. The statistics count
+ids: _Materialization.counted is the closure as they count it, and the
+closure command renders it (render, each distinct term once). Ids are
+handed out in set-iteration order, which varies with the hash seed, so
+nothing observable may depend on them: Graph iteration and render()
+sort by the rendered terms.
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -343,16 +343,18 @@ class _Materialization:
             store.update(produced)
             delta = produced
 
-    def render(self, without: Graph) -> str:
-        """The store minus the input triples in without, as the text
-        serialize_turtle gives for their Graph: each line is the
-        Triple.ntriples() of its terms' own renderings, and the lines are
-        sorted the same way."""
-        ids = self.terms.ids
-        dropped = {(ids[t.subject], ids[t.predicate], ids[t.object]) for t in without.triples}
+    def counted(self, without: Graph) -> set[_Ids]:
+        """The store minus the triples of without, which must be input
+        triples: the closure as the statistics count it."""
+        return self.store.triples - set(map(self.terms.encode, without.triples))
+
+    def render(self, triples: Iterable[_Ids]) -> str:
+        """Interned triples as the text serialize_turtle gives for their
+        Graph: each line is the Triple.ntriples() of its terms' own
+        renderings, and the lines are sorted the same way."""
         texts = [term.ntriples() for term in self.terms.terms]
         return "".join(sorted([f"{texts[s]} {texts[p]} {texts[o]} .\n"
-                               for s, p, o in self.store.triples - dropped]))
+                               for s, p, o in triples]))
 
 
 class ClosureResult(_Frozen):

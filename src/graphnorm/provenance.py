@@ -29,6 +29,7 @@ supported, and RIF rule sources are rejected as unsupported.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
@@ -43,6 +44,7 @@ from .lex import (
     PNAME,
     STRING,
     Reader,
+    _IRI_BODY,
     kind,
     value,
 )
@@ -151,14 +153,18 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
     """Render a deterministic description of the report.
 
     Stat items are sorted by dimension name; equal inputs produce
-    byte-identical output. Datasets with out-link densities must supply
-    the namespace declaration, otherwise the densities could never be
-    recomputed from the description alone.
+    byte-identical output. Raises ValueError for what no reader could
+    recompute: densities without the namespace declaration, or an IRI
+    that read_description cannot read back from between '<' and '>'.
     """
     has_density = (report.out_link_density_plus is not None
                    or report.out_link_density_minus is not None)
     if has_density and namespaces is None:
         raise ValueError("reports with out-link densities need the namespace declaration")
+    for iri in (dataset, gn_base, *(src.locator for src in spec.rule_sources),
+                *(namespaces.prefixes if namespaces is not None else ())):
+        if not re.fullmatch(_IRI_BODY, iri):
+            raise ValueError(f"cannot be written as an IRI reference: {iri!r}")
 
     norm_lines: list[str] = []
     if spec.kind != "none":
@@ -167,14 +173,9 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
         norm_lines.append(f"            a {kind_class} ;")
         norm_lines.append("            gn:rules [")
         norm_lines.append("                a gn:RuleSet" + (" ;" if spec.rule_sources else ""))
-        by_format: dict[str, list[str]] = {}
-        for src in spec.rule_sources:
-            by_format.setdefault(src.format, []).append(src.locator)
-        fmt_rows = []
-        for fmt in _SOURCE_FORMATS:
-            if fmt in by_format:
-                refs = ", ".join(f"<{loc}>" for loc in by_format[fmt])
-                fmt_rows.append(f"                gn:{fmt} {refs}")
+        refs = {fmt: ", ".join(f"<{src.locator}>" for src in spec.rule_sources
+                               if src.format == fmt) for fmt in _SOURCE_FORMATS}
+        fmt_rows = [f"                gn:{fmt} {refs[fmt]}" for fmt in _SOURCE_FORMATS if refs[fmt]]
         norm_lines.extend(row + (" ;" if i < len(fmt_rows) - 1 else "")
                           for i, row in enumerate(fmt_rows))
         if spec.kind == "mini_rdf":

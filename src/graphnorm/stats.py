@@ -15,7 +15,7 @@ from .engine import closure, reduce
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
-from .terms import IRI, Triple, _Frozen, _set, is_absolute_iri
+from .terms import IRI, _Frozen, _set, is_absolute_iri
 
 
 class NamespaceDecl(_Frozen):
@@ -68,41 +68,37 @@ def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_G
     they overlap the published graph, keeping published <= closure. The
     text is rendered from the interned closure; no Triple is decoded.
     """
-    return closure(graph | aux, rules)._materialization.render(aux - graph)
-
-
-def out_links(graph: Graph, namespaces: NamespaceDecl) -> Graph:
-    """Triples pointing from a dataset subject to any external IRI.
-
-    Literal and blank objects are never out-links, nor are blank subjects.
-    """
-    selected: list[Triple] = []
-    for t in graph.triples:
-        if not isinstance(t.subject, IRI) or not namespaces.owns(t.subject.value):
-            continue
-        if isinstance(t.object, IRI) and not namespaces.owns(t.object.value):
-            selected.append(t)
-    return Graph(selected)
+    m = closure(graph | aux, rules)._materialization
+    return m.render(m.counted(aux - graph))
 
 
 def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
                   namespaces: NamespaceDecl | None = None) -> StatsReport:
-    """All statistics in one pass over one closure and one minimization."""
+    """All statistics in one pass over one closure and one minimization,
+    counted on term ids; the closure counted is serialize_counted_closure's."""
     if not graph:
         raise EmptyGraphError("statistics are undefined for an empty graph")
     # One materialization serves both the counted closure and reduce.
     materialized = closure(graph | aux, rules)
-    closed = materialized.graph - (aux - graph)
+    m = materialized._materialization
+    counted = m.counted(aux - graph)
     minimal = reduce(graph, rules, aux, closed=materialized)
     plus = minus = None
     if namespaces is not None:
         if not minimal:
             raise EmptyGraphError("out-link density (minus) is undefined: minimized graph is empty")
-        plus = Fraction(len(out_links(closed, namespaces)), len(closed))
-        minus = Fraction(len(out_links(minimal, namespaces)), len(minimal))
+        # Each term is classified once. An out-link points from an IRI the
+        # namespaces own to an external IRI; blanks and literals never count.
+        owned = [isinstance(x, IRI) and namespaces.owns(x.value) for x in m.terms.terms]
+        external = [isinstance(x, IRI) and not own for x, own in zip(m.terms.terms, owned)]
+
+        def density(triples) -> Fraction:
+            return Fraction(sum(1 for s, _, o in triples if owned[s] and external[o]), len(triples))
+
+        plus, minus = density(counted), density([m.terms.encode(t) for t in minimal.triples])
     return StatsReport(
         published_cardinality=len(graph),
-        closure_cardinality=len(closed),
+        closure_cardinality=len(counted),
         minimal_cardinality=len(minimal),
         redundancy=Fraction(1) - Fraction(len(minimal), len(graph)),
         out_link_density_plus=plus,

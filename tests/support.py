@@ -166,6 +166,21 @@ def random_instance(rng: random.Random, *, min_triples: int = 1, max_triples: in
     return graph, rules, (subjects, predicates, all_objects)
 
 
+def out_links(graph: Graph, namespaces) -> Graph:
+    """Triples pointing from a dataset subject to any external IRI: the
+    Graph-level reference for the out-link densities.
+
+    Literal and blank objects are never out-links, nor are blank subjects.
+    """
+    selected: list[Triple] = []
+    for t in graph.triples:
+        if not isinstance(t.subject, IRI) or not namespaces.owns(t.subject.value):
+            continue
+        if isinstance(t.object, IRI) and not namespaces.owns(t.object.value):
+            selected.append(t)
+    return Graph(selected)
+
+
 def all_candidates(universe):
     subjects, predicates, objects = universe
     return [

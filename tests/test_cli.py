@@ -313,6 +313,24 @@ class TestDescribeVerify:
         assert code == 1 and out == ""
         assert err == "graphnorm: gn:n3 must be an IRI, got 'rules.n3'\n"
 
+    @pytest.mark.parametrize("char", [" ", "<", ">", '"', "{", "|", "\\"])
+    @pytest.mark.parametrize("flag", ["--data", "--rules", "--dlogic", "--namespace"])
+    def test_unreadable_locator_exits_1(self, workdir, capsys, flag, char):
+        """A locator or namespace that verify could not read back from
+        between '<' and '>' is refused, and no description is written."""
+        args = dict(zip(self.DESCRIBE[1::2], self.DESCRIBE[2::2]))
+        if flag == "--namespace":
+            bad = f"http://example.org/a{char}b"
+        else:
+            bad = args[flag].replace(".", char + ".")
+            shutil.copy(workdir / args[flag], workdir / bad)
+        args[flag] = bad
+        argv = ["describe", *(x for pair in args.items() for x in pair), "--output", "desc.ttl"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"graphnorm: cannot be written as an IRI reference: {bad!r}\n"
+        assert not (workdir / "desc.ttl").exists()
+
     def test_description_resolves_relative_to_its_own_directory(
             self, workdir, capsys, monkeypatch):
         run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphnorm import (
     Description,
@@ -114,6 +115,56 @@ class TestEmit:
         text = emit_description("data.ttl", REPORT, MINI)
         assert "rdf:value 4" in text
         assert "rdf:value 0.5" in text
+
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dataset": "da ta.ttl"},
+        {"spec": NormalisationSpec("mini_rdf", (RuleSource("n3", "ru<les.n3"),))},
+        {"namespaces": NamespaceDecl((EX + "a b/",))},
+        {"gn_base": "http://purl.org/g n#"},
+    ], ids=["dataset", "locator", "namespace", "gn_base"])
+    def test_unreadable_iri_rejected(self, kwargs):
+        args = {"dataset": "data.ttl", "report": REPORT_WITH_DENSITIES, "spec": MINI,
+                "namespaces": NamespaceDecl((EX,)), **kwargs}
+        with pytest.raises(ValueError, match="cannot be written as an IRI reference"):
+            emit_description(args.pop("dataset"), args.pop("report"), args.pop("spec"), **args)
+
+
+# Characters that cannot stand between '<' and '>' in a description.
+_UNREADABLE = sorted(' <>"{}|^`\\\n')
+_READABLE = st.text(st.characters(blacklist_characters=_UNREADABLE) | st.sampled_from("\r\t#"),
+                    max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_READABLE, _READABLE,
+       st.lists(st.tuples(st.sampled_from(("n3", "dlogic", "rif")), _READABLE),
+                min_size=1, max_size=3),
+       st.none() | st.tuples(st.integers(0, 4), st.sampled_from(_UNREADABLE)))
+def test_every_accepted_locator_reads_back(dataset, namespace, locators, spoil):
+    """emit_description refuses an IRI with a character that cannot stand
+    between '<' and '>', and every other one reads back as it was given.
+    spoil puts one such character into one of the IRIs."""
+    iris = [dataset, namespace, *(loc for _, loc in locators)]
+    if spoil is not None:
+        i, char = spoil
+        iris[i % len(iris)] += char
+    dataset, namespace, *locs = iris
+    spec = NormalisationSpec("mini_rdf", tuple(RuleSource(f, loc)
+                                               for (f, _), loc in zip(locators, locs)))
+    ns = NamespaceDecl((EX + namespace,))
+    if spoil is not None:
+        with pytest.raises(ValueError, match="cannot be written as an IRI reference"):
+            emit_description(dataset, REPORT_WITH_DENSITIES, spec, namespaces=ns)
+        return
+    desc = read_description(emit_description(dataset, REPORT_WITH_DENSITIES, spec,
+                                             namespaces=ns))
+    assert desc.dataset == dataset
+
+    def key(src):
+        return src.format, src.locator
+    assert sorted(desc.normalisation.rule_sources, key=key) == sorted(spec.rule_sources, key=key)
+    assert desc.namespaces == ns.prefixes
 
 
 class TestRead:

@@ -1,6 +1,6 @@
-"""README's examples against the code: the library quick start runs, and
-the command-line synopsis names only subcommands and flags the parser
-accepts."""
+"""README's examples against the code: the library quick start runs, the
+command-line synopsis names only subcommands and flags the parser
+accepts, and the entry-point table names only public functions."""
 
 import re
 import shlex
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import graphnorm
 from graphnorm.cli import build_parser
 
 from support import cli_env
@@ -46,3 +47,17 @@ def test_synopsis_line_parses(words):
 def test_synopsis_shows_every_subcommand():
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     assert {words[1] for words in _synopsis()} == set(sub.choices)
+
+
+def test_public_names_resolve():
+    namespace: dict = {}
+    exec("from graphnorm import *", namespace)
+    assert set(graphnorm.__all__) <= namespace.keys()
+
+
+def test_entry_point_table_names_public_functions():
+    table = README.split("Key entry points", 1)[1].split("\n\n", 2)[1]
+    names = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`(\w+)[`(]", row.split("|")[1])]
+    assert "compute_stats" in names
+    assert not set(names) - set(graphnorm.__all__)

@@ -15,16 +15,18 @@ from graphnorm import (
     closure,
     compute_stats,
     decimal_string,
-    out_links,
     parse_rules,
     parse_turtle,
+    reduce,
     serialize_counted_closure,
     serialize_turtle,
+    StatsReport,
 )
 from graphnorm.rules import EMPTY_RULESET
 from graphnorm.terms import BlankNode, Literal
 
-from support import all_candidates, random_instance, DATA_NS, EXT_NS, PRED_NS, CLASS_NS
+from support import (all_candidates, naive_closure, out_links, random_instance, DATA_NS, EXT_NS,
+                     PRED_NS, CLASS_NS)
 
 EX = "http://example.org/"
 
@@ -111,19 +113,25 @@ def test_counted_closure_text_matches_graph_definition(seed):
 
 
 class TestOutLinks:
+    """With no rules the closure is the graph, so density plus is the
+    share of the graph's triples that are out-links."""
+
     NS = NamespaceDecl((DATA_NS,))
+
+    def density(self, g: Graph) -> Fraction:
+        return compute_stats(g, EMPTY_RULESET, namespaces=self.NS).out_link_density_plus
 
     def test_external_iri_object_is_an_out_link(self):
         g = Graph([Triple(IRI(DATA_NS + "a"), IRI(PRED_NS + "p"), IRI(EXT_NS + "x"))])
-        assert len(out_links(g, self.NS)) == 1
+        assert self.density(g) == 1
 
     def test_internal_object_is_not(self):
         g = Graph([Triple(IRI(DATA_NS + "a"), IRI(PRED_NS + "p"), IRI(DATA_NS + "b"))])
-        assert len(out_links(g, self.NS)) == 0
+        assert self.density(g) == 0
 
     def test_external_subject_is_not(self):
         g = Graph([Triple(IRI(EXT_NS + "a"), IRI(PRED_NS + "p"), IRI(EXT_NS + "x"))])
-        assert len(out_links(g, self.NS)) == 0
+        assert self.density(g) == 0
 
     def test_literals_and_blanks_never_count(self):
         g = Graph([
@@ -131,7 +139,7 @@ class TestOutLinks:
             Triple(IRI(DATA_NS + "a"), IRI(PRED_NS + "p"), BlankNode("b")),
             Triple(BlankNode("b"), IRI(PRED_NS + "p"), IRI(EXT_NS + "x")),
         ])
-        assert len(out_links(g, self.NS)) == 0
+        assert self.density(g) == 0
 
 
 class TestDensity:
@@ -224,12 +232,36 @@ class TestDecimalString:
 @settings(deadline=None, max_examples=50)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_statistic_invariants_hold(seed):
+    """The report is the Graph-level definition of each statistic, for aux
+    that overlaps the data and aux that does not, with and without
+    namespaces: the counted closure from the naive oracle, the minimal
+    graph from reduce, out-links from the reference filter."""
     rng = random.Random(seed)
-    graph, rules, _ = random_instance(rng, external=True, literals=True)
+    graph, rules, universe = random_instance(rng, external=True, literals=True, rich=True)
+    aux = {x for x in graph if rng.random() < 0.3}
+    aux.update(rng.sample(all_candidates(universe), rng.randint(0, 4)))
+    aux = Graph(aux)
+    closed = Graph(naive_closure(graph | aux, rules)) - (aux - graph)
+    minimal = reduce(graph, rules, aux)
+    counted_lines = serialize_counted_closure(graph, rules, aux).count("\n")
     ns = NamespaceDecl((DATA_NS, PRED_NS, CLASS_NS))
-    report = compute_stats(graph, rules, namespaces=ns)
-    assert report.minimal_cardinality <= report.published_cardinality
-    assert report.published_cardinality <= report.closure_cardinality
-    assert 0 <= report.redundancy <= 1
-    assert 0 <= report.out_link_density_plus <= 1
-    assert 0 <= report.out_link_density_minus <= 1
+    for namespaces in (None, ns):
+        if namespaces is not None and not minimal:
+            with pytest.raises(EmptyGraphError):
+                compute_stats(graph, rules, aux, namespaces)
+            continue
+        report = compute_stats(graph, rules, aux, namespaces)
+        plus = minus = None
+        if namespaces is not None:
+            plus = Fraction(len(out_links(closed, namespaces)), len(closed))
+            minus = Fraction(len(out_links(minimal, namespaces)), len(minimal))
+        assert report == StatsReport(len(graph), len(closed), len(minimal),
+                                     Fraction(1) - Fraction(len(minimal), len(graph)),
+                                     plus, minus)
+        assert report.closure_cardinality == counted_lines
+        assert report.minimal_cardinality <= report.published_cardinality
+        assert report.published_cardinality <= report.closure_cardinality
+        assert 0 <= report.redundancy <= 1
+        if namespaces is not None:
+            assert 0 <= report.out_link_density_plus <= 1
+            assert 0 <= report.out_link_density_minus <= 1
