@@ -127,6 +127,12 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.format == "turtle":
+        # A path recorded as a locator must read back as the same local
+        # file: 'run:1.ttl' would read back as an IRI with scheme 'run'.
+        recorded = [] if args.dataset else [args.data]
+        for path in recorded + (args.rules or []) + (args.dlogic or []):
+            FileResolver().resolve_path(path)
     graph = _load_graph(args.data, args.base)
     rules, aux = _load_rules(args)
     report = compute_stats(graph, rules, aux, _namespaces(args))

@@ -19,10 +19,9 @@ each round only considers rule instantiations that touch a triple derived
 in the previous round. The delta is grouped by predicate (and object,
 where an atom has both constant), and each body atom is applied once to
 the batch its constants select; atoms with a variable predicate see the
-whole delta. A one-atom body that matches its whole batch is a
-projection: each head triple is picked out of the matched triple and the
-rule's constants. Other atoms are unified with each triple of the batch
-and the rest of the body is joined against the store. A round's new
+whole delta. Each body atom has one plan (_plan) over rows of matched
+triples laid end to end, which the other atoms extend by index lookups;
+a one-atom body is the plan with no lookups, a projection. A round's new
 triples enter the store in one bulk add.
 
 reduce() is the redundancy eliminator: walk the graph in canonical order
@@ -110,8 +109,7 @@ class _Terms:
                      for x in atom.terms())
 
 
-_S, _P, _O = itemgetter(0), itemgetter(1), itemgetter(2)
-_SO = itemgetter(0, 2)
+_S, _P, _O, _SO = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 2)
 _NO_INDEXES: dict = {}  # never mutated
 
 
@@ -132,16 +130,19 @@ class _Store:
         self._indexes: dict[int | None, dict[itemgetter, dict]] = {}
 
     def add(self, t: _Ids) -> None:
-        self.update((t,))
+        self.triples.add(t)
+        for p in (None, t[1]):
+            for key, index in self._indexes.get(p, _NO_INDEXES).items():
+                index.setdefault(key(t), set()).add(t)
 
     def update(self, triples: Collection[_Ids]) -> None:
+        """Add triples in bulk: each indexed predicate filters them once."""
         self.triples.update(triples)
-        indexes = self._indexes
-        if indexes:
-            for t in triples:
-                for p in (None, t[1]):
-                    for key, index in indexes.get(p, _NO_INDEXES).items():
-                        index.setdefault(key(t), set()).add(t)
+        for p, indexes in self._indexes.items():
+            mine = triples if p is None else [t for t in triples if t[1] == p]
+            for key, index in indexes.items():
+                for t in mine:
+                    index.setdefault(key(t), set()).add(t)
 
     def remove(self, t: _Ids) -> None:
         if t in self.triples:
@@ -151,9 +152,7 @@ class _Store:
                     index[key(t)].discard(t)
 
     def _index(self, key: itemgetter, p: int | None = None) -> dict:
-        indexes = self._indexes.get(p)
-        if indexes is None:
-            indexes = self._indexes[p] = {}
+        indexes = self._indexes.get(p) or self._indexes.setdefault(p, {})
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = {}
@@ -163,20 +162,14 @@ class _Store:
         return index
 
     def match(self, s: int | None, p: int | None, o: int | None) -> Iterable[_Ids]:
-        if p is None:
-            if s is None:
-                if o is None:
-                    return self.triples
-                return self._index(_O).get(o, ())
-            if o is None:
-                return self._index(_S).get(s, ())
-            return self._index(_SO).get((s, o), ())
+        if s is None and o is None:
+            return self.triples if p is None else self._index(_P, p).get(p, ())
         if s is None:
-            if o is None:
-                return self._index(_P, p).get(p, ())
             return self._index(_O, p).get(o, ())
         if o is None:
             return self._index(_S, p).get(s, ())
+        if p is None:
+            return self._index(_SO).get((s, o), ())
         t = (s, p, o)
         return (t,) if t in self.triples else ()
 
@@ -220,9 +213,7 @@ def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
     """Where an atom is filed for dispatch: its constant (predicate, object),
     else its constant predicate, else None for atoms that see every triple."""
     _, p, o = atom
-    if p < 0:
-        return None
-    return (p, o) if o >= 0 else p
+    return None if p < 0 else (p, o) if o >= 0 else p
 
 
 def _dispatched(index: dict, t: _Ids) -> list:
@@ -230,8 +221,6 @@ def _dispatched(index: dict, t: _Ids) -> list:
     return index.get(t[1], []) + index.get(t[1:], []) + index.get(None, [])
 
 
-# Applies one body atom to the batch of a round's delta that its dispatch
-# key selects, adding the head instantiations to the given set.
 _Plan = Callable[[Collection[_Ids], set[_Ids]], None]
 
 
@@ -242,53 +231,66 @@ def _group(triples: Iterable[_Ids], key: itemgetter) -> dict[int, list[_Ids]]:
     return groups
 
 
-def _projection(atom: _Ids, head: tuple[_Ids, ...], kinds: bytearray) -> _Plan | None:
-    """A one-atom body as a projection, or None where its batch may hold
-    triples it does not match: with a constant subject, a repeated
-    variable, or a constant object under a variable predicate."""
-    s, p, o = atom
-    variables = [x for x in atom if x < 0]
-    if s >= 0 or len(set(variables)) != len(variables) or (p < 0 and o >= 0):
-        return None
-    constants = tuple(dict.fromkeys(x for h in head for x in h if x >= 0))
-    where = {x: i for i, x in enumerate(atom) if x < 0}
-    where.update((c, 3 + i) for i, c in enumerate(constants))
-    picks = []
-    for h in head:
-        # Only a term moved into subject or predicate position can be invalid.
-        checked = (h[0] < 0 and where[h[0]] != 0) or (h[1] < 0 and where[h[1]] != 1)
-        picks.append((itemgetter(*(where[x] for x in h)), checked))
+def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
+          kinds: bytearray) -> _Plan:
+    """Body atom i applied to its batch. A row is the batch triple, the
+    rule's constants the dispatch key does not fix, and one matched triple
+    per other atom, so each term has a fixed row position. Each other atom
+    extends the rows by one lookup on its placed terms; only equalities
+    that neither the dispatch key nor a lookup ensures are checked. Each
+    head is one itemgetter over the row, checked for a literal subject or
+    non-IRI predicate only where it moves a term into either position."""
+    _, p, o = body[i]
+    where = {p: 1, o: 2} if p >= 0 and o >= 0 else {p: 1} if p >= 0 else {}
+    constants = tuple(dict.fromkeys(x for atom in body + head for x in atom
+                                    if x >= 0 and x not in where))
+    where.update((c, 3 + k) for k, c in enumerate(constants))
+
+    def place(atom: _Ids, n: int, at: list[int | None]) -> list[tuple[int, int]]:
+        """Place the unkeyed terms at n..n+2; returns the pairs to compare."""
+        return [(n + k, where[x]) for k, x in enumerate(atom)
+                if at[k] is None and where.setdefault(x, n + k) != n + k]
+
+    seed_checks = place(body[i], 0, [None] * 3)
+    lookups = []
+    first = n = 3 + len(constants)
+    for atom in body[:i] + body[i + 1:]:
+        at = [where.get(x) for x in atom]
+        if None not in at:  # a membership test
+            index, key = None, itemgetter(*at)
+        elif atom[1] >= 0:  # the predicate's index on a placed subject or object, or all of it
+            k = 0 if at[0] is not None else 2 if at[2] is not None else 1
+            index, key = (_S, _P, _O)[k], itemgetter(at[k])
+        else:  # a variable predicate: store.match on the placed terms
+            index, key = store.match, (lambda r, at=at: [None if a is None else r[a] for a in at])
+        lookups.append((index, atom[1], key, place(atom, n, at)))
+        n += 3
+    subjects = {0, *range(first, n, 3), *(where[c] for c in constants if kinds[c] != _LITERAL)}
+    predicates = {1, *range(first + 1, n, 3), *(where[c] for c in constants if kinds[c] == _IRI)}
+    picks = [(itemgetter(*(where[x] for x in h)),
+              where[h[0]] not in subjects or where[h[1]] not in predicates) for h in head]
+
+    def valid(h: _Ids) -> bool:
+        return kinds[h[0]] != _LITERAL and kinds[h[1]] == _IRI
 
     def plan(batch: Collection[_Ids], produced: set[_Ids]) -> None:
         rows = [t + constants for t in batch] if constants else batch
-        for pick, checked in picks:
-            if checked:
-                produced.update(h for h in map(pick, rows)
-                                if kinds[h[0]] != _LITERAL and kinds[h[1]] == _IRI)
+        for a, b in seed_checks:
+            rows = [r for r in rows if r[a] == r[b]]
+        for index, q, key, checks in lookups:
+            if index is None:
+                triples = store.triples
+                rows = [r + t for r in rows if (t := key(r)) in triples]
+            elif q < 0:
+                rows = [r + t for r in rows for t in index(*key(r))]
             else:
-                produced.update(map(pick, rows))
-    return plan
-
-
-def _join(atom: _Ids, rest: tuple[_Ids, ...], head: tuple[_Ids, ...], store: _Store,
-          kinds: bytearray) -> _Plan:
-    """Unify atom with each triple of the batch and join the rest of the
-    body against the store. Safe rules ground every head variable, but an
-    instantiation can still be positionally invalid (literal subject,
-    non-IRI predicate); it is skipped."""
-    def plan(batch: Collection[_Ids], produced: set[_Ids]) -> None:
-        for t in batch:
-            seed = _unify(atom, t, _NO_BINDING)
-            if seed is None:
-                continue
-            bindings = [seed]
-            for other in rest:
-                bindings = [b2 for b in bindings for _, b2 in _match(store, other, b)]
-            for b in bindings:
-                for h in head:
-                    s, p, o = (x if x >= 0 else b[x] for x in h)
-                    if kinds[s] != _LITERAL and kinds[p] == _IRI:
-                        produced.add((s, p, o))
+                get = store._index(index, q).get
+                rows = [r + t for r in rows for t in get(key(r), ())]
+            for a, b in checks:
+                rows = [r for r in rows if r[a] == r[b]]
+        for pick, checked in picks:
+            heads = map(pick, rows)
+            produced.update(filter(valid, heads) if checked else heads)
     return plan
 
 
@@ -316,9 +318,7 @@ class _Materialization:
         plans: dict[int | tuple[int, int] | None, list[_Plan]] = {}
         for body, head in self.rules:
             for i, atom in enumerate(body):
-                plan = ((len(body) == 1 and _projection(atom, head, kinds))
-                        or _join(atom, body[:i] + body[i + 1:], head, store, kinds))
-                plans.setdefault(_dispatch_key(atom), []).append(plan)
+                plans.setdefault(_dispatch_key(atom), []).append(_plan(body, i, head, store, kinds))
         # The predicates whose batches are split again by object.
         split = {key[0] for key in plans if isinstance(key, tuple)}
         derived: list[_Ids] = []

@@ -29,7 +29,6 @@ supported, and RIF rule sources are rejected as unsupported.
 from __future__ import annotations
 
 import os
-import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
@@ -44,7 +43,7 @@ from .lex import (
     PNAME,
     STRING,
     Reader,
-    _IRI_BODY,
+    _TOKEN,
     kind,
     value,
 )
@@ -163,7 +162,10 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
         raise ValueError("reports with out-link densities need the namespace declaration")
     for iri in (dataset, gn_base, *(src.locator for src in spec.rule_sources),
                 *(namespaces.prefixes if namespaces is not None else ())):
-        if not re.fullmatch(_IRI_BODY, iri):
+        # Readable iff the lexer takes <iri> whole as one IRI reference:
+        # '<=>' is a token of its own.
+        ref = f"<{iri}>"
+        if _TOKEN.match(ref)[1] != ref or kind(ref) != IRIREF:
             raise ValueError(f"cannot be written as an IRI reference: {iri!r}")
 
     norm_lines: list[str] = []

@@ -313,16 +313,24 @@ class TestDescribeVerify:
         assert code == 1 and out == ""
         assert err == "graphnorm: gn:n3 must be an IRI, got 'rules.n3'\n"
 
-    @pytest.mark.parametrize("char", [" ", "<", ">", '"', "{", "|", "\\"])
-    @pytest.mark.parametrize("flag", ["--data", "--rules", "--dlogic", "--namespace"])
+    @pytest.mark.parametrize("flag,char", [
+        *((flag, char) for flag in ["--data", "--rules", "--dlogic", "--namespace"]
+          for char in [" ", "<", ">", '"', "{", "|", "\\"]),
+        *((flag, "=") for flag in ["--data", "--rules", "--dlogic"]),
+    ])
     def test_unreadable_locator_exits_1(self, workdir, capsys, flag, char):
         """A locator or namespace that verify could not read back from
-        between '<' and '>' is refused, and no description is written."""
+        between '<' and '>' is refused, and no description is written.
+        The locator '=' stands alone: '<=>' reads back as the N3
+        equivalence token. (A namespace must be an absolute IRI.)"""
         args = dict(zip(self.DESCRIBE[1::2], self.DESCRIBE[2::2]))
-        if flag == "--namespace":
+        if char == "=":
+            bad = char
+        elif flag == "--namespace":
             bad = f"http://example.org/a{char}b"
         else:
             bad = args[flag].replace(".", char + ".")
+        if flag != "--namespace":
             shutil.copy(workdir / args[flag], workdir / bad)
         args[flag] = bad
         argv = ["describe", *(x for pair in args.items() for x in pair), "--output", "desc.ttl"]
@@ -330,6 +338,30 @@ class TestDescribeVerify:
         assert (code, out) == (1, "")
         assert err == f"graphnorm: cannot be written as an IRI reference: {bad!r}\n"
         assert not (workdir / "desc.ttl").exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--rules", "--dlogic"])
+    def test_locator_read_back_as_an_iri_exits_1(self, workdir, capsys, flag):
+        """A path whose first segment looks like a URI scheme would be read
+        back as a non-file IRI, so describe refuses to record it."""
+        args = dict(zip(self.DESCRIBE[1::2], self.DESCRIBE[2::2]))
+        bad = "run:" + args[flag]
+        shutil.copy(workdir / args[flag], workdir / bad)
+        args[flag] = bad
+        argv = ["describe", *(x for pair in args.items() for x in pair), "--output", "desc.ttl"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"graphnorm: only local file locators are supported: {bad!r}\n"
+        assert not (workdir / "desc.ttl").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--data", "social.ttl", "--dataset", "http://example.org/ds"],
+        ["--data", "run:social.ttl", "--dataset", "social.ttl"],
+    ], ids=["explicit-iri", "unrecorded-data-path"])
+    def test_locators_not_read_from_a_path_are_not_refused(self, workdir, capsys, flags):
+        shutil.copy(workdir / "social.ttl", workdir / "run:social.ttl")
+        code, out, err = run(["describe", *flags, "--rules", "rules.n3"], capsys)
+        assert (code, err) == (0, "")
+        assert f"<{flags[3]}> a void:Dataset ;" in out
 
     def test_description_resolves_relative_to_its_own_directory(
             self, workdir, capsys, monkeypatch):

@@ -162,6 +162,52 @@ def test_every_dispatch_path_matches_naive_oracle():
     assert naive_closure(minimal, rules) == closed
 
 
+# One graph for every join shape: a p-cycle, q triples with a literal and
+# a blank object, a q self-loop, and dom triples whose subjects are the
+# predicates p and q.
+_SHAPES_GRAPH = parse_turtle(
+    f"@prefix : <{EX}> .\n"
+    ":a :p :b . :b :p :c . :c :p :a . :c :p _:k . _:k :q :a .\n"
+    ':b :q :a . :b :q :d . :c :q "l" . :d :q :d . :a :q _:k .\n'
+    ":p :dom :C . :q :dom :D .\n"
+)
+
+
+# Each case is one rule, named by the shape of the atom it is about:
+# either one of the other atoms a body atom is joined with, or a body atom
+# as the batch sees it. Rounds and derived counts are pinned too, so that
+# a plan that derives late or twice is caught as well as a wrong closure.
+@pytest.mark.parametrize("rule,rounds,derived", [
+    pytest.param("{ ?x :p ?y . ?y :q ?z . } => { ?x :q ?z . }", 2, 8, id="bound-subject"),
+    pytest.param("{ ?x :p ?y . ?z :q ?y . } => { ?z :p ?x . }", 1, 2, id="bound-object"),
+    pytest.param("{ ?x :p ?y . ?y :q ?x . } => { ?y :p ?x . }", 1, 1, id="both-bound"),
+    pytest.param("{ :a :p ?y . ?y :q :d . } => { :a :r ?y . }", 1, 1,
+                 id="both-bound-by-constants"),
+    pytest.param("{ ?x :p ?y . ?z :q ?w . } => { ?w :r ?x . }", 1, 9, id="neither-bound"),
+    pytest.param("{ ?x :p ?y . :b :q ?z . } => { ?z :r ?x . }", 1, 6,
+                 id="constant-subject-in-other-atom"),
+    pytest.param("{ ?x ?p ?y . ?y ?p ?z . } => { ?x ?p ?z . }", 2, 11,
+                 id="variable-predicate-bound-by-seed"),
+    pytest.param("{ ?p :dom ?c . ?s ?p ?o . } => { ?s :type ?c . }", 1, 8,
+                 id="variable-predicate-bound-by-constant-atom"),
+    pytest.param("{ ?x :p ?y . ?z :q ?z . } => { ?x :r ?z . }", 1, 3,
+                 id="repeated-new-variable"),
+    pytest.param("{ ?x :p ?y . ?y :p ?z . ?z :q ?w . } => { ?x :q ?w . }", 2, 8,
+                 id="three-atom-body"),
+    pytest.param("{ :a :p ?y . ?y :p ?z . } => { :a :p ?z . }", 2, 3, id="constant-subject"),
+    pytest.param("{ ?x ?p :a . ?x :q ?y . } => { ?y ?p :a . }", 1, 2,
+                 id="constant-object-under-variable-predicate"),
+    pytest.param("{ ?x :q ?x . } => { ?x :r ?x . }", 1, 1, id="repeated-variable-in-seed"),
+    pytest.param("{ ?x :p ?y . ?y :q ?z . } => { ?x ?z ?y . }", 1, 3,
+                 id="object-moved-to-predicate"),
+])
+def test_join_shapes_match_naive_oracle(rule, rounds, derived):
+    rules = parse_rules(f"@prefix : <{EX}> .\n{rule} .\n")
+    result = closure(_SHAPES_GRAPH, rules)
+    assert result.graph.triples == naive_closure(_SHAPES_GRAPH, rules)
+    assert (result.rounds, result.derived_count) == (rounds, derived)
+
+
 # The store's model: after any interleaving of single adds, bulk adds and
 # removes, every lookup equals a filter of its triple set. Each step's
 # lookups build the indexes they need lazily (per predicate, or over all

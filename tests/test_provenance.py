@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphnorm import (
     Description,
@@ -119,10 +119,11 @@ class TestEmit:
 
     @pytest.mark.parametrize("kwargs", [
         {"dataset": "da ta.ttl"},
+        {"dataset": "="},
         {"spec": NormalisationSpec("mini_rdf", (RuleSource("n3", "ru<les.n3"),))},
         {"namespaces": NamespaceDecl((EX + "a b/",))},
         {"gn_base": "http://purl.org/g n#"},
-    ], ids=["dataset", "locator", "namespace", "gn_base"])
+    ], ids=["dataset", "equivalence", "locator", "namespace", "gn_base"])
     def test_unreadable_iri_rejected(self, kwargs):
         args = {"dataset": "data.ttl", "report": REPORT_WITH_DENSITIES, "spec": MINI,
                 "namespaces": NamespaceDecl((EX,)), **kwargs}
@@ -141,10 +142,12 @@ _READABLE = st.text(st.characters(blacklist_characters=_UNREADABLE) | st.sampled
        st.lists(st.tuples(st.sampled_from(("n3", "dlogic", "rif")), _READABLE),
                 min_size=1, max_size=3),
        st.none() | st.tuples(st.integers(0, 4), st.sampled_from(_UNREADABLE)))
+@example(dataset="=", namespace="", locators=[("n3", "")], spoil=None)
 def test_every_accepted_locator_reads_back(dataset, namespace, locators, spoil):
     """emit_description refuses an IRI with a character that cannot stand
-    between '<' and '>', and every other one reads back as it was given.
-    spoil puts one such character into one of the IRIs."""
+    between '<' and '>', and '=', since '<=>' is the N3 equivalence token;
+    every other one reads back as it was given. spoil puts one such
+    character into one of the IRIs."""
     iris = [dataset, namespace, *(loc for _, loc in locators)]
     if spoil is not None:
         i, char = spoil
@@ -153,7 +156,7 @@ def test_every_accepted_locator_reads_back(dataset, namespace, locators, spoil):
     spec = NormalisationSpec("mini_rdf", tuple(RuleSource(f, loc)
                                                for (f, _), loc in zip(locators, locs)))
     ns = NamespaceDecl((EX + namespace,))
-    if spoil is not None:
+    if spoil is not None or "=" in (dataset, *locs):
         with pytest.raises(ValueError, match="cannot be written as an IRI reference"):
             emit_description(dataset, REPORT_WITH_DENSITIES, spec, namespaces=ns)
         return
