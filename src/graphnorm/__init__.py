@@ -47,6 +47,7 @@ from .provenance import (
     compare_description,
     emit_description,
     load_dlogic,
+    load_rules,
     read_description,
     recompute,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "emit_description",
     "format_rules",
     "load_dlogic",
+    "load_rules",
     "parse_rules",
     "parse_turtle",
     "read_description",

@@ -7,6 +7,10 @@ recomputes a description's statistics from its referenced sources and
 compares. Results go to stdout (or ``--output``); diagnostics go to
 stderr. Identical invocations produce byte-identical output.
 
+Rule sources load through ``provenance.load_rules``, as in ``verify``. A
+command that writes a description reads every locator it records the way
+``verify`` will: from the directory of ``--output``.
+
 Exit codes:
 
 * 0 — success
@@ -38,11 +42,11 @@ from .provenance import (
     RuleSource,
     compare_description,
     emit_description,
-    load_dlogic,
+    load_rules,
     read_description,
     recompute,
 )
-from .rules import EMPTY_RULESET, RuleSet, compile_schema, parse_rules
+from .rules import RuleSet
 from .stats import NamespaceDecl, compute_stats, serialize_counted_closure, stat_texts
 from .turtle import parse_turtle, serialize_turtle
 
@@ -71,22 +75,24 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def _load_graph(path: str, base: str | None) -> Graph:
-    graph = parse_turtle(_read_file(path), source=path)
-    if base:
-        graph = skolemize(graph, base)
-    return graph
-
-
-def _load_rules(args: argparse.Namespace) -> tuple[RuleSet, Graph]:
-    """The explicit rules joined with rules compiled from the schema files."""
-    rules = EMPTY_RULESET
-    for path in args.rules or []:
-        rules = rules | parse_rules(_read_file(path), source=path)
-    aux = load_dlogic(args.dlogic or [], FileResolver("."))
-    if aux:
-        rules = rules | compile_schema(aux)
-    return rules, aux
+def _load(args: argparse.Namespace) -> tuple[Graph, RuleSet, Graph]:
+    """The data graph, the rules and the dlogic graph a command reads. A
+    description's recorded locators are read from its directory, as verify
+    reads them; it records no skolemization, so --base is refused."""
+    describes = getattr(args, "format", None) == "turtle"
+    if describes and args.base:
+        raise GraphNormError("a description cannot record --base: "
+                             "verify would recount the graph unskolemized")
+    out_dir = os.path.dirname(args.output or "") if describes else ""
+    resolver = FileResolver(out_dir or ".")
+    if describes and not args.dataset:
+        graph = parse_turtle(resolver(args.data), source=args.data)
+    else:
+        graph = parse_turtle(_read_file(args.data), source=args.data)
+        if args.base:
+            graph = skolemize(graph, args.base)
+    rules, aux = load_rules(_description_spec(args), resolver)
+    return graph, rules, aux
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -112,29 +118,20 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.data, args.base)
-    rules, aux = _load_rules(args)
+    graph, rules, aux = _load(args)
     _write_output(serialize_counted_closure(graph, rules, aux), args.output)
     return 0
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.data, args.base)
-    rules, aux = _load_rules(args)
+    graph, rules, aux = _load(args)
     minimal = reduce(graph, rules, aux)
     _write_output(serialize_turtle(minimal), args.output)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.format == "turtle":
-        # A path recorded as a locator must read back as the same local
-        # file: 'run:1.ttl' would read back as an IRI with scheme 'run'.
-        recorded = [] if args.dataset else [args.data]
-        for path in recorded + (args.rules or []) + (args.dlogic or []):
-            FileResolver().resolve_path(path)
-    graph = _load_graph(args.data, args.base)
-    rules, aux = _load_rules(args)
+    graph, rules, aux = _load(args)
     report = compute_stats(graph, rules, aux, _namespaces(args))
     if args.format == "turtle":
         dataset = args.dataset or args.data
@@ -155,16 +152,12 @@ def _cmd_diff_minimize(args: argparse.Namespace) -> int:
     # The result is minimize of --full; stderr keeps its "fallback: false"
     # line for scripts that parse it. The other graphs are still read and
     # parsed, so a missing or malformed file fails as it always did.
-    _load_graph(args.prev_min, args.base)
-    full = _load_graph(args.full, args.base)
-    for path in (args.insert, args.delete):
+    for path in (args.prev_min, args.insert, args.delete):
         if path:
-            _load_graph(path, args.base)
-    rules, aux = _load_rules(args)
-    minimal = reduce(full, rules, aux)
+            parse_turtle(_read_file(path), source=path)
+    code = _cmd_minimize(args)
     print("fallback: false", file=sys.stderr)
-    _write_output(serialize_turtle(minimal), args.output)
-    return 0
+    return code
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -184,9 +177,10 @@ def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rules", action="append", metavar="FILE",
                         help="rule file ({ body } => { head } .); may repeat")
     parser.add_argument("--dlogic", action="append", metavar="FILE",
-                        help="schema graph in Turtle, compiled to rules; "
-                             "owl:imports are followed relative to the "
-                             "working directory; may repeat")
+                        help="schema graph in Turtle, compiled to rules, "
+                             "owl:imports followed; read, like --rules, from "
+                             "the directory of a description being written; "
+                             "may repeat")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -233,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prev-min", required=True, metavar="FILE",
                    help="previous minimal graph in Turtle; parsed, but does "
                         "not change the result")
-    p.add_argument("--full", required=True, metavar="FILE",
+    p.add_argument("--full", required=True, metavar="FILE", dest="data",
                    help="the updated full graph in Turtle")
     p.add_argument("--insert", metavar="FILE",
                    help="graph of inserted triples; parsed, but does not "

@@ -18,12 +18,13 @@ rules, a ``gn:normalisation`` node pointing at the rule sources::
 
 The writer emits bracketed anonymous nodes and relative locator
 references; the reader here accepts them for this shape only (data graphs
-go through the strict parser). recompute() re-runs the whole pipeline
-from the referenced sources: fetch the dataset, fetch the n3 rules, fetch
-the dlogic graphs following owl:imports to a fixpoint, compile the dlogic
-to rules, reduce with the dlogic as auxiliary support, and recount.
-Locators resolve through an injected resolver; only local files are
-supported, and RIF rule sources are rejected as unsupported.
+go through the strict parser). load_rules() fetches the n3 rules and the
+dlogic graphs, following owl:imports to a fixpoint, and compiles the
+dlogic to rules; recompute() is load_rules(), the dataset, and a recount
+with the dlogic as auxiliary support. The CLI's describe loads through
+load_rules() from the description's directory, as verify does. Locators
+resolve through an injected resolver; only local files are supported,
+and RIF rule sources are rejected as unsupported.
 """
 
 from __future__ import annotations
@@ -130,7 +131,11 @@ class FileResolver(_Frozen):
             # only here, so that importing the package stays cheap.
             from urllib.request import url2pathname
 
-            return url2pathname(split.path)
+            path = url2pathname(split.path)
+            if not os.path.isabs(path):
+                # 'file:d2.ttl' names no directory to be relative to.
+                raise ResolverError(f"a file: locator needs an absolute path: {locator!r}")
+            return path
         if split.scheme and len(split.scheme) > 1:
             raise ResolverError(f"only local file locators are supported: {locator!r}")
         if os.path.isabs(locator):
@@ -425,28 +430,24 @@ def load_dlogic(sources: Iterable[str], resolver: Resolver) -> Graph:
     return merged
 
 
-def recompute(description: Description, resolver: Resolver) -> StatsReport:
-    """Re-run the statistics pipeline a parsed description points at.
-
-    Fetches the dataset and every rule source through the resolver,
-    compiles dlogic schemas (following owl:imports once each, cycles
-    included) into rules, joins them with the parsed n3 rules, and
-    recomputes the full report with the dlogic graphs as auxiliary
-    support. RIF sources are unsupported.
-    """
-    spec = description.normalisation
+def load_rules(spec: NormalisationSpec, resolver: Resolver) -> tuple[RuleSet, Graph]:
+    """The n3 rules a spec names joined with the rules compiled from its
+    dlogic graphs (owl:imports followed once each), and the dlogic graph
+    itself as auxiliary support. RIF sources are unsupported."""
     if any(src.format == "rif" for src in spec.rule_sources):
         raise UnsupportedFeatureError("unsupported: RIF")
     rules = EMPTY_RULESET
-    aux = EMPTY_GRAPH
-    if spec.kind != "none":
-        for src in spec.rule_sources:
-            if src.format == "n3":
-                rules = rules | parse_rules(resolver(src.locator), source=src.locator)
-        aux = load_dlogic(
-            (s.locator for s in spec.rule_sources if s.format == "dlogic"), resolver
-        )
-        rules = rules | compile_schema(aux)
+    for src in spec.rule_sources:
+        if src.format == "n3":
+            rules = rules | parse_rules(resolver(src.locator), source=src.locator)
+    aux = load_dlogic((s.locator for s in spec.rule_sources if s.format == "dlogic"), resolver)
+    return rules | compile_schema(aux), aux
+
+
+def recompute(description: Description, resolver: Resolver) -> StatsReport:
+    """Re-run the statistics pipeline a parsed description points at:
+    load_rules, then the dataset, fetched through the same resolver."""
+    rules, aux = load_rules(description.normalisation, resolver)
     dataset_graph = parse_turtle(resolver(description.dataset), source=description.dataset)
     namespaces = NamespaceDecl(description.namespaces) if description.namespaces else None
     return compute_stats(dataset_graph, rules, aux, namespaces)

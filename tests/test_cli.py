@@ -363,6 +363,44 @@ class TestDescribeVerify:
         assert (code, err) == (0, "")
         assert f"<{flags[3]}> a void:Dataset ;" in out
 
+    @pytest.mark.parametrize("command", [["describe"], ["stats", "--format", "turtle"]])
+    def test_base_is_refused(self, workdir, capsys, command):
+        """A description does not record skolemization, so verify would
+        recount the unskolemized graph: outLinkDensityPlus 0.5 would
+        recompute as 0.0."""
+        (workdir / "d.ttl").write_text(
+            "@prefix ex: <http://ex.org/> .\n"
+            "ex:a ex:p _:b1 . _:b1 ex:p <http://other.org/x> .\n", encoding="utf-8")
+        code, out, err = run([*command, "--data", "d.ttl", "--base", "http://ex.org/",
+                              "--namespace", "http://ex.org/", "--output", "desc.ttl"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("graphnorm: a description cannot record --base")
+        assert not (workdir / "desc.ttl").exists()
+
+    @pytest.mark.parametrize("paths", ["relative", "absolute"])
+    @pytest.mark.parametrize("out_dir", [".", "out"])
+    def test_every_description_written_verifies_from_anywhere(
+            self, workdir, capsys, monkeypatch, out_dir, paths):
+        """describe reads what it records from the description's directory,
+        as verify does: a description it writes always verifies, and one
+        it could not read back is never written."""
+        (workdir / "out").mkdir()
+        args = dict(zip(self.DESCRIBE[1::2], self.DESCRIBE[2::2]))
+        if paths == "absolute":
+            args = {flag: str(workdir / path) for flag, path in args.items()}
+        output = f"{out_dir}/desc.ttl"
+        argv = ["describe", *(x for pair in args.items() for x in pair), "--output", output]
+        code, out, err = run(argv, capsys)
+        if code == 1:
+            assert not (workdir / output).exists()
+            assert (out_dir, paths) == ("out", "relative")
+            assert err.startswith("graphnorm: cannot resolve 'social.ttl':")
+            return
+        assert (code, out, err) == (0, "", "")
+        monkeypatch.chdir("/")
+        code, out, _ = run(["verify", str(workdir / output)], capsys)
+        assert (code, out) == (0, "ok: 4 statistics verified\n")
+
     def test_description_resolves_relative_to_its_own_directory(
             self, workdir, capsys, monkeypatch):
         run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
@@ -575,6 +613,23 @@ class TestRuleFileHandling:
              "--rules", "links-rules.n3", "--rules", "trans.n3"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 6  # 3 links_to + 3 linked_from
+
+    def test_rule_files_are_read_as_locators(self, workdir, capsys):
+        """--rules resolves as --dlogic and verify do: a file: IRI is read,
+        a path whose first segment reads as a URI scheme is refused."""
+        argv = ["closure", "--data", "links.ttl", "--rules"]
+        code, expected, _ = run(argv + ["links-rules.n3"], capsys)
+        assert code == 0
+        code, out, _ = run(argv + [f"file://{workdir}/links-rules.n3"], capsys)
+        assert (code, out) == (0, expected)
+        shutil.copy(workdir / "links-rules.n3", workdir / "run:links-rules.n3")
+        code, out, err = run(argv + ["run:links-rules.n3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("graphnorm: only local file locators are supported: "
+                       "'run:links-rules.n3'\n")
+        code, out, err = run(argv + ["absent.n3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("graphnorm: cannot resolve 'absent.n3':")
 
     def test_rule_parse_error_carries_file_position(self, workdir, capsys):
         (workdir / "broken.n3").write_text("{ ?x ?p ?y } => { }", encoding="utf-8")

@@ -284,6 +284,16 @@ class TestFileResolver:
         (tmp_path / "with space.ttl").write_text("data", encoding="utf-8")
         assert FileResolver("/nowhere")(f"file://{tmp_path}/with%20space.ttl") == "data"
 
+    def test_relative_file_iri_rejected(self, tmp_path, monkeypatch):
+        # 'file:d2.ttl' has no absolute path: it is refused, not read from
+        # the working directory or the base directory.
+        for where in (tmp_path, tmp_path / "base"):
+            where.mkdir(exist_ok=True)
+            (where / "d2.ttl").write_text("data", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ResolverError, match="absolute path: 'file:d2.ttl'"):
+            FileResolver(str(tmp_path / "base"))("file:d2.ttl")
+
     def test_remote_scheme_rejected(self):
         with pytest.raises(ResolverError):
             FileResolver(".")("http://remote.example/data.ttl")
