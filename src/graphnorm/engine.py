@@ -19,10 +19,13 @@ each round only considers rule instantiations that touch a triple derived
 in the previous round. The delta is grouped by predicate (and object,
 where an atom has both constant), and each body atom is applied once to
 the batch its constants select; atoms with a variable predicate see the
-whole delta. Each body atom has one plan (_plan) over rows of matched
-triples laid end to end, which the other atoms extend by index lookups;
-a one-atom body is the plan with no lookups, a projection. A round's new
-triples enter the store in one bulk add.
+whole delta. One compiler (_compile) lays a rule out from a seed atom as
+rows of matched triples end to end: the seed's triple comes first, and
+each other atom is a step that extends the row by one index lookup. It
+has two executors. Forward, each body atom is a seed, and its plan
+(_plan) takes a batch's rows through the steps set at a time; a one-atom
+body is the plan with no steps, a projection. A round's new triples
+enter the store in one bulk add.
 
 reduce() is the redundancy eliminator: walk the graph in canonical order
 and drop every triple the remaining triples still entail. Auxiliary
@@ -40,12 +43,14 @@ it is stored or if some instance with that head has every body atom
 stored or proved. The prover explores that fixpoint from the candidate
 with an explicit stack, so no proof depth reaches the interpreter's
 recursion limit. A goal is tried only against the rule heads that can
-produce it, dispatched the same way as the forward body atoms. Each body
-atom is matched against the stored triples first and then against the
-rest of M. A grounding stops at its first atom that is neither stored
-nor proved: it watches that atom, which is explored in turn, and resumes
-once the atom is proved. The candidate holds as soon as it is proved and
-fails once nothing is left to explore.
+produce it, dispatched the same way as the forward body atoms. Backward,
+each head atom is a seed: the goal seeds the row, and a grounding walks
+the steps depth first, one lazy match iterator per step, each matching
+its atom against the stored triples first and then against the rest of
+M. A grounding stops at its first atom that is neither stored nor
+proved: it watches that atom, which is explored in turn, and resumes
+from its row once the atom is proved. The candidate holds as soon as it
+is proved and fails once nothing is left to explore.
 
 A failure outlives its candidate by one rule. When the candidate fails,
 an explored goal that cannot reach it along watch edges (from a goal to
@@ -67,11 +72,10 @@ from .terms import IRI, BlankNode, GroundTerm, Triple, Variable, _Frozen, _set
 # An interned triple (s, p, o) of term ids. In a compiled atom the same
 # positions hold term ids for constants and negative ints for variables.
 _Ids = tuple[int, int, int]
-_Binding = dict[int, int]
-_NO_BINDING: _Binding = {}  # never mutated: _unify copies before it writes
-# An instance waiting on an atom: its head, body, the body position after
-# the atom, and the binding that grounds the atom.
-_Watch = tuple[_Ids, tuple[_Ids, ...], int, _Binding]
+# A compiled rule's row: term ids at the positions _compile lays out.
+_Row = tuple[int, ...]
+# One body atom's lookup: (index, predicate, key, checks), see _compile.
+_Step = tuple[Callable | None, int, Callable[[_Row], object], list[tuple[int, int]]]
 
 _IRI, _BLANK, _LITERAL = 0, 1, 2
 
@@ -174,41 +178,6 @@ class _Store:
         return (t,) if t in self.triples else ()
 
 
-def _unify(atom: _Ids, t: _Ids, binding: _Binding) -> _Binding | None:
-    """The binding extended so that atom matches t, or None."""
-    extended = binding
-    for want, got in zip(atom, t):
-        if want >= 0:
-            if want != got:
-                return None
-        else:
-            bound = extended.get(want)
-            if bound is None:
-                if extended is binding:
-                    extended = dict(binding)
-                extended[want] = got
-            elif bound != got:
-                return None
-    return extended
-
-
-def _match(store: _Store, atom: _Ids, binding: _Binding) -> Iterator[tuple[_Ids, _Binding]]:
-    """Each triple of the store that atom matches under binding, with the
-    binding extended by the match."""
-    s, p, o = atom
-    if s < 0:
-        s = binding.get(s)
-    if p < 0:
-        p = binding.get(p)
-    if o < 0:
-        o = binding.get(o)
-    if s is not None and p is not None and o is not None:
-        t = (s, p, o)
-        return iter(((t, binding),) if t in store.triples else ())
-    return ((t, extended) for t in store.match(s, p, o)
-            if (extended := _unify(atom, t, binding)) is not None)
-
-
 def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
     """Where an atom is filed for dispatch: its constant (predicate, object),
     else its constant predicate, else None for atoms that see every triple."""
@@ -231,18 +200,19 @@ def _group(triples: Iterable[_Ids], key: itemgetter) -> dict[int, list[_Ids]]:
     return groups
 
 
-def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
-          kinds: bytearray) -> _Plan:
-    """Body atom i applied to its batch. A row is the batch triple, the
-    rule's constants the dispatch key does not fix, and one matched triple
-    per other atom, so each term has a fixed row position. Each other atom
-    extends the rows by one lookup on its placed terms; only equalities
-    that neither the dispatch key nor a lookup ensures are checked. Each
-    head is one itemgetter over the row, checked for a literal subject or
-    non-IRI predicate only where it moves a term into either position."""
-    _, p, o = body[i]
+def _compile(seed: _Ids, others: tuple[_Ids, ...], outs: tuple[_Ids, ...],
+             kinds: bytearray) -> tuple[tuple[int, ...], list[tuple[int, int]], list[_Step], list]:
+    """A rule laid out from seed, an atom filed by _dispatch_key: a row is
+    the seed triple, the constants the dispatch key does not fix, and one
+    matched triple per other atom, so each term has a fixed position.
+    Returns the constants, the seed's checks, one step per other atom and
+    one pick per out atom. A step looks its atom up on its placed terms;
+    only equalities that neither the dispatch key nor a lookup ensures
+    are checked. A pick is one itemgetter over the row, flagged where it
+    moves a term into subject or predicate position that it may not hold."""
+    _, p, o = seed
     where = {p: 1, o: 2} if p >= 0 and o >= 0 else {p: 1} if p >= 0 else {}
-    constants = tuple(dict.fromkeys(x for atom in body + head for x in atom
+    constants = tuple(dict.fromkeys(x for atom in (seed, *others, *outs) for x in atom
                                     if x >= 0 and x not in where))
     where.update((c, 3 + k) for k, c in enumerate(constants))
 
@@ -251,24 +221,32 @@ def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
         return [(n + k, where[x]) for k, x in enumerate(atom)
                 if at[k] is None and where.setdefault(x, n + k) != n + k]
 
-    seed_checks = place(body[i], 0, [None] * 3)
-    lookups = []
+    seed_checks = place(seed, 0, [None] * 3)
+    steps: list[_Step] = []
     first = n = 3 + len(constants)
-    for atom in body[:i] + body[i + 1:]:
+    for atom in others:
         at = [where.get(x) for x in atom]
         if None not in at:  # a membership test
             index, key = None, itemgetter(*at)
         elif atom[1] >= 0:  # the predicate's index on a placed subject or object, or all of it
             k = 0 if at[0] is not None else 2 if at[2] is not None else 1
             index, key = (_S, _P, _O)[k], itemgetter(at[k])
-        else:  # a variable predicate: store.match on the placed terms
-            index, key = store.match, (lambda r, at=at: [None if a is None else r[a] for a in at])
-        lookups.append((index, atom[1], key, place(atom, n, at)))
+        else:  # a variable predicate: _Store.match on the placed terms
+            index, key = _Store.match, (lambda r, at=at: [None if a is None else r[a] for a in at])
+        steps.append((index, atom[1], key, place(atom, n, at)))
         n += 3
     subjects = {0, *range(first, n, 3), *(where[c] for c in constants if kinds[c] != _LITERAL)}
     predicates = {1, *range(first + 1, n, 3), *(where[c] for c in constants if kinds[c] == _IRI)}
     picks = [(itemgetter(*(where[x] for x in h)),
-              where[h[0]] not in subjects or where[h[1]] not in predicates) for h in head]
+              where[h[0]] not in subjects or where[h[1]] not in predicates) for h in outs]
+    return constants, seed_checks, steps, picks
+
+
+def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
+          kinds: bytearray) -> _Plan:
+    """Body atom i applied to its batch, set at a time: each step extends
+    every row at once, with the store's index fetched once per batch."""
+    constants, seed_checks, steps, picks = _compile(body[i], body[:i] + body[i + 1:], head, kinds)
 
     def valid(h: _Ids) -> bool:
         return kinds[h[0]] != _LITERAL and kinds[h[1]] == _IRI
@@ -277,12 +255,12 @@ def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
         rows = [t + constants for t in batch] if constants else batch
         for a, b in seed_checks:
             rows = [r for r in rows if r[a] == r[b]]
-        for index, q, key, checks in lookups:
+        for index, q, key, checks in steps:
             if index is None:
                 triples = store.triples
                 rows = [r + t for r in rows if (t := key(r)) in triples]
             elif q < 0:
-                rows = [r + t for r in rows for t in index(*key(r))]
+                rows = [r + t for r in rows for t in index(store, *key(r))]
             else:
                 get = store._index(index, q).get
                 rows = [r + t for r in rows for t in get(key(r), ())]
@@ -292,6 +270,21 @@ def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
             heads = map(pick, rows)
             produced.update(filter(valid, heads) if checked else heads)
     return plan
+
+
+def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
+    """The row extended by each triple of the store that the step
+    matches, one at a time."""
+    index, q, key, checks = step
+    if index is None:  # places every term, so it has no checks
+        t = key(row)
+        return iter((row + t,) if t in store.triples else ())
+    if q < 0:
+        found = index(store, *key(row))
+    else:
+        found = store._index(index, q).get(key(row), ())
+    rows = map(row.__add__, found)
+    return (r for r in rows if all(r[a] == r[b] for a, b in checks)) if checks else rows
 
 
 class _Materialization:
@@ -399,24 +392,29 @@ class _Prover:
     def __init__(self, m: _Materialization):
         self.store = _Store(m.base)
         self._closed = m.store
+        # Each head atom's rule compiled with that atom as the seed.
         self._heads: dict = {}
         for body, head in m.rules:
             for atom in head:
-                self._heads.setdefault(_dispatch_key(atom), []).append((atom, body))
+                self._heads.setdefault(_dispatch_key(atom), []).append(
+                    _compile(atom, body, (), m.terms.kinds))
         # Goals that fail from every store this prover will hold.
         self._failed: set[_Ids] = set()
 
     def prove(self, goal: _Ids) -> bool:
         """Whether the working store entails goal, a triple of M outside it."""
         proved: set[_Ids] = set()
-        watchers: dict[_Ids, list[_Watch]] = {}
+        # A watch is (head, steps, row, next step): a grounding of head
+        # that resumes once the atom it is filed under is proved.
+        watchers: dict[_Ids, list[tuple[_Ids, list[_Step], _Row, int]]] = {}
         explored: set[_Ids] = set()
         stack: list[tuple[_Ids, Iterator[_Ids | None]]] = []
 
         def explore(atom: _Ids) -> None:
             explored.add(atom)
-            instances = ((body, 0, binding) for pattern, body in _dispatched(self._heads, atom)
-                         if (binding := _unify(pattern, atom, _NO_BINDING)) is not None)
+            instances = ((steps, 0, row) for constants, checks, steps, _
+                         in _dispatched(self._heads, atom) for row in (atom + constants,)
+                         if all(row[a] == row[b] for a, b in checks))
             stack.append((atom, self._ground(atom, instances, proved, watchers)))
 
         explore(goal)
@@ -433,12 +431,12 @@ class _Prover:
                         return True
                     if head not in proved:
                         proved.add(head)
-                        for waiting, body, i, binding in watchers.pop(head, ()):
-                            if i == len(body):
+                        for waiting, steps, row, i in watchers.pop(head, ()):
+                            if i == len(steps):
                                 heads.append(waiting)
                             elif waiting not in proved:
                                 stack.append((waiting, self._ground(
-                                    waiting, ((body, i, binding),), proved, watchers)))
+                                    waiting, ((steps, i, row),), proved, watchers)))
             elif not atom:
                 stack.pop()
             elif atom not in explored:
@@ -455,36 +453,35 @@ class _Prover:
         self._failed |= explored - proved - reach
         return False
 
-    def _ground(self, head: _Ids, instances: Iterable[tuple[tuple[_Ids, ...], int, _Binding]],
-                proved: set[_Ids], watchers: dict[_Ids, list[_Watch]]) -> Iterator[_Ids | None]:
-        """Walk the groundings of each body from its position on, with one
-        match iterator per body position: stored triples first, then the
-        rest of M. A grounding stops at its first atom that is neither
-        stored nor proved; it watches that atom, which is yielded to be
-        explored. None is yielded when a grounding completes."""
+    def _ground(self, head: _Ids, instances: Iterable[tuple[list[_Step], int, _Row]],
+                proved: set[_Ids], watchers: dict) -> Iterator[_Ids | None]:
+        """Walk each instance's rows from its step on, depth first, with
+        one match iterator per step: stored triples first, then the rest
+        of M. A grounding stops at its first atom that is neither stored
+        nor proved; it watches that atom, which is yielded to be explored.
+        None is yielded when a grounding completes."""
         store, closed = self.store, self._closed
         stored, failed = store.triples, self._failed
-        for body, i, binding in instances:
-            last = len(body) - 1
-            positions = [(i, binding, _match(store, body[i], binding), False)]
+        for steps, i, row in instances:
+            last = len(steps) - 1
+            positions = [(i, row, _rows(store, steps[i], row), False)]
             while positions:
-                j, b, matches, derived = positions[-1]
-                for t, extended in matches:
-                    if derived and t not in proved:
+                j, row, rows, derived = positions[-1]
+                for r in rows:
+                    if derived and (t := r[-3:]) not in proved:
                         if t not in stored and t not in failed:
-                            watchers.setdefault(t, []).append((head, body, j + 1, extended))
+                            watchers.setdefault(t, []).append((head, steps, r, j + 1))
                             yield t
                     elif j == last:
                         yield None
                         return
                     else:
-                        positions.append((j + 1, extended,
-                                          _match(store, body[j + 1], extended), False))
+                        positions.append((j + 1, r, _rows(store, steps[j + 1], r), False))
                         break
                 else:
                     positions.pop()
                     if not derived:
-                        positions.append((j, b, _match(closed, body[j], b), True))
+                        positions.append((j, row, _rows(closed, steps[j], row), True))
 
 
 def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,

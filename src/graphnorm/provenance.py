@@ -127,6 +127,8 @@ class FileResolver(_Frozen):
     def resolve_path(self, locator: str) -> str:
         split = urlsplit(locator)
         if split.scheme == "file":
+            if split.netloc.lower() not in ("", "localhost"):
+                raise ResolverError(f"a file: locator must name this machine: {locator!r}")
             # urllib.request pulls in http.client, ssl and email: import it
             # only here, so that importing the package stays cheap.
             from urllib.request import url2pathname

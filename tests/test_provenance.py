@@ -284,6 +284,18 @@ class TestFileResolver:
         (tmp_path / "with space.ttl").write_text("data", encoding="utf-8")
         assert FileResolver("/nowhere")(f"file://{tmp_path}/with%20space.ttl") == "data"
 
+    def test_file_iri_on_localhost(self, tmp_path):
+        target = tmp_path / "z.ttl"
+        target.write_text("data", encoding="utf-8")
+        assert FileResolver("/nowhere")(f"file://localhost{target}") == "data"
+
+    def test_file_iri_on_another_host_rejected(self, tmp_path):
+        # The path exists here, but the locator names another machine's file.
+        target = tmp_path / "d.ttl"
+        target.write_text("data", encoding="utf-8")
+        with pytest.raises(ResolverError, match="must name this machine"):
+            FileResolver("/nonexistent")(f"file://elsewhere.example{target}")
+
     def test_relative_file_iri_rejected(self, tmp_path, monkeypatch):
         # 'file:d2.ttl' has no absolute path: it is refused, not read from
         # the working directory or the base directory.
