@@ -11,8 +11,8 @@ triples into Triple values on its first read only. The statistics count
 ids: _Materialization.counted is the closure as they count it, and the
 closure command renders it (render, each distinct term once). Ids are
 handed out in set-iteration order, which varies with the hash seed, so
-nothing observable may depend on them: Graph iteration and render()
-sort by the rendered terms.
+nothing observable may depend on them: Graph iteration, render() and
+the prover's candidates follow the rendered lines (_line).
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -27,10 +27,10 @@ has two executors. Forward, each body atom is a seed, and its plan
 body is the plan with no steps, a projection. A round's new triples
 enter the store in one bulk add.
 
-reduce() is the redundancy eliminator: walk the graph in canonical order
-and drop every triple the remaining triples still entail. Auxiliary
-triples (typically schema) support the proofs but are never candidates
-and never part of the result.
+reduce() is the redundancy eliminator: minimize walks the input's ids in
+canonical order and drops every triple the remaining ones still entail.
+Auxiliary triples (typically schema) support the proofs but are never
+candidates and never part of the result; reduce decodes what is kept.
 
 Each of those decisions is a proof over the shrinking working store,
 grounded in the materialization M = closure(graph | aux), whose store and
@@ -341,19 +341,33 @@ class _Materialization:
         triples: the closure as the statistics count it."""
         return self.store.triples - set(map(self.terms.encode, without.triples))
 
-    def render(self, triples: Iterable[_Ids]) -> str:
-        """Interned triples as the text serialize_turtle gives for their
-        Graph: each line is the Triple.ntriples() of its terms' own
-        renderings, and the lines are sorted the same way."""
+    def _line(self) -> Callable[[_Ids], str]:
+        """An interned triple's line of serialize_turtle text, each distinct
+        term rendered once; sorting by it gives Graph iteration's order."""
         texts = [term.ntriples() for term in self.terms.terms]
-        return "".join(sorted([f"{texts[s]} {texts[p]} {texts[o]} .\n"
-                               for s, p, o in triples]))
+        return lambda t: f"{texts[t[0]]} {texts[t[1]]} {texts[t[2]]} .\n"
+
+    def render(self, triples: Iterable[_Ids]) -> str:
+        """Interned triples as the text serialize_turtle gives for their Graph."""
+        return "".join(sorted(map(self._line(), triples)))
+
+    def minimize(self, aux: Graph) -> list[_Ids]:
+        """reduce's survivors, as term ids in canonical order; the store must
+        be saturated. aux backs the proofs but is never a candidate."""
+        prover = _Prover(self)
+        candidates = set(self.base).difference(map(self.terms.encode, aux.triples))
+        kept: list[_Ids] = []
+        for goal in sorted(candidates, key=self._line()):
+            prover.store.remove(goal)
+            if not prover.prove(goal):
+                prover.store.add(goal)
+                kept.append(goal)
+        return kept
 
 
 class ClosureResult(_Frozen):
-    # _materialization, the interned closure for the prover (reduce(...,
-    # closed=result)) and for render(), stays out of equality and repr.
-    # graph is decoded from it on first read and kept.
+    # _materialization, the interned closure behind counted, minimize and
+    # render(), stays out of equality and repr; graph is decoded once, on first read.
     __slots__ = ("_input", "_derived", "_graph", "derived_count", "rounds",
                  "_materialization")
     _fields = ("graph", "derived_count", "rounds")
@@ -484,29 +498,14 @@ class _Prover:
                         positions.append((j, row, _rows(closed, steps[j], row), True))
 
 
-def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH, *,
-           closed: ClosureResult | None = None) -> Graph:
+def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:
     """Drop every triple that the remaining triples still entail.
 
     Candidates are visited in canonical order, so the result is
     deterministic. Each is dropped iff the other triples still kept, with
-    aux, entail it; the proofs are grounded in closed, which must be
-    closure(graph | aux, rules) and is computed here unless the caller
-    already has it. aux triples back the proofs but are never candidates;
+    aux, entail it. aux triples back the proofs but are never candidates;
     the result is always a subset of the input graph, and its closure
     (taken together with aux) equals the input's.
     """
-    if closed is None:
-        closed = closure(graph | aux, rules)
-    m = closed._materialization
-    prover = _Prover(m)
-    kept: list[Triple] = []
-    for t in graph:
-        if t in aux:
-            continue
-        goal = m.terms.encode(t)
-        prover.store.remove(goal)
-        if not prover.prove(goal):
-            prover.store.add(goal)
-            kept.append(t)
-    return Graph(kept)
+    m = closure(graph | aux, rules)._materialization
+    return Graph(map(m.terms.decode, m.minimize(aux)))

@@ -394,6 +394,8 @@ def read_description(text: str, source: str | None = None,
     if len(datasets) != 1:
         raise GraphNormError(f"description must contain exactly one void:Dataset, found {len(datasets)}")
     dataset, props = datasets[0]
+    if not props.get(_VOID_STAT_ITEM):
+        raise GraphNormError("description states no statistic: its void:Dataset has no void:statItem")
     items: list[StatDescription] = []
     for item_node in props.get(_VOID_STAT_ITEM, []):
         if not isinstance(item_node, dict):

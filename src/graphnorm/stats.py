@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import closure, reduce
+from .engine import closure
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
@@ -74,15 +74,14 @@ def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_G
 
 def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
                   namespaces: NamespaceDecl | None = None) -> StatsReport:
-    """All statistics in one pass over one closure and one minimization,
-    counted on term ids; the closure counted is serialize_counted_closure's."""
+    """All statistics from one materialization, counted on term ids: the
+    closure counted is serialize_counted_closure's, and the minimal graph
+    is the kept ids of its minimize, reduce's survivors undecoded."""
     if not graph:
         raise EmptyGraphError("statistics are undefined for an empty graph")
-    # One materialization serves both the counted closure and reduce.
-    materialized = closure(graph | aux, rules)
-    m = materialized._materialization
+    m = closure(graph | aux, rules)._materialization
     counted = m.counted(aux - graph)
-    minimal = reduce(graph, rules, aux, closed=materialized)
+    minimal = m.minimize(aux)
     plus = minus = None
     if namespaces is not None:
         if not minimal:
@@ -95,7 +94,7 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
         def density(triples) -> Fraction:
             return Fraction(sum(1 for s, _, o in triples if owned[s] and external[o]), len(triples))
 
-        plus, minus = density(counted), density([m.terms.encode(t) for t in minimal.triples])
+        plus, minus = density(counted), density(minimal)
     return StatsReport(
         published_cardinality=len(graph),
         closure_cardinality=len(counted),

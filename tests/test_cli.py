@@ -1,30 +1,59 @@
+import contextlib
+import io
+import os
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphnorm import (
+    Graph,
+    IRI,
     NamespaceDecl,
     NormalisationSpec,
     RuleSource,
     StatsReport,
+    Triple,
     closure,
     compile_schema,
     compute_stats,
     decimal_string,
     emit_description,
+    format_rules,
     parse_turtle,
     serialize_turtle,
     skolemize,
 )
 from graphnorm.cli import main
+from graphnorm.rules import OWL_INVERSEOF, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
+from graphnorm.terms import RDF_TYPE
 
-from support import FIXTURES, cli_env
+from support import CLASS_NS, DATA_NS, FIXTURES, PRED_NS, cli_env, random_instance
 
 LINKS = "http://example.org/links/"
 CHAIN = "http://example.org/chain/"
+
+# Schema triples over random_instance's predicates and classes.
+_P0, _P1 = IRI(PRED_NS + "p0"), IRI(PRED_NS + "p1")
+_C1, _C2 = IRI(CLASS_NS + "C1"), IRI(CLASS_NS + "C2")
+_SCHEMA = [Triple(_P0, RDFS_DOMAIN, _C1), Triple(_P1, RDFS_RANGE, _C2),
+           Triple(_C1, RDFS_SUBCLASSOF, _C2), Triple(_P0, RDF_TYPE, OWL_TRANSITIVE),
+           Triple(_P1, OWL_INVERSEOF, _P0)]
+
+
+def _run_captured(argv):
+    """Invoke the CLI in-process with its own capture, for tests that run
+    it more than once per test call; returns (exit_code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(argv, capsys):
@@ -313,6 +342,15 @@ class TestDescribeVerify:
         assert code == 1 and out == ""
         assert err == "graphnorm: gn:n3 must be an IRI, got 'rules.n3'\n"
 
+    def test_description_stating_no_statistic_exits_1(self, workdir, capsys):
+        (workdir / "desc.ttl").write_text(
+            "@prefix void: <http://rdfs.org/ns/void#> .\n<social.ttl> a void:Dataset .\n",
+            encoding="utf-8")
+        code, out, err = run(["verify", "desc.ttl"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("graphnorm: description states no statistic: "
+                       "its void:Dataset has no void:statItem\n")
+
     @pytest.mark.parametrize("flag,char", [
         *((flag, char) for flag in ["--data", "--rules", "--dlogic", "--namespace"]
           for char in [" ", "<", ">", '"', "{", "|", "\\"]),
@@ -400,6 +438,67 @@ class TestDescribeVerify:
         monkeypatch.chdir("/")
         code, out, _ = run(["verify", str(workdir / output)], capsys)
         assert (code, out) == (0, "ok: 4 statistics verified\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), schema=st.sets(st.sampled_from(_SCHEMA)),
+           places=st.lists(st.tuples(st.sampled_from([".", "in", "out"]), st.booleans()),
+                           min_size=3, max_size=3),
+           out_dir=st.sampled_from([".", "out", "out/deep"]), absolute_output=st.booleans(),
+           dataset=st.sampled_from([None, "absolute", "file-iri", "from-output"]),
+           namespace=st.booleans())
+    def test_any_layout_describes_only_what_verifies_from_anywhere(
+            self, seed, schema, places, out_dir, absolute_output, dataset, namespace):
+        """A random instance's data, rules and schema files, each in the
+        working directory, in/ or out/ under a relative or absolute path,
+        described into ., out/ or out/deep/: describe either writes a
+        description that verify, run from /, finds correct, or exits 1 and
+        writes nothing. It refuses exactly when a relative locator it would
+        record does not resolve from the description's directory. --dataset,
+        when given, names the data file in a form verify can read."""
+        graph, rules, _ = random_instance(random.Random(seed), external=True,
+                                          literals=True, rich=True)
+        files = [("--data", "d.ttl", serialize_turtle(graph)),
+                 ("--rules", "r.n3", format_rules(rules)),
+                 ("--dlogic", "s.ttl", serialize_turtle(Graph(schema)))]
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                os.chdir(tmp)
+                os.makedirs("in")
+                os.makedirs("out/deep")
+                argv, recorded = ["describe"], []
+                for (flag, name, text), (where, absolute) in zip(files, places):
+                    path = os.path.normpath(os.path.join(where, name))
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(text)
+                    given = os.path.join(tmp, path) if absolute else path
+                    argv += [flag, given]
+                    if flag != "--data" or dataset is None:
+                        recorded.append(given)
+                output = os.path.join(tmp if absolute_output else "", out_dir, "desc.ttl")
+                argv += ["--output", output]
+                data = os.path.join(tmp, os.path.normpath(os.path.join(places[0][0], "d.ttl")))
+                if dataset is not None:
+                    argv += ["--dataset", {
+                        "absolute": data,
+                        "file-iri": Path(data).as_uri(),
+                        "from-output": os.path.relpath(data, os.path.join(tmp, out_dir)),
+                    }[dataset]]
+                if namespace:
+                    argv += ["--namespace", DATA_NS]
+                code, out, err = _run_captured(argv)
+                refused = out_dir != "." and not all(map(os.path.isabs, recorded))
+                if refused:
+                    assert (code, out) == (1, "")
+                    assert err.startswith("graphnorm: cannot resolve ")
+                    assert not os.path.exists(output)
+                    return
+                assert (code, out, err) == (0, "", "")
+                os.chdir("/")
+                code, out, err = _run_captured(["verify", os.path.join(tmp, out_dir, "desc.ttl")])
+                assert (code, out, err) == (0, f"ok: {6 if namespace else 4} statistics verified\n", "")
+            finally:
+                os.chdir(home)
 
     def test_description_resolves_relative_to_its_own_directory(
             self, workdir, capsys, monkeypatch):

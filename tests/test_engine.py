@@ -505,6 +505,21 @@ class TestReduce:
         assert reduce(Graph([shared]), EMPTY_RULESET, Graph([shared])) == EMPTY_GRAPH
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_minimize_visits_the_candidates_in_canonical_order(seed):
+    """Under no rules minimize drops nothing, so its kept ids are its
+    candidates in the order it tries them: the input minus aux, sorted by
+    rendered terms (language tags, datatypes and blank labels included),
+    whatever term ids the hash seed hands out."""
+    rng = random.Random(seed)
+    graph, _, _ = random_instance(rng, min_triples=10, max_triples=30, literals=True, rich=True)
+    other, _, _ = random_instance(rng, literals=True, rich=True)
+    aux = Graph(x for x in graph if rng.random() < 0.3) | other
+    m = closure(graph | aux, EMPTY_RULESET)._materialization
+    kept = [m.terms.decode(x) for x in m.minimize(aux)]
+    assert kept == list(graph - aux) == sorted((graph - aux).triples, key=Triple.sort_key)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_reduce_preserves_closure_and_shrinks(seed):

@@ -196,6 +196,15 @@ class TestRead:
         with pytest.raises(GraphNormError):
             read_description("@prefix void: <http://rdfs.org/ns/void#> .")
 
+    def test_a_description_stating_no_statistic_is_refused(self):
+        """Stripped of its stat items, a description verifies nothing, so it
+        is refused rather than read as zero statistics that all agree."""
+        with pytest.raises(GraphNormError) as raised:
+            read_description("@prefix void: <http://rdfs.org/ns/void#> .\n"
+                             "<d.ttl> a void:Dataset .\n")
+        assert type(raised.value) is GraphNormError
+        assert "no void:statItem" in str(raised.value)
+
     def test_non_numeric_value_rejected(self):
         text = (
             "@prefix void: <http://rdfs.org/ns/void#> .\n"
