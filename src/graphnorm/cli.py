@@ -78,7 +78,8 @@ def _read_file(path: str) -> str:
 def _load(args: argparse.Namespace) -> tuple[Graph, RuleSet, Graph]:
     """The data graph, the rules and the dlogic graph a command reads. A
     description's recorded locators are read from its directory, as verify
-    reads them; it records no skolemization, so --base is refused."""
+    reads them, and a --dataset that names a local file must hold the
+    --data graph there; it records no skolemization, so --base is refused."""
     describes = getattr(args, "format", None) == "turtle"
     if describes and args.base:
         raise GraphNormError("a description cannot record --base: "
@@ -91,6 +92,9 @@ def _load(args: argparse.Namespace) -> tuple[Graph, RuleSet, Graph]:
         graph = parse_turtle(_read_file(args.data), source=args.data)
         if args.base:
             graph = skolemize(graph, args.base)
+    if describes and args.dataset and resolver.reads(args.dataset):
+        if parse_turtle(resolver(args.dataset), source=args.dataset) != graph:
+            raise GraphNormError(f"--dataset {args.dataset!r} does not hold the --data graph")
     rules, aux = load_rules(_description_spec(args), resolver)
     return graph, rules, aux
 

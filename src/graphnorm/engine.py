@@ -50,14 +50,8 @@ its atom against the stored triples first and then against the rest of
 M. A grounding stops at its first atom that is neither stored nor
 proved: it watches that atom, which is explored in turn, and resumes
 from its row once the atom is proved. The candidate holds as soon as it
-is proved and fails once nothing is left to explore.
-
-A failure outlives its candidate by one rule. When the candidate fails,
-an explored goal that cannot reach it along watch edges (from a goal to
-the atoms its groundings wait on) fails from every later store as well:
-later stores are subsets of this one plus the candidate, and the goal
-failed without waiting on the candidate. Later candidates skip every
-grounding that needs such a goal.
+is proved and fails once nothing is left to explore. Each candidate's
+search starts afresh: only the working store carries over to the next.
 """
 
 from __future__ import annotations
@@ -412,8 +406,6 @@ class _Prover:
             for atom in head:
                 self._heads.setdefault(_dispatch_key(atom), []).append(
                     _compile(atom, body, (), m.terms.kinds))
-        # Goals that fail from every store this prover will hold.
-        self._failed: set[_Ids] = set()
 
     def prove(self, goal: _Ids) -> bool:
         """Whether the working store entails goal, a triple of M outside it."""
@@ -455,16 +447,6 @@ class _Prover:
                 stack.pop()
             elif atom not in explored:
                 explore(atom)
-        # An explored goal that cannot reach goal along watch edges failed
-        # without waiting on it, so it fails from every later store too.
-        reach = {goal}
-        todo = [goal]
-        while todo:
-            for head, *_ in watchers.get(todo.pop(), ()):
-                if head not in reach:
-                    reach.add(head)
-                    todo.append(head)
-        self._failed |= explored - proved - reach
         return False
 
     def _ground(self, head: _Ids, instances: Iterable[tuple[list[_Step], int, _Row]],
@@ -475,7 +457,7 @@ class _Prover:
         nor proved; it watches that atom, which is yielded to be explored.
         None is yielded when a grounding completes."""
         store, closed = self.store, self._closed
-        stored, failed = store.triples, self._failed
+        stored = store.triples
         for steps, i, row in instances:
             last = len(steps) - 1
             positions = [(i, row, _rows(store, steps[i], row), False)]
@@ -483,7 +465,7 @@ class _Prover:
                 j, row, rows, derived = positions[-1]
                 for r in rows:
                     if derived and (t := r[-3:]) not in proved:
-                        if t not in stored and t not in failed:
+                        if t not in stored:
                             watchers.setdefault(t, []).append((head, steps, r, j + 1))
                             yield t
                     elif j == last:

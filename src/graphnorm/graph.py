@@ -41,7 +41,7 @@ class Graph:
 
     def __iter__(self) -> Iterator[Triple]:
         if self._sorted is None:
-            # One rendering per triple; same order as Triple.sort_key
+            # One rendering per triple; the lines sort in canonical order
             # (see graphnorm.terms).
             self._sorted = tuple(sorted(self._triples, key=Triple.ntriples))
         return iter(self._sorted)

@@ -124,7 +124,15 @@ class FileResolver(_Frozen):
     def __init__(self, base_dir: str = ".") -> None:
         _set(self, "base_dir", base_dir)
 
+    @staticmethod
+    def reads(locator: str) -> bool:
+        """Whether the locator names a local file: a path or a file: IRI."""
+        scheme = urlsplit(locator).scheme
+        return scheme == "file" or len(scheme) < 2
+
     def resolve_path(self, locator: str) -> str:
+        if not self.reads(locator):
+            raise ResolverError(f"only local file locators are supported: {locator!r}")
         split = urlsplit(locator)
         if split.scheme == "file":
             if split.netloc.lower() not in ("", "localhost"):
@@ -138,8 +146,6 @@ class FileResolver(_Frozen):
                 # 'file:d2.ttl' names no directory to be relative to.
                 raise ResolverError(f"a file: locator needs an absolute path: {locator!r}")
             return path
-        if split.scheme and len(split.scheme) > 1:
-            raise ResolverError(f"only local file locators are supported: {locator!r}")
         if os.path.isabs(locator):
             return locator
         return os.path.join(self.base_dir, locator)

@@ -10,8 +10,9 @@ byte-lexicographically by the rendered (subject, predicate, object). That
 ordering is the canonical order used for serialization and for the
 deterministic candidate order during graph minimization.
 
-Triple.sort_key states that order; sorting the rendered lines
-(Triple.ntriples) gives the same order with one rendering per triple.
+Sorting the rendered lines (Triple.ntriples) gives that order with one
+rendering per triple; the tests hold it against the term-by-term
+reference order (sort_key in tests/support.py).
 Strings compare by code point, which is UTF-8 byte order for every
 character that has a UTF-8 form, so IRIs and literals reject lone
 surrogates. The two orders could differ only where one term's rendering
@@ -249,10 +250,3 @@ class Triple(_Frozen):
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
-
-    def sort_key(self) -> tuple[bytes, bytes, bytes]:
-        return (
-            self.subject.ntriples().encode("utf-8"),
-            self.predicate.ntriples().encode("utf-8"),
-            self.object.ntriples().encode("utf-8"),
-        )

@@ -166,6 +166,16 @@ def random_instance(rng: random.Random, *, min_triples: int = 1, max_triples: in
     return graph, rules, (subjects, predicates, all_objects)
 
 
+def sort_key(t: Triple) -> tuple[bytes, bytes, bytes]:
+    """The reference canonical order: bytewise on the UTF-8 N-Triples
+    rendering of subject, then predicate, then object."""
+    return (
+        t.subject.ntriples().encode("utf-8"),
+        t.predicate.ntriples().encode("utf-8"),
+        t.object.ntriples().encode("utf-8"),
+    )
+
+
 def out_links(graph: Graph, namespaces) -> Graph:
     """Triples pointing from a dataset subject to any external IRI: the
     Graph-level reference for the out-link densities.

@@ -401,6 +401,26 @@ class TestDescribeVerify:
         assert (code, err) == (0, "")
         assert f"<{flags[3]}> a void:Dataset ;" in out
 
+    @pytest.mark.parametrize("dataset, error", [
+        ("in/social.ttl", "cannot resolve 'in/social.ttl'"),
+        ("file:social.ttl", "a file: locator needs an absolute path: 'file:social.ttl'"),
+        ("../in/vocab.ttl", "--dataset '../in/vocab.ttl' does not hold the --data graph"),
+    ], ids=["from-the-working-directory", "relative-file-iri", "another-graph"])
+    def test_dataset_naming_a_file_is_read_as_verify_reads_it(
+            self, workdir, capsys, dataset, error):
+        """A --dataset path or file: IRI is read from the description's
+        directory: one that does not resolve there, or holds another graph
+        than --data, would not verify, so describe writes nothing."""
+        (workdir / "in").mkdir()
+        (workdir / "out").mkdir()
+        for name in ("social.ttl", "vocab.ttl"):
+            shutil.copy(workdir / name, workdir / "in" / name)
+        code, out, err = run(["describe", "--data", "in/social.ttl", "--dataset", dataset,
+                              "--output", "out/desc.ttl"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"graphnorm: {error}")
+        assert not (workdir / "out" / "desc.ttl").exists()
+
     @pytest.mark.parametrize("command", [["describe"], ["stats", "--format", "turtle"]])
     def test_base_is_refused(self, workdir, capsys, command):
         """A description does not record skolemization, so verify would
@@ -444,7 +464,7 @@ class TestDescribeVerify:
            places=st.lists(st.tuples(st.sampled_from([".", "in", "out"]), st.booleans()),
                            min_size=3, max_size=3),
            out_dir=st.sampled_from([".", "out", "out/deep"]), absolute_output=st.booleans(),
-           dataset=st.sampled_from([None, "absolute", "file-iri", "from-output"]),
+           dataset=st.sampled_from([None, "absolute", "file-iri", "from-output", "from-cwd"]),
            namespace=st.booleans())
     def test_any_layout_describes_only_what_verifies_from_anywhere(
             self, seed, schema, places, out_dir, absolute_output, dataset, namespace):
@@ -454,7 +474,8 @@ class TestDescribeVerify:
         description that verify, run from /, finds correct, or exits 1 and
         writes nothing. It refuses exactly when a relative locator it would
         record does not resolve from the description's directory. --dataset,
-        when given, names the data file in a form verify can read."""
+        when given, names the data file by absolute path, file: IRI, or path
+        from the description's directory or from the working directory."""
         graph, rules, _ = random_instance(random.Random(seed), external=True,
                                           literals=True, rich=True)
         files = [("--data", "d.ttl", serialize_turtle(graph)),
@@ -479,11 +500,15 @@ class TestDescribeVerify:
                 argv += ["--output", output]
                 data = os.path.join(tmp, os.path.normpath(os.path.join(places[0][0], "d.ttl")))
                 if dataset is not None:
-                    argv += ["--dataset", {
+                    locator = {
                         "absolute": data,
                         "file-iri": Path(data).as_uri(),
                         "from-output": os.path.relpath(data, os.path.join(tmp, out_dir)),
-                    }[dataset]]
+                        "from-cwd": os.path.relpath(data, tmp),
+                    }[dataset]
+                    argv += ["--dataset", locator]
+                    if dataset == "from-cwd":
+                        recorded.append(locator)
                 if namespace:
                     argv += ["--namespace", DATA_NS]
                 code, out, err = _run_captured(argv)

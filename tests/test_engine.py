@@ -25,7 +25,7 @@ from graphnorm.rules import (
 )
 from graphnorm.terms import RDF_TYPE
 
-from support import SCHEMA_KINDS, all_candidates, naive_closure, random_instance
+from support import SCHEMA_KINDS, all_candidates, naive_closure, random_instance, sort_key
 
 EX = "http://example.org/"
 
@@ -517,7 +517,7 @@ def test_minimize_visits_the_candidates_in_canonical_order(seed):
     aux = Graph(x for x in graph if rng.random() < 0.3) | other
     m = closure(graph | aux, EMPTY_RULESET)._materialization
     kept = [m.terms.decode(x) for x in m.minimize(aux)]
-    assert kept == list(graph - aux) == sorted((graph - aux).triples, key=Triple.sort_key)
+    assert kept == list(graph - aux) == sorted((graph - aux).triples, key=sort_key)
 
 
 @settings(deadline=None, max_examples=40)
@@ -553,6 +553,26 @@ def test_reduce_is_minimal_on_graphs_of_100_to_300_triples(seed):
     for triple in minimal:
         rest = minimal.discard(triple) | aux
         assert triple not in naive_closure(rest, rules), triple.ntriples()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reduce_keeps_what_greedy_naive_elimination_keeps(seed):
+    """Which triples survive, not only that none follows from the rest:
+    reduce equals the greedy elimination that walks graph - aux in the
+    reference order and drops each triple that the naive closure of the
+    triples still kept, plus aux, contains."""
+    rng = random.Random(seed)
+    graph, rules, universe = random_instance(
+        rng, min_triples=30, max_triples=80, min_nodes=20, max_nodes=30, max_rules=6,
+        kinds=_NON_TRANSITIVE, literals=True)
+    aux = Graph(rng.sample(all_candidates(universe), 8)) | Graph(
+        x for x in graph if rng.random() < 0.1)
+    kept = set((graph - aux).triples)
+    for triple in sorted(kept, key=sort_key):
+        kept.remove(triple)
+        if triple not in naive_closure(Graph(kept) | aux, rules):
+            kept.add(triple)
+    assert reduce(graph, rules, aux) == Graph(kept)
 
 
 def _reaches(successors: dict, start, goal, skip=None) -> bool:
