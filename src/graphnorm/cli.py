@@ -33,8 +33,8 @@ from .errors import (
     UnsafeRuleError,
     UnsupportedFeatureError,
 )
-from .graph import Graph, skolemize
-from .engine import reduce
+from .engine import _Materialization
+from .graph import skolemize_ids
 from .provenance import (
     DEFAULT_GN_BASE,
     FileResolver,
@@ -46,9 +46,9 @@ from .provenance import (
     read_description,
     recompute,
 )
-from .rules import RuleSet
-from .stats import NamespaceDecl, compute_stats, serialize_counted_closure, stat_texts
-from .turtle import parse_turtle, serialize_turtle
+from .stats import NamespaceDecl, stat_texts, stats_report
+from .terms import _Terms
+from .turtle import _TurtleParser
 
 _EXIT_USAGE = 1
 _EXIT_PARSE = 2
@@ -75,28 +75,26 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def _load(args: argparse.Namespace) -> tuple[Graph, RuleSet, Graph]:
-    """The data graph, the rules and the dlogic graph a command reads. A
-    description's recorded locators are read from its directory, as verify
-    reads them, and a --dataset that names a local file must hold the
-    --data graph there; it records no skolemization, so --base is refused."""
+def _load(args: argparse.Namespace) -> _Materialization:
+    """The materialization of what a command reads, the data parsed into term
+    ids. A description reads its locators from its directory, as verify does,
+    needs a local --dataset to hold the --data graph, and refuses --base."""
     describes = getattr(args, "format", None) == "turtle"
     if describes and args.base:
         raise GraphNormError("a description cannot record --base: "
                              "verify would recount the graph unskolemized")
     out_dir = os.path.dirname(args.output or "") if describes else ""
     resolver = FileResolver(out_dir or ".")
-    if describes and not args.dataset:
-        graph = parse_turtle(resolver(args.data), source=args.data)
-    else:
-        graph = parse_turtle(_read_file(args.data), source=args.data)
-        if args.base:
-            graph = skolemize(graph, args.base)
+    terms = _Terms()
+    text = resolver(args.data) if describes and not args.dataset else _read_file(args.data)
+    data = _TurtleParser(text, args.data).parse(terms)
+    if args.base:
+        data = skolemize_ids(terms, data, args.base)
     if describes and args.dataset and resolver.reads(args.dataset):
-        if parse_turtle(resolver(args.dataset), source=args.dataset) != graph:
+        if _TurtleParser(resolver(args.dataset), args.dataset).parse(terms) != data:
             raise GraphNormError(f"--dataset {args.dataset!r} does not hold the --data graph")
     rules, aux = load_rules(_description_spec(args), resolver)
-    return graph, rules, aux
+    return _Materialization(terms, data, rules, aux)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -122,21 +120,19 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    graph, rules, aux = _load(args)
-    _write_output(serialize_counted_closure(graph, rules, aux), args.output)
+    m = _load(args)
+    _write_output(m.render(m.counted()), args.output)
     return 0
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    graph, rules, aux = _load(args)
-    minimal = reduce(graph, rules, aux)
-    _write_output(serialize_turtle(minimal), args.output)
+    m = _load(args)
+    _write_output(m.render(m.minimize()), args.output)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    graph, rules, aux = _load(args)
-    report = compute_stats(graph, rules, aux, _namespaces(args))
+    report = stats_report(_load(args), _namespaces(args))
     if args.format == "turtle":
         dataset = args.dataset or args.data
         text = emit_description(dataset, report, _description_spec(args),
@@ -155,10 +151,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_diff_minimize(args: argparse.Namespace) -> int:
     # The result is minimize of --full; stderr keeps its "fallback: false"
     # line for scripts that parse it. The other graphs are still read and
-    # parsed, so a missing or malformed file fails as it always did.
+    # parsed, into a throwaway dictionary, so a missing or malformed one fails.
     for path in (args.prev_min, args.insert, args.delete):
         if path:
-            parse_turtle(_read_file(path), source=path)
+            _TurtleParser(_read_file(path), path).parse(_Terms())
     code = _cmd_minimize(args)
     print("fallback: false", file=sys.stderr)
     return code

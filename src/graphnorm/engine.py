@@ -1,17 +1,16 @@
 """Forward chaining, goal-directed proving, and graph minimization.
 
-The engine works on interned triples. Each materialization encodes every
-ground term it meets as a dense int, once, and holds triples as (s, p, o)
-int tuples in one store, _Store, whose indexes are built on first use,
-per predicate for lookups that bind it, so adding a triple touches no
-index of another predicate. Rules are compiled against the same
-dictionary: constants become term ids and variables negative ints.
-closure() decodes nothing: ClosureResult.graph decodes the derived
-triples into Triple values on its first read only. The statistics count
-ids: _Materialization.counted is the closure as they count it, and the
-closure command renders it (render, each distinct term once). Ids are
-handed out in set-iteration order, which varies with the hash seed, so
-nothing observable may depend on them: Graph iteration, render() and
+The engine works on (s, p, o) tuples of term ids from one dictionary,
+terms._Terms, into which the CLI parses its data and the library encodes
+its Graphs. They live in one store, _Store, indexed on first use per
+predicate for lookups that bind it, so adding a triple touches no index
+of another predicate. Rules compile against the same dictionary:
+constants become term ids, variables negative ints. Only what a library
+function returns is decoded; the statistics count ids and the commands
+render them (render, each distinct term once). Ids follow first
+occurrence in the text, or set-iteration order for an encoded Graph, and
+the store iterates in set order, which varies with the hash seed; so
+nothing observable may depend on either: Graph iteration, render() and
 the prover's candidates follow the rendered lines (_line).
 
 closure() saturates a graph under safe rules with semi-naive iteration:
@@ -33,8 +32,8 @@ Auxiliary triples (typically schema) support the proofs but are never
 candidates and never part of the result; reduce decodes what is kept.
 
 Each of those decisions is a proof over the shrinking working store,
-grounded in the materialization M = closure(graph | aux), whose store and
-dictionary the prover shares rather than indexing M again. The rules are
+grounded in the materialization M, the closure of graph and aux, whose
+store and dictionary the prover shares rather than indexing M again. The rules are
 monotone and the working store is always a subset of graph | aux, so
 every triple it entails lies in M. Entailment is then the least fixpoint
 over the ground rule instances whose body atoms all lie in M, as for
@@ -60,51 +59,14 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 from .graph import EMPTY_GRAPH, Graph
-from .rules import RuleSet, TriplePattern
-from .terms import IRI, BlankNode, GroundTerm, Triple, Variable, _Frozen, _set
+from .rules import RuleSet
+from .terms import _IRI, _LITERAL, _Frozen, _Ids, _set, _Terms
 
-# An interned triple (s, p, o) of term ids. In a compiled atom the same
-# positions hold term ids for constants and negative ints for variables.
-_Ids = tuple[int, int, int]
-# A compiled rule's row: term ids at the positions _compile lays out.
+# A compiled atom holds term ids for constants and negative ints for
+# variables; a compiled rule's row, term ids where _compile lays them out.
 _Row = tuple[int, ...]
 # One body atom's lookup: (index, predicate, key, checks), see _compile.
 _Step = tuple[Callable | None, int, Callable[[_Row], object], list[tuple[int, int]]]
-
-_IRI, _BLANK, _LITERAL = 0, 1, 2
-
-
-class _Terms:
-    """Dictionary encoding of ground terms as dense ints."""
-
-    __slots__ = ("ids", "terms", "kinds")
-
-    def __init__(self) -> None:
-        self.ids: dict[GroundTerm, int] = {}
-        self.terms: list[GroundTerm] = []
-        self.kinds = bytearray()
-
-    def intern(self, term: GroundTerm) -> int:
-        i = self.ids.get(term)
-        if i is None:
-            i = self.ids[term] = len(self.terms)
-            self.terms.append(term)
-            self.kinds.append(_IRI if isinstance(term, IRI)
-                              else _BLANK if isinstance(term, BlankNode) else _LITERAL)
-        return i
-
-    def encode(self, t: Triple) -> _Ids:
-        return (self.intern(t.subject), self.intern(t.predicate), self.intern(t.object))
-
-    def decode(self, t: _Ids) -> Triple:
-        terms = self.terms
-        return Triple(terms[t[0]], terms[t[1]], terms[t[2]])
-
-    def compile(self, atom: TriplePattern, variables: dict[str, int]) -> _Ids:
-        """Term ids for constants; variable number k becomes -1 - k."""
-        return tuple(-1 - variables.setdefault(x.name, len(variables))
-                     if isinstance(x, Variable) else self.intern(x)
-                     for x in atom.terms())
 
 
 _S, _P, _O, _SO = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 2)
@@ -282,22 +244,24 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
 
 
 class _Materialization:
-    """A graph and rules interned in one dictionary: the compiled rules,
-    the encoded input triples, and the store, which holds the whole
-    closure once saturate() has run."""
+    """Input triples and rules interned in one dictionary, saturated: the
+    compiled rules, the data and aux triples as term ids, the store, which
+    holds the whole closure, and what saturate() derived in how many rounds."""
 
-    __slots__ = ("terms", "rules", "base", "store")
+    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "derived", "rounds")
 
-    def __init__(self, graph: Graph, rules: RuleSet):
-        self.terms = terms = _Terms()
+    def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph):
+        self.terms = terms
         self.rules: list[tuple[tuple[_Ids, ...], tuple[_Ids, ...]]] = []
         for rule in rules:
             variables: dict[str, int] = {}
             body = tuple(terms.compile(atom, variables) for atom in rule.body)
             head = tuple(terms.compile(atom, variables) for atom in rule.head)
             self.rules.append((body, head))
-        self.base = [terms.encode(t) for t in graph.triples]
+        self.data, self.aux = data, set(map(terms.encode, aux.triples))
+        self.base = data | self.aux
         self.store = _Store(self.base)
+        self.derived, self.rounds = self.saturate()
 
     def saturate(self) -> tuple[list[_Ids], int]:
         """Run the rules to fixpoint; returns the derived triples and rounds."""
@@ -330,10 +294,10 @@ class _Materialization:
             store.update(produced)
             delta = produced
 
-    def counted(self, without: Graph) -> set[_Ids]:
-        """The store minus the triples of without, which must be input
-        triples: the closure as the statistics count it."""
-        return self.store.triples - set(map(self.terms.encode, without.triples))
+    def counted(self) -> set[_Ids]:
+        """The store minus the aux triples that are not data: the closure
+        as the statistics count it."""
+        return self.store.triples - (self.aux - self.data)
 
     def _line(self) -> Callable[[_Ids], str]:
         """An interned triple's line of serialize_turtle text, each distinct
@@ -345,13 +309,12 @@ class _Materialization:
         """Interned triples as the text serialize_turtle gives for their Graph."""
         return "".join(sorted(map(self._line(), triples)))
 
-    def minimize(self, aux: Graph) -> list[_Ids]:
-        """reduce's survivors, as term ids in canonical order; the store must
-        be saturated. aux backs the proofs but is never a candidate."""
+    def minimize(self) -> list[_Ids]:
+        """reduce's survivors, as term ids in canonical order. aux backs the
+        proofs but is never a candidate."""
         prover = _Prover(self)
-        candidates = set(self.base).difference(map(self.terms.encode, aux.triples))
         kept: list[_Ids] = []
-        for goal in sorted(candidates, key=self._line()):
+        for goal in sorted(self.data - self.aux, key=self._line()):
             prover.store.remove(goal)
             if not prover.prove(goal):
                 prover.store.add(goal)
@@ -360,34 +323,34 @@ class _Materialization:
 
 
 class ClosureResult(_Frozen):
-    # _materialization, the interned closure behind counted, minimize and
-    # render(), stays out of equality and repr; graph is decoded once, on first read.
-    __slots__ = ("_input", "_derived", "_graph", "derived_count", "rounds",
-                 "_materialization")
+    # _materialization stays out of equality and repr; graph is decoded on first read.
+    __slots__ = ("_input", "_graph", "derived_count", "rounds", "_materialization")
     _fields = ("graph", "derived_count", "rounds")
 
-    def __init__(self, graph: Graph, derived: list[_Ids], rounds: int,
-                 _materialization: _Materialization) -> None:
+    def __init__(self, graph: Graph, _materialization: _Materialization) -> None:
         _set(self, "_input", graph)
-        _set(self, "_derived", derived)
         _set(self, "_graph", None)
-        _set(self, "derived_count", len(derived))
-        _set(self, "rounds", rounds)
+        _set(self, "derived_count", len(_materialization.derived))
+        _set(self, "rounds", _materialization.rounds)
         _set(self, "_materialization", _materialization)
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            decode = self._materialization.terms.decode
-            _set(self, "_graph", Graph(self._input.triples.union(map(decode, self._derived))))
+            m = self._materialization
+            _set(self, "_graph", Graph(self._input.triples.union(map(m.terms.decode, m.derived))))
         return self._graph
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
-    m = _Materialization(graph, rules)
-    derived, rounds = m.saturate()
-    return ClosureResult(graph, derived, rounds, m)
+    return ClosureResult(graph, materialize(graph, rules))
+
+
+def materialize(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> _Materialization:
+    """The materialization of graph, encoded in a fresh dictionary, and aux."""
+    terms = _Terms()
+    return _Materialization(terms, set(map(terms.encode, graph.triples)), rules, aux)
 
 
 class _Prover:
@@ -489,5 +452,5 @@ def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:
     the result is always a subset of the input graph, and its closure
     (taken together with aux) equals the input's.
     """
-    m = closure(graph | aux, rules)._materialization
-    return Graph(map(m.terms.decode, m.minimize(aux)))
+    m = materialize(graph, rules, aux)
+    return Graph(map(m.terms.decode, m.minimize()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .terms import IRI, BlankNode, Triple, is_absolute_iri
+from .terms import _BLANK, IRI, Triple, _Ids, _Terms, is_absolute_iri
 
 
 class Graph:
@@ -82,16 +82,17 @@ def skolemize(graph: Graph, scope: str | IRI) -> Graph:
     The same label always maps to the same IRI, so the result is
     deterministic and graphs already free of blanks pass through unchanged.
     """
+    terms = _Terms()
+    triples = set(map(terms.encode, graph.triples))
+    return Graph(map(terms.decode, skolemize_ids(terms, triples, scope)))
+
+
+def skolemize_ids(terms: _Terms, triples: set[_Ids], scope: str | IRI) -> set[_Ids]:
+    """skolemize on triples of ids in terms, interning the genid IRIs."""
     scope_value = scope.value if isinstance(scope, IRI) else scope
     if not is_absolute_iri(scope_value):
         raise ValueError(f"skolemization scope must be an absolute IRI: {scope_value!r}")
     prefix = scope_value.rstrip("/") + "/.well-known/genid/"
-
-    def convert(term):
-        if isinstance(term, BlankNode):
-            return IRI(prefix + term.label)
-        return term
-
-    return Graph(
-        Triple(convert(t.subject), t.predicate, convert(t.object)) for t in graph.triples
-    )
+    new = [terms.intern(IRI(prefix + terms.terms[i].label)) if k == _BLANK else i
+           for i, k in enumerate(terms.kinds[:])]
+    return {(new[s], p, new[o]) for s, p, o in triples}

@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
+from .engine import _Materialization
 from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
 from .graph import EMPTY_GRAPH, Graph
 from .lex import (
@@ -49,10 +50,10 @@ from .lex import (
     value,
 )
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
-from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, compute_stats,
-                    decimal_string, stat_texts)
-from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set
-from .turtle import parse_turtle
+from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, decimal_string,
+                    stat_texts, stats_report)
+from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set, _Terms
+from .turtle import _TurtleParser, parse_turtle
 
 DEFAULT_GN_BASE = "http://purl.org/gn#"
 VOID_NS = "http://rdfs.org/ns/void#"
@@ -458,9 +459,10 @@ def recompute(description: Description, resolver: Resolver) -> StatsReport:
     """Re-run the statistics pipeline a parsed description points at:
     load_rules, then the dataset, fetched through the same resolver."""
     rules, aux = load_rules(description.normalisation, resolver)
-    dataset_graph = parse_turtle(resolver(description.dataset), source=description.dataset)
+    terms = _Terms()
+    data = _TurtleParser(resolver(description.dataset), description.dataset).parse(terms)
     namespaces = NamespaceDecl(description.namespaces) if description.namespaces else None
-    return compute_stats(dataset_graph, rules, aux, namespaces)
+    return stats_report(_Materialization(terms, data, rules, aux), namespaces)
 
 
 def compare_description(description: Description, report: StatsReport,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import closure
+from .engine import _Materialization, materialize
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
@@ -68,20 +68,23 @@ def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_G
     they overlap the published graph, keeping published <= closure. The
     text is rendered from the interned closure; no Triple is decoded.
     """
-    m = closure(graph | aux, rules)._materialization
-    return m.render(m.counted(aux - graph))
+    m = materialize(graph, rules, aux)
+    return m.render(m.counted())
 
 
 def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
                   namespaces: NamespaceDecl | None = None) -> StatsReport:
-    """All statistics from one materialization, counted on term ids: the
-    closure counted is serialize_counted_closure's, and the minimal graph
-    is the kept ids of its minimize, reduce's survivors undecoded."""
-    if not graph:
+    """All statistics from one materialization (stats_report)."""
+    return stats_report(materialize(graph, rules, aux), namespaces)
+
+
+def stats_report(m: _Materialization, namespaces: NamespaceDecl | None = None) -> StatsReport:
+    """All statistics of a materialization, counted on term ids: its counted
+    closure, and the kept ids of its minimize (reduce's survivors undecoded)."""
+    if not m.data:
         raise EmptyGraphError("statistics are undefined for an empty graph")
-    m = closure(graph | aux, rules)._materialization
-    counted = m.counted(aux - graph)
-    minimal = m.minimize(aux)
+    counted = m.counted()
+    minimal = m.minimize()
     plus = minus = None
     if namespaces is not None:
         if not minimal:
@@ -96,10 +99,10 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
 
         plus, minus = density(counted), density(minimal)
     return StatsReport(
-        published_cardinality=len(graph),
+        published_cardinality=len(m.data),
         closure_cardinality=len(counted),
         minimal_cardinality=len(minimal),
-        redundancy=Fraction(1) - Fraction(len(minimal), len(graph)),
+        redundancy=Fraction(1) - Fraction(len(minimal), len(m.data)),
         out_link_density_plus=plus,
         out_link_density_minus=minus,
     )

@@ -250,3 +250,42 @@ class Triple(_Frozen):
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
+
+
+_IRI, _BLANK, _LITERAL = 0, 1, 2  # _Terms.kinds
+# An interned triple (s, p, o) of term ids.
+_Ids = tuple[int, int, int]
+
+
+class _Terms:
+    """Dictionary encoding of ground terms as dense ints, in the order they
+    are first interned; the parser, the engine and the statistics share it."""
+
+    __slots__ = ("ids", "terms", "kinds")
+
+    def __init__(self) -> None:
+        self.ids: dict[GroundTerm, int] = {}
+        self.terms: list[GroundTerm] = []
+        self.kinds = bytearray()
+
+    def intern(self, term: GroundTerm) -> int:
+        n = len(self.terms)
+        i = self.ids.setdefault(term, n)
+        if i == n:
+            self.terms.append(term)
+            self.kinds.append(_IRI if isinstance(term, IRI)
+                              else _BLANK if isinstance(term, BlankNode) else _LITERAL)
+        return i
+
+    def encode(self, t: Triple) -> _Ids:
+        return (self.intern(t.subject), self.intern(t.predicate), self.intern(t.object))
+
+    def decode(self, t: _Ids) -> Triple:
+        terms = self.terms
+        return Triple(terms[t[0]], terms[t[1]], terms[t[2]])
+
+    def compile(self, atom, variables: dict[str, int]) -> _Ids:
+        """A TriplePattern's term ids; variable number k becomes -1 - k."""
+        return tuple(-1 - variables.setdefault(x.name, len(variables))
+                     if isinstance(x, Variable) else self.intern(x)
+                     for x in atom.terms())

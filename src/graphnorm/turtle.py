@@ -42,6 +42,8 @@ from .terms import (
     BlankNode,
     Literal,
     Triple,
+    _Ids,
+    _Terms,
     is_absolute_iri,
 )
 
@@ -50,20 +52,53 @@ class _TurtleParser(Reader):
     def __init__(self, text: str, source: str | None):
         super().__init__(text, source)
         self.prefixes: dict[str, str] = {}
-        # IRI tokens, as written, to their IRIs: each distinct one is
-        # expanded and validated once. A rebound prefix clears it.
+        # Tokens to their IRIs, and to their term ids as a subject or object
+        # (ids) or as a predicate. A rebound prefix clears all three.
         self.iris: dict[str, IRI] = {}
+        self.ids: dict[str, int] = {}
+        self.predicates: dict[str, int] = {}
 
-    def parse(self) -> Graph:
-        toks = self.toks
-        triples: set[Triple] = set()
+    def parse(self, terms: _Terms) -> set[_Ids]:
+        """The triples of the text, as ids of the terms interned in terms."""
+        toks, ids, predicates, term = self.toks, self.ids, self.predicates, self._term
+        triples: set[_Ids] = set()
+        add = triples.add
         i = 0
-        while toks[i]:
-            if toks[i][0] == "@":
-                i = self._directive(i)
-            else:
-                i = self._triples_statement(i, triples.add)
-        return Graph(triples)
+        while tok := toks[i]:
+            subject = ids.get(tok)
+            if subject is None:
+                if tok[0] == "@":
+                    i = self._directive(i)
+                    continue
+                subject = ids[tok] = terms.intern(term(i, "subject"))
+            i += 1
+            while True:
+                predicate = predicates.get(toks[i])
+                if predicate is None:
+                    predicate = predicates[toks[i]] = terms.intern(term(i, "predicate"))
+                i += 1
+                while True:
+                    obj = ids.get(toks[i])
+                    if obj is None and kind(toks[i]) in (STRING, INTEGER, DECIMAL):
+                        literal, i = self._literal(i)
+                        obj = terms.intern(literal)
+                    else:
+                        if obj is None:
+                            obj = ids[toks[i]] = terms.intern(term(i, "object"))
+                        i += 1
+                    add((subject, predicate, obj))
+                    tok = toks[i]
+                    i += 1
+                    if tok != ",":
+                        break
+                if tok == ".":
+                    break
+                if tok != ";":
+                    raise self.error(f"expected ';' or '.', got {value(tok)!r}", i - 1)
+                if toks[i] == ".":
+                    i += 1
+                    break
+        return triples
 
     def _directive(self, i: int) -> int:
         tok = self.toks[i]
@@ -77,37 +112,10 @@ class _TurtleParser(Reader):
             raise self.error(f"relative IRI not allowed: <{iri}>", i + 2)
         self.want(i + 3, ".", "'.'")
         if prefix in self.prefixes:
-            self.iris.clear()
+            for cache in (self.iris, self.ids, self.predicates):
+                cache.clear()
         self.prefixes[prefix] = iri
         return i + 4
-
-    def _triples_statement(self, i: int, add) -> int:
-        toks, iris, term = self.toks, self.iris, self._term
-        subject = iris.get(toks[i]) or term(i, "subject")
-        i += 1
-        while True:
-            tok = toks[i]
-            predicate = iris.get(tok) or (RDF_TYPE if tok == "a" else term(i, "predicate"))
-            i += 1
-            while True:
-                obj = iris.get(toks[i])
-                if obj is None:
-                    obj, i = self._object(i)
-                else:
-                    i += 1
-                add(Triple(subject, predicate, obj))
-                if toks[i] != ",":
-                    break
-                i += 1
-            tok = toks[i]
-            if tok == ";":
-                if toks[i + 1] == ".":
-                    return i + 2
-                i += 1
-                continue
-            if tok == ".":
-                return i + 1
-            raise self.error(f"expected ';' or '.', got {value(tok)!r}", i)
 
     def _iri(self, i: int) -> IRI:
         tok = self.toks[i]
@@ -128,12 +136,6 @@ class _TurtleParser(Reader):
         except ValueError as exc:
             raise self.error(str(exc), i) from None
         return iri
-
-    def _object(self, i: int):
-        """The object term at token i and the index after it."""
-        if kind(self.toks[i]) in (STRING, INTEGER, DECIMAL):
-            return self._literal(i)
-        return self._term(i, "object"), i + 1
 
     def _term(self, i: int, position: str):
         """The subject, predicate or non-literal object at token i."""
@@ -184,12 +186,16 @@ class _TurtleParser(Reader):
 
 
 def parse_turtle(text: str, source: str | None = None) -> Graph:
-    """Parse Turtle subset text into a Graph.
+    """Parse Turtle subset text into term ids in a fresh dictionary, and
+    decode them into a Graph.
 
     Raises ParseError with a 1-based line/column on any syntax problem,
     including relative IRIs and variables appearing in data.
     """
-    return _TurtleParser(text, source).parse()
+    terms = _Terms()
+    triples = _TurtleParser(text, source).parse(terms)
+    t = terms.terms
+    return Graph([Triple(t[s], t[p], t[o]) for s, p, o in triples])
 
 
 def serialize_turtle(graph: Graph) -> str:

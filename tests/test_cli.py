@@ -27,10 +27,12 @@ from graphnorm import (
     emit_description,
     format_rules,
     parse_turtle,
+    serialize_counted_closure,
     serialize_turtle,
     skolemize,
 )
 from graphnorm.cli import main
+from graphnorm.stats import stat_texts
 from graphnorm.rules import OWL_INVERSEOF, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
 from graphnorm.terms import RDF_TYPE
 
@@ -113,6 +115,31 @@ class TestClosure:
         assert code == 0
         assert "_:" not in out
         assert "/.well-known/genid/" in out
+
+    def test_base_skolemizes_as_the_library_does_beside_written_genid_iris(self, workdir, capsys):
+        """_:x and the IRI it skolemizes to both occur in the data: closure
+        and stats with --base count the skolemized graph, in which the two
+        spellings of each triple are one."""
+        base = "http://example.org/g"
+        genid = f"<{base}/.well-known/genid/x>"
+        text = (f"_:x <{LINKS}label> \"x\" .\n{genid} <{LINKS}label> \"x\" .\n"
+                f"<{LINKS}a> <{LINKS}links_to> _:x , {genid} .\n"
+                f"_:y <{LINKS}links_to> _:x .\n")
+        vocab = (f"<{LINKS}links_to> <http://www.w3.org/2000/01/rdf-schema#range> "
+                 f"<{LINKS}Page> .\n")
+        (workdir / "anon.ttl").write_text(text, encoding="utf-8")
+        (workdir / "anon-vocab.ttl").write_text(vocab, encoding="utf-8")
+        graph = skolemize(parse_turtle(text), base)
+        aux = parse_turtle(vocab)
+        rules = compile_schema(aux)
+        assert len(graph) == 3
+        flags = ["--data", "anon.ttl", "--dlogic", "anon-vocab.ttl", "--base", base]
+        code, out, _ = run(["closure", *flags], capsys)
+        assert code == 0 and out == serialize_counted_closure(graph, rules, aux)
+        code, out, _ = run(["stats", *flags, "--format", "tsv"], capsys)
+        report = compute_stats(graph, rules, aux)
+        assert code == 0 and report.published_cardinality == 3
+        assert out == "".join(f"{name}\t{value}\n" for name, value in stat_texts(report))
 
     def test_schema_triple_also_in_data_is_printed(self, workdir, capsys):
         domain = ("<http://xmlns.com/foaf/0.1/knows> "

@@ -19,7 +19,7 @@ from graphnorm import (
     reduce,
     serialize_turtle,
 )
-from graphnorm.engine import _Store
+from graphnorm.engine import _Store, materialize
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
@@ -515,8 +515,8 @@ def test_minimize_visits_the_candidates_in_canonical_order(seed):
     graph, _, _ = random_instance(rng, min_triples=10, max_triples=30, literals=True, rich=True)
     other, _, _ = random_instance(rng, literals=True, rich=True)
     aux = Graph(x for x in graph if rng.random() < 0.3) | other
-    m = closure(graph | aux, EMPTY_RULESET)._materialization
-    kept = [m.terms.decode(x) for x in m.minimize(aux)]
+    m = materialize(graph, EMPTY_RULESET, aux)
+    kept = [m.terms.decode(x) for x in m.minimize()]
     assert kept == list(graph - aux) == sorted((graph - aux).triples, key=sort_key)
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphnorm import Graph, IRI, Literal, ParseError, Triple, parse_turtle, serialize_turtle
-from graphnorm.terms import RDF_NS, BlankNode, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_NS
+from graphnorm.terms import RDF_NS, BlankNode, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_NS, _Terms
+from graphnorm.turtle import _TurtleParser
 from support import CLASS_NS, DATA_NS, EXT_NS, PRED_NS, random_instance, sort_key
 
 EX = "http://example.org/"
@@ -283,6 +284,56 @@ def test_canonical_order_is_sort_key_order(triples):
     assert list(graph) == expected
     assert serialize_turtle(graph) == "".join(t.ntriples() + "\n" for t in expected)
 
+
+
+# ---------------------------------------------------------------- term ids
+
+_NS_A, _NS_B = "http://a.example/", "http://b.example/"
+_NODES = [IRI(ns + name) for ns in (_NS_A, _NS_B) for name in ("s", "o")] + [
+    BlankNode("x"), BlankNode("y")]
+_PREDICATES = [IRI(_NS_A + "p"), IRI(_NS_B + "p"), RDF_TYPE]
+_OBJECTS = _NODES + [Literal("1", datatype=XSD_INTEGER), Literal("2", datatype=XSD_INTEGER),
+                     Literal("1"), Literal("1", language="en")]
+
+
+def _spell(term, bound: str, rng: random.Random) -> str:
+    """One of the ways to write term while the prefix ex: is bound to the
+    namespace bound: prefixed or full IRIs, 'a', bare or typed integers."""
+    if term == RDF_TYPE:
+        return rng.choice(["a", term.ntriples()])
+    if isinstance(term, IRI) and term.value.startswith(bound) and rng.random() < 0.6:
+        return "ex:" + term.value[len(bound):]
+    if isinstance(term, Literal) and term.datatype == XSD_INTEGER:
+        return rng.choice([term.lexical, f'"{term.lexical}"^^xsd:integer', term.ntriples()])
+    return term.ntriples()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32))
+def test_parsed_ids_decode_to_the_parsed_graph(seed):
+    """Each term gets one id however it is spelled, and a rebound prefix
+    resolves afresh: the parser's id triples decode to parse_turtle's
+    Graph, which is the drawn one, and there are as many as it has."""
+    rng = random.Random(seed)
+    bound = rng.choice([_NS_A, _NS_B])
+    lines = [f"@prefix xsd: <{XSD_NS}> .", f"@prefix ex: <{bound}> ."]
+    expected = set()
+    for _ in range(rng.randint(1, 30)):
+        if rng.random() < 0.15:
+            bound = rng.choice([_NS_A, _NS_B])
+            lines.append(f"@prefix ex: <{bound}> .")
+        s, p = rng.choice(_NODES), rng.choice(_PREDICATES)
+        objects = [rng.choice(_OBJECTS) for _ in range(rng.randint(1, 3))]
+        expected.update(Triple(s, p, o) for o in objects)
+        lines.append(f"{_spell(s, bound, rng)} {_spell(p, bound, rng)} "
+                     + " , ".join(_spell(o, bound, rng) for o in objects) + " .")
+    text = "\n".join(lines)
+    terms = _Terms()
+    ids = _TurtleParser(text, None).parse(terms)
+    graph = parse_turtle(text)
+    assert Graph(map(terms.decode, ids)) == graph == Graph(expected)
+    assert len(ids) == len(graph)
+    assert len(set(terms.terms)) == len(terms.terms)
 
 # ---------------------------------------------------------------- the scanner
 
