@@ -246,9 +246,9 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
 class _Materialization:
     """Input triples and rules interned in one dictionary, saturated: the
     compiled rules, the data and aux triples as term ids, the store, which
-    holds the whole closure, and what saturate() derived in how many rounds."""
+    holds the whole closure, and the number of rounds saturate() took."""
 
-    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "derived", "rounds")
+    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "rounds")
 
     def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph):
         self.terms = terms
@@ -261,10 +261,10 @@ class _Materialization:
         self.data, self.aux = data, set(map(terms.encode, aux.triples))
         self.base = data | self.aux
         self.store = _Store(self.base)
-        self.derived, self.rounds = self.saturate()
+        self.rounds = self.saturate()
 
-    def saturate(self) -> tuple[list[_Ids], int]:
-        """Run the rules to fixpoint; returns the derived triples and rounds."""
+    def saturate(self) -> int:
+        """Run the rules to fixpoint; returns the number of rounds."""
         store, kinds = self.store, self.terms.kinds
         plans: dict[int | tuple[int, int] | None, list[_Plan]] = {}
         for body, head in self.rules:
@@ -272,7 +272,6 @@ class _Materialization:
                 plans.setdefault(_dispatch_key(atom), []).append(_plan(body, i, head, store, kinds))
         # The predicates whose batches are split again by object.
         split = {key[0] for key in plans if isinstance(key, tuple)}
-        derived: list[_Ids] = []
         rounds = 0
         delta: Collection[_Ids] = self.base
         while True:
@@ -288,9 +287,8 @@ class _Materialization:
                 plan(delta, produced)
             produced -= store.triples
             if not produced:
-                return derived, rounds
+                return rounds
             rounds += 1
-            derived.extend(produced)
             store.update(produced)
             delta = produced
 
@@ -330,15 +328,17 @@ class ClosureResult(_Frozen):
     def __init__(self, graph: Graph, _materialization: _Materialization) -> None:
         _set(self, "_input", graph)
         _set(self, "_graph", None)
-        _set(self, "derived_count", len(_materialization.derived))
-        _set(self, "rounds", _materialization.rounds)
-        _set(self, "_materialization", _materialization)
+        m = _materialization
+        _set(self, "derived_count", len(m.store.triples) - len(m.base))
+        _set(self, "rounds", m.rounds)
+        _set(self, "_materialization", m)
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
             m = self._materialization
-            _set(self, "_graph", Graph(self._input.triples.union(map(m.terms.decode, m.derived))))
+            derived = map(m.terms.decode, m.store.triples - m.base)
+            _set(self, "_graph", Graph(self._input.triples.union(derived)))
         return self._graph
 
 

@@ -30,6 +30,7 @@ and RIF rule sources are rejected as unsupported.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
@@ -70,6 +71,10 @@ _SOURCE_FORMATS = ("n3", "dlogic", "rif")
 # level, so deeper nesting is refused long before the interpreter's limit.
 _MAX_NESTING = 16
 _KINDS = ("none", "closure", "mini_rdf")
+# The lexical forms of xsd:integer and xsd:decimal; int() and Fraction() also
+# read "3/4", "1e5", " 2 " and "1_0", and Fraction expands an exponent in full.
+_XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
+_XSD_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 
 class RuleSource(_Frozen):
@@ -328,9 +333,9 @@ class _DescriptionReader(Reader):
                 datatype = self._name(i + 2)
                 if datatype is None:
                     raise self.error("expected a datatype IRI after '^^'", i + 2)
-                if datatype == XSD_INTEGER:
+                if datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
                     return int(lexical), i + 3
-                if datatype == XSD_DECIMAL:
+                if datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
                     return Fraction(lexical), i + 3
                 return lexical, i + 3
             return lexical, i + 1

@@ -19,7 +19,7 @@ namespaces is skipped with a warning.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, UnsafeRuleError
 from .graph import Graph
@@ -289,6 +289,24 @@ def _local(iri: IRI) -> str:
 
 
 _S, _O, _X, _Y, _Z = (Variable(n) for n in "soxyz")
+_T = TriplePattern
+
+# The RDFS/OWL fragment compile_schema recognizes. A schema triple (s, p, o)
+# with IRIs s and o is looked up by (rdf:type, o) when p is rdf:type, else by
+# p; its entry gives the rules over s and o as (label, named term, body
+# atoms, head atom).
+_FRAGMENT: dict[IRI | tuple[IRI, IRI], Callable[[IRI, IRI], tuple]] = {
+    RDFS_DOMAIN: lambda s, o: (("domain", s, (_T(_S, s, _O),), _T(_S, RDF_TYPE, o)),),
+    RDFS_RANGE: lambda s, o: (("range", s, (_T(_S, s, _O),), _T(_O, RDF_TYPE, o)),),
+    RDFS_SUBCLASSOF: lambda s, o: (
+        ("subClassOf", s, (_T(_X, RDF_TYPE, s),), _T(_X, RDF_TYPE, o)),),
+    RDFS_SUBPROPERTYOF: lambda s, o: (("subPropertyOf", s, (_T(_S, s, _O),), _T(_S, o, _O)),),
+    OWL_INVERSEOF: lambda s, o: (("inverseOf", s, (_T(_S, s, _O),), _T(_O, o, _S)),
+                                 ("inverseOf", o, (_T(_S, o, _O),), _T(_O, s, _S))),
+    (RDF_TYPE, OWL_SYMMETRIC): lambda s, o: (("symmetric", s, (_T(_S, s, _O),), _T(_O, s, _S)),),
+    (RDF_TYPE, OWL_TRANSITIVE): lambda s, o: (
+        ("transitive", s, (_T(_X, s, _Y), _T(_Y, s, _Z)), _T(_X, s, _Z)),),
+}
 
 
 def compile_schema(schema: Graph) -> RuleSet:
@@ -299,65 +317,11 @@ def compile_schema(schema: Graph) -> RuleSet:
     """
     rules: list[Rule] = []
     for t in schema:
-        p, o = t.predicate, t.object
-        recognized = False
-        if isinstance(t.subject, IRI):
-            s = t.subject
-            if p == RDFS_DOMAIN and isinstance(o, IRI):
-                rules.append(Rule(
-                    (TriplePattern(_S, s, _O),),
-                    (TriplePattern(_S, RDF_TYPE, o),),
-                    label=f"domain({_local(s)})",
-                ))
-                recognized = True
-            elif p == RDFS_RANGE and isinstance(o, IRI):
-                rules.append(Rule(
-                    (TriplePattern(_S, s, _O),),
-                    (TriplePattern(_O, RDF_TYPE, o),),
-                    label=f"range({_local(s)})",
-                ))
-                recognized = True
-            elif p == RDFS_SUBCLASSOF and isinstance(o, IRI):
-                rules.append(Rule(
-                    (TriplePattern(_X, RDF_TYPE, s),),
-                    (TriplePattern(_X, RDF_TYPE, o),),
-                    label=f"subClassOf({_local(s)})",
-                ))
-                recognized = True
-            elif p == RDFS_SUBPROPERTYOF and isinstance(o, IRI):
-                rules.append(Rule(
-                    (TriplePattern(_S, s, _O),),
-                    (TriplePattern(_S, o, _O),),
-                    label=f"subPropertyOf({_local(s)})",
-                ))
-                recognized = True
-            elif p == OWL_INVERSEOF and isinstance(o, IRI):
-                rules.append(Rule(
-                    (TriplePattern(_S, s, _O),),
-                    (TriplePattern(_O, o, _S),),
-                    label=f"inverseOf({_local(s)})",
-                ))
-                rules.append(Rule(
-                    (TriplePattern(_S, o, _O),),
-                    (TriplePattern(_O, s, _S),),
-                    label=f"inverseOf({_local(o)})",
-                ))
-                recognized = True
-            elif p == RDF_TYPE and o == OWL_SYMMETRIC:
-                rules.append(Rule(
-                    (TriplePattern(_S, s, _O),),
-                    (TriplePattern(_O, s, _S),),
-                    label=f"symmetric({_local(s)})",
-                ))
-                recognized = True
-            elif p == RDF_TYPE and o == OWL_TRANSITIVE:
-                rules.append(Rule(
-                    (TriplePattern(_X, s, _Y), TriplePattern(_Y, s, _Z)),
-                    (TriplePattern(_X, s, _Z),),
-                    label=f"transitive({_local(s)})",
-                ))
-                recognized = True
-        if recognized:
+        s, p, o = t.subject, t.predicate, t.object
+        entry = _FRAGMENT.get((p, o) if p == RDF_TYPE else p)
+        if entry is not None and isinstance(s, IRI) and isinstance(o, IRI):
+            for label, named, body, head in entry(s, o):
+                rules.append(Rule(body, (head,), f"{label}({_local(named)})"))
             continue
         if p in _SILENT_PREDICATES:
             continue

@@ -40,6 +40,7 @@ from support import CLASS_NS, DATA_NS, FIXTURES, PRED_NS, cli_env, random_instan
 
 LINKS = "http://example.org/links/"
 CHAIN = "http://example.org/chain/"
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 # Schema triples over random_instance's predicates and classes.
 _P0, _P1 = IRI(PRED_NS + "p0"), IRI(PRED_NS + "p1")
@@ -368,6 +369,30 @@ class TestDescribeVerify:
         code, out, err = run(["verify", "desc.ttl"], capsys)
         assert code == 1 and out == ""
         assert err == "graphnorm: gn:n3 must be an IRI, got 'rules.n3'\n"
+
+    def _verify_stating(self, workdir, capsys, stated: str):
+        """verify a fresh description whose first 'rdf:value 4' reads stated."""
+        run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
+        desc = workdir / "desc.ttl"
+        text = desc.read_text(encoding="utf-8")
+        desc.write_text(text.replace("rdf:value 4", f"rdf:value {stated}", 1), encoding="utf-8")
+        return run(["verify", "desc.ttl"], capsys)
+
+    @pytest.mark.parametrize("datatype", ["integer", "decimal"])
+    @pytest.mark.parametrize("lexical", ["3/4", "1e5", " 2 ", "1_0", "\u0662", "NaN", "1e1000000"])
+    def test_typed_value_outside_the_xsd_lexical_form_exits_1(self, workdir, capsys,
+                                                              lexical, datatype):
+        stated = f'"{lexical}"^^<{XSD}{datatype}>'
+        assert self._verify_stating(workdir, capsys, stated) == (
+            1, "", f"graphnorm: rdf:value must be numeric, got {lexical!r}\n")
+
+    @pytest.mark.parametrize("stated", [
+        f'"4"^^<{XSD}integer>', f'"+4"^^<{XSD}integer>', f'"004"^^<{XSD}integer>',
+        f'"4."^^<{XSD}decimal>', f'"+4.0"^^<{XSD}decimal>', "+4", "004", "4.0",
+    ])
+    def test_xsd_and_bare_numeric_values_verify(self, workdir, capsys, stated):
+        assert self._verify_stating(workdir, capsys, stated) == (
+            0, "ok: 4 statistics verified\n", "")
 
     def test_description_stating_no_statistic_exits_1(self, workdir, capsys):
         (workdir / "desc.ttl").write_text(

@@ -46,6 +46,21 @@ REPORT_WITH_DENSITIES = StatsReport(
     out_link_density_minus=Fraction(1, 2),
 )
 
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
+
+def _stating(value: str) -> str:
+    """A description stating one statistic whose rdf:value is the text value."""
+    return (
+        "@prefix void: <http://rdfs.org/ns/void#> .\n"
+        "@prefix scovo: <http://purl.org/NET/scovo#> .\n"
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        "@prefix gn: <http://purl.org/gn#> .\n"
+        "<d.ttl> a void:Dataset ;\n"
+        f"  void:statItem [ scovo:dimension gn:publishedTriples ; rdf:value {value} ] .\n"
+    )
+
+
 MINI = NormalisationSpec("mini_rdf", (
     RuleSource("n3", "rules.n3"),
     RuleSource("dlogic", "vocab.ttl"),
@@ -206,16 +221,35 @@ class TestRead:
         assert "no void:statItem" in str(raised.value)
 
     def test_non_numeric_value_rejected(self):
-        text = (
-            "@prefix void: <http://rdfs.org/ns/void#> .\n"
-            "@prefix scovo: <http://purl.org/NET/scovo#> .\n"
-            "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
-            "@prefix gn: <http://purl.org/gn#> .\n"
-            "<d.ttl> a void:Dataset ;\n"
-            '  void:statItem [ scovo:dimension gn:publishedTriples ; rdf:value "many" ] .\n'
-        )
         with pytest.raises(GraphNormError):
-            read_description(text)
+            read_description(_stating('"many"'))
+
+    @pytest.mark.parametrize("datatype", ["integer", "decimal"])
+    @pytest.mark.parametrize("lexical", ["3/4", "1e5", " 2 ", "1_0", "\u0662", "NaN", "1e1000000"])
+    def test_typed_value_outside_the_xsd_lexical_form_rejected(self, lexical, datatype):
+        """int() and Fraction() read these, and Fraction would expand the
+        exponent in full; the xsd:integer and xsd:decimal forms do not."""
+        with pytest.raises(GraphNormError) as raised:
+            read_description(_stating(f'"{lexical}"^^<{XSD}{datatype}>'))
+        assert type(raised.value) is GraphNormError
+        assert str(raised.value) == f"rdf:value must be numeric, got {lexical!r}"
+
+    @pytest.mark.parametrize("text,value", [
+        (f'"4"^^<{XSD}integer>', 4),
+        (f'"+4"^^<{XSD}integer>', 4),
+        (f'"007"^^<{XSD}integer>', 7),
+        (f'"-0.5"^^<{XSD}decimal>', Fraction(-1, 2)),
+        (f'".5"^^<{XSD}decimal>', Fraction(1, 2)),
+        (f'"5."^^<{XSD}decimal>', Fraction(5)),
+        ("4", 4),
+        ("+4", 4),
+        ("007", 7),
+        ("-0.5", Fraction(-1, 2)),
+        (".5", Fraction(1, 2)),
+    ])
+    def test_numeric_value_forms_read(self, text, value):
+        (item,) = read_description(_stating(text)).items
+        assert (type(item.value), item.value) == (type(value), value)
 
     def test_unknown_normalisation_kind_rejected(self):
         text = emit_description("d.ttl", REPORT, MINI).replace("gn:MiniRDF", "gn:MaxiRDF")

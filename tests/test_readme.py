@@ -1,6 +1,7 @@
 """README's examples against the code: the library quick start runs, the
 command-line synopsis names only subcommands and flags the parser
-accepts, and the entry-point table names only public functions."""
+accepts, the entry-point table names only public functions, and the
+schema constructs named under Formats are those compile_schema knows."""
 
 import re
 import shlex
@@ -12,6 +13,8 @@ import pytest
 
 import graphnorm
 from graphnorm.cli import build_parser
+from graphnorm.rules import _FRAGMENT
+from graphnorm.terms import IRI, OWL_NS, RDFS_NS
 
 from support import cli_env
 
@@ -61,3 +64,12 @@ def test_entry_point_table_names_public_functions():
              for name in re.findall(r"`(\w+)[`(]", row.split("|")[1])]
     assert "compute_stats" in names
     assert not set(names) - set(graphnorm.__all__)
+
+
+def test_schema_constructs_are_the_compiled_fragment():
+    sentence = README.split("Schema graphs compile", 1)[1].split(";", 1)[0]
+    namespaces = {"rdfs": RDFS_NS, "owl": OWL_NS}
+    named = [IRI(namespaces[prefix] + local)
+             for prefix, local in re.findall(r"`(\w+):(\w+)`", sentence)]
+    assert len(named) == len(_FRAGMENT)
+    assert set(named) == {key[1] if isinstance(key, tuple) else key for key in _FRAGMENT}

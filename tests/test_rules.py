@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from graphnorm import (
     check_safe,
     compile_schema,
     parse_rules,
+    parse_turtle,
 )
 from graphnorm.rules import (
     EMPTY_RULESET,
@@ -152,6 +154,70 @@ def _iri(local: str) -> IRI:
     return IRI(EX + local)
 
 
+# Every construct compile_schema knows, twice each and interleaved, then
+# four triples it must not compile: a blank subject, a literal object, and
+# rdf:type objects that name predicate constructs.
+PINNED_SCHEMA = """\
+@prefix ex: <http://example.org/> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+ex:knows a owl:SymmetricProperty .
+ex:Cat rdfs:subClassOf ex:Pet .
+ex:hasPet rdfs:domain ex:Owner .
+ex:partOf a owl:TransitiveProperty .
+ex:owns owl:inverseOf ex:ownedBy .
+ex:hasPet rdfs:range ex:Pet .
+ex:hasCat rdfs:subPropertyOf ex:hasPet .
+_:b rdfs:subClassOf ex:C .
+ex:marriedTo a owl:SymmetricProperty .
+ex:p rdfs:domain "x" .
+ex:Pet rdfs:subClassOf ex:Animal .
+ex:x rdf:type rdfs:domain .
+ex:ancestorOf a owl:TransitiveProperty .
+ex:owns rdfs:range ex:Thing .
+ex:x rdf:type rdfs:subClassOf .
+ex:hasPet rdfs:subPropertyOf ex:owns .
+ex:parentOf owl:inverseOf ex:childOf .
+ex:owns rdfs:domain ex:Agent .
+"""
+
+# format_rules of PINNED_SCHEMA, with ex: and a standing for the full IRIs.
+PINNED_RULES = """\
+{ ?x a ex:Cat } => { ?x a ex:Pet } .
+{ ?x a ex:Pet } => { ?x a ex:Animal } .
+{ ?x ex:ancestorOf ?y . ?y ex:ancestorOf ?z } => { ?x ex:ancestorOf ?z } .
+{ ?s ex:hasCat ?o } => { ?s ex:hasPet ?o } .
+{ ?s ex:hasPet ?o } => { ?s a ex:Owner } .
+{ ?s ex:hasPet ?o } => { ?o a ex:Pet } .
+{ ?s ex:hasPet ?o } => { ?s ex:owns ?o } .
+{ ?s ex:knows ?o } => { ?o ex:knows ?s } .
+{ ?s ex:marriedTo ?o } => { ?o ex:marriedTo ?s } .
+{ ?s ex:owns ?o } => { ?s a ex:Agent } .
+{ ?s ex:owns ?o } => { ?o a ex:Thing } .
+{ ?s ex:owns ?o } => { ?o ex:ownedBy ?s } .
+{ ?s ex:ownedBy ?o } => { ?o ex:owns ?s } .
+{ ?s ex:parentOf ?o } => { ?o ex:childOf ?s } .
+{ ?s ex:childOf ?o } => { ?o ex:parentOf ?s } .
+{ ?x ex:partOf ?y . ?y ex:partOf ?z } => { ?x ex:partOf ?z } .
+"""
+
+PINNED_LABELS = [
+    "subClassOf(Cat)", "subClassOf(Pet)", "transitive(ancestorOf)",
+    "subPropertyOf(hasCat)", "domain(hasPet)", "range(hasPet)",
+    "subPropertyOf(hasPet)", "symmetric(knows)", "symmetric(marriedTo)",
+    "domain(owns)", "range(owns)", "inverseOf(owns)", "inverseOf(ownedBy)",
+    "inverseOf(parentOf)", "inverseOf(childOf)", "transitive(partOf)",
+]
+
+PINNED_WARNINGS = [
+    f'ignoring unrecognized schema triple: <{EX}p> <{RDFS_NS}domain> "x" .',
+    f"ignoring unrecognized schema triple: <{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}domain> .",
+    f"ignoring unrecognized schema triple: <{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}subClassOf> .",
+    f"ignoring unrecognized schema triple: _:b <{RDFS_NS}subClassOf> <{EX}C> .",
+]
+
+
 class TestCompileSchema:
     def test_domain(self):
         rs = compile_schema(Graph([Triple(_iri("p"), RDFS_DOMAIN, _iri("C"))]))
@@ -227,3 +293,14 @@ class TestCompileSchema:
 
     def test_empty_schema(self):
         assert compile_schema(Graph()) == EMPTY_RULESET
+
+    def test_pinned_schema(self, caplog):
+        """Rules, their order and labels, and the warnings, in full: the rule
+        order follows the schema Graph's canonical iteration."""
+        expected = re.sub(r"ex:(\w+)", rf"<{EX}\1>", PINNED_RULES).replace(
+            " a ", f" {RDF_TYPE.ntriples()} ")
+        with caplog.at_level(logging.WARNING, logger="graphnorm.rules"):
+            rs = compile_schema(parse_turtle(PINNED_SCHEMA))
+        assert format_rules(rs) == expected
+        assert [r.label for r in rs] == PINNED_LABELS
+        assert [r.getMessage() for r in caplog.records] == PINNED_WARNINGS
