@@ -55,6 +55,9 @@ _EXIT_PARSE = 2
 _EXIT_UNSAFE = 3
 _EXIT_MISMATCH = 4
 _EXIT_UNSUPPORTED = 5
+# The errors that main maps to a code other than _EXIT_USAGE.
+_EXIT_CODES = {ParseError: _EXIT_PARSE, UnsafeRuleError: _EXIT_UNSAFE,
+               UnsupportedFeatureError: _EXIT_UNSUPPORTED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,18 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"graphnorm: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except UnsafeRuleError as exc:
-        print(f"graphnorm: {exc}", file=sys.stderr)
-        return _EXIT_UNSAFE
-    except UnsupportedFeatureError as exc:
-        print(f"graphnorm: {exc}", file=sys.stderr)
-        return _EXIT_UNSUPPORTED
     except (GraphNormError, OSError, ValueError) as exc:
         print(f"graphnorm: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), _EXIT_USAGE)
 
 
 if __name__ == "__main__":

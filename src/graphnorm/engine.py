@@ -8,10 +8,11 @@ of another predicate. Rules compile against the same dictionary:
 constants become term ids, variables negative ints. Only what a library
 function returns is decoded; the statistics count ids and the commands
 render them (render, each distinct term once). Ids follow first
-occurrence in the text, or set-iteration order for an encoded Graph, and
-the store iterates in set order, which varies with the hash seed; so
-nothing observable may depend on either: Graph iteration, render() and
-the prover's candidates follow the rendered lines (_line).
+occurrence in the text, then the rules and the aux Graph's canonical
+order; but a data Graph the library encodes takes them in set order,
+which varies with the hash seed, and so then does the order in which the
+store iterates. Nothing observable may depend on either: Graph iteration,
+render() and the prover's candidates follow the rendered lines (_line).
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -258,7 +259,7 @@ class _Materialization:
             body = tuple(terms.compile(atom, variables) for atom in rule.body)
             head = tuple(terms.compile(atom, variables) for atom in rule.head)
             self.rules.append((body, head))
-        self.data, self.aux = data, set(map(terms.encode, aux.triples))
+        self.data, self.aux = data, set(map(terms.encode, aux))
         self.base = data | self.aux
         self.store = _Store(self.base)
         self.rounds = self.saturate()
@@ -308,8 +309,9 @@ class _Materialization:
         return "".join(sorted(map(self._line(), triples)))
 
     def minimize(self) -> list[_Ids]:
-        """reduce's survivors, as term ids in canonical order. aux backs the
-        proofs but is never a candidate."""
+        """reduce's survivors, as term ids in canonical order: irreducible,
+        but not always the smallest subset with the same closure. aux backs
+        the proofs but is never a candidate."""
         prover = _Prover(self)
         kept: list[_Ids] = []
         for goal in sorted(self.data - self.aux, key=self._line()):
@@ -450,7 +452,9 @@ def reduce(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> Graph:
     deterministic. Each is dropped iff the other triples still kept, with
     aux, entail it. aux triples back the proofs but are never candidates;
     the result is always a subset of the input graph, and its closure
-    (taken together with aux) equals the input's.
+    (taken together with aux) equals the input's. It is irreducible: no
+    survivor can be dropped. It need not be the smallest such subset,
+    and another candidate order may keep a different number of triples.
     """
     m = materialize(graph, rules, aux)
     return Graph(map(m.terms.decode, m.minimize()))

@@ -165,6 +165,18 @@ class FileResolver(_Frozen):
             raise ResolverError(f"cannot resolve {locator!r}: {exc}") from None
 
 
+# A predicate and its object: text, or the pairs of an anonymous node.
+_Pair = tuple[str, "str | list[_Pair]"]
+
+
+def _render(pairs: list[_Pair], indent: str) -> str:
+    """One pair per line at indent, joined by ' ;'; an anonymous node is a
+    '[ … ]' block whose pairs sit one indent deeper."""
+    return " ;\n".join(
+        f"{indent}{p} [\n{_render(o, indent + '    ')}\n{indent}]" if isinstance(o, list)
+        else f"{indent}{p} {o}" for p, o in pairs)
+
+
 def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
                      *, namespaces: NamespaceDecl | None = None,
                      gn_base: str = DEFAULT_GN_BASE) -> str:
@@ -187,49 +199,26 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
         if _TOKEN.match(ref)[1] != ref or kind(ref) != IRIREF:
             raise ValueError(f"cannot be written as an IRI reference: {iri!r}")
 
-    norm_lines: list[str] = []
+    normalisation: list[_Pair] = []
     if spec.kind != "none":
-        kind_class = "gn:MiniRDF" if spec.kind == "mini_rdf" else "gn:Closure"
-        norm_lines.append("        gn:normalisation [")
-        norm_lines.append(f"            a {kind_class} ;")
-        norm_lines.append("            gn:rules [")
-        norm_lines.append("                a gn:RuleSet" + (" ;" if spec.rule_sources else ""))
         refs = {fmt: ", ".join(f"<{src.locator}>" for src in spec.rule_sources
                                if src.format == fmt) for fmt in _SOURCE_FORMATS}
-        fmt_rows = [f"                gn:{fmt} {refs[fmt]}" for fmt in _SOURCE_FORMATS if refs[fmt]]
-        norm_lines.extend(row + (" ;" if i < len(fmt_rows) - 1 else "")
-                          for i, row in enumerate(fmt_rows))
+        rule_set = [("a", "gn:RuleSet"), *((f"gn:{fmt}", refs[fmt])
+                                           for fmt in _SOURCE_FORMATS if refs[fmt])]
+        node = [("a", "gn:MiniRDF" if spec.kind == "mini_rdf" else "gn:Closure"),
+                ("gn:rules", rule_set)]
         if spec.kind == "mini_rdf":
-            norm_lines.append("            ] ;")
-            norm_lines.append("            gn:constraints [ a gn:ConstraintSet ]")
-        else:
-            norm_lines.append("            ]")
-        norm_lines.append("        ]")
-
-    items: list[str] = []
-    for name, value in sorted(stat_texts(report)):
-        lines = [
-            "    void:statItem [",
-            f"        scovo:dimension gn:{name} ;",
-            f"        rdf:value {value}" + (" ;" if norm_lines else ""),
-        ]
-        lines.extend(norm_lines)
-        lines.append("    ]")
-        items.append("\n".join(lines))
-
-    header = [
-        f"@prefix gn: <{gn_base}> .",
-        f"@prefix rdf: <{RDF_NS}> .",
-        f"@prefix scovo: <{SCOVO_NS}> .",
-        f"@prefix void: <{VOID_NS}> .",
-        "",
-    ]
-    subject_lines = [f"<{dataset}> a void:Dataset ;"]
+            node.append(("gn:constraints", "[ a gn:ConstraintSet ]"))
+        normalisation.append(("gn:normalisation", node))
+    pairs: list[_Pair] = []
     if namespaces is not None:
-        refs = ", ".join(f"<{p}>" for p in namespaces.prefixes)
-        subject_lines.append(f"    gn:namespace {refs} ;")
-    body = " ;\n".join(items)
-    return "\n".join(header + subject_lines) + "\n" + body + " .\n"
+        pairs.append(("gn:namespace", ", ".join(f"<{p}>" for p in namespaces.prefixes)))
+    pairs.extend(("void:statItem", [("scovo:dimension", f"gn:{name}"), ("rdf:value", value),
+                                    *normalisation])
+                 for name, value in sorted(stat_texts(report)))
+    header = "".join(f"@prefix {prefix}: <{iri}> .\n" for prefix, iri in (
+        ("gn", gn_base), ("rdf", RDF_NS), ("scovo", SCOVO_NS), ("void", VOID_NS)))
+    return f"{header}\n<{dataset}> a void:Dataset ;\n{_render(pairs, '    ')} .\n"
 
 
 class _Ref(str):
@@ -374,6 +363,8 @@ def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
     nodes = props.get(gn_base + "normalisation", [])
     if not nodes:
         return NormalisationSpec("none")
+    if len(nodes) > 1:
+        raise GraphNormError("description item carries more than one gn:normalisation")
     node = nodes[0]
     if not isinstance(node, dict):
         raise GraphNormError("gn:normalisation must be an anonymous node")

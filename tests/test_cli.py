@@ -394,6 +394,19 @@ class TestDescribeVerify:
         assert self._verify_stating(workdir, capsys, stated) == (
             0, "ok: 4 statistics verified\n", "")
 
+    @pytest.mark.parametrize("second", [
+        "[ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:n3 <rules.n3> ] ]", '"x"'])
+    def test_a_second_normalisation_exits_1(self, workdir, capsys, second):
+        run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
+        desc = workdir / "desc.ttl"
+        text = desc.read_text(encoding="utf-8")
+        doubled = text.replace("\n        ]\n    ]",
+                               f"\n        ] ;\n        gn:normalisation {second}\n    ]")
+        assert doubled.count("gn:normalisation") == 2 * text.count("gn:normalisation") > 0
+        desc.write_text(doubled, encoding="utf-8")
+        assert run(["verify", "desc.ttl"], capsys) == (
+            1, "", "graphnorm: description item carries more than one gn:normalisation\n")
+
     def test_description_stating_no_statistic_exits_1(self, workdir, capsys):
         (workdir / "desc.ttl").write_text(
             "@prefix void: <http://rdfs.org/ns/void#> .\n<social.ttl> a void:Dataset .\n",
@@ -774,6 +787,26 @@ class TestByteIdentity:
         assert second.returncode == 0
         assert first.stdout == second.stdout
         assert len(first.stdout.splitlines()) == lines
+
+
+# Prints the terms cli._load interns, in id order, and the store's order.
+_LOAD = """
+import sys
+from graphnorm.cli import _load, build_parser
+m = _load(build_parser().parse_args(sys.argv[1:]))
+print([t.ntriples() for t in m.terms.terms], list(m.store.triples))
+"""
+
+
+def test_load_takes_the_same_term_ids_under_every_hash_seed(workdir):
+    """The data takes ids in text order, then the rules and the dlogic
+    Graph in theirs, so the dictionary and the store's iteration order
+    do not follow the seed."""
+    args = ["closure", "--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl"]
+    loads = {seed: subprocess.run([sys.executable, "-c", _LOAD, *args], cwd=workdir,
+                                  capture_output=True, env=cli_env(seed), check=True).stdout
+             for seed in ("0", "1", "987")}
+    assert loads["0"] == loads["1"] == loads["987"]
 
 
 class TestRuleFileHandling:

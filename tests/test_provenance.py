@@ -61,6 +61,9 @@ def _stating(value: str) -> str:
     )
 
 
+# A normalisation node naming one n3 rule file.
+_MINI_A = "[ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:n3 <a.n3> ] ]"
+
 MINI = NormalisationSpec("mini_rdf", (
     RuleSource("n3", "rules.n3"),
     RuleSource("dlogic", "vocab.ttl"),
@@ -144,6 +147,46 @@ class TestEmit:
                 "namespaces": NamespaceDecl((EX,)), **kwargs}
         with pytest.raises(ValueError, match="cannot be written as an IRI reference"):
             emit_description(args.pop("dataset"), args.pop("report"), args.pop("spec"), **args)
+
+
+_SOURCE_MIXES = {
+    "no-sources": (),
+    "n3": (RuleSource("n3", "a.n3"),),
+    "dlogic-two-n3": (RuleSource("dlogic", "d.ttl"), RuleSource("n3", "a.n3"),
+                      RuleSource("n3", "b.n3")),
+    "rif-dlogic": (RuleSource("rif", "r.rif"), RuleSource("dlogic", "d.ttl")),
+}
+_PINNED_SPECS = {"none": NormalisationSpec("none")} | {
+    f"{kind}-{mix}": NormalisationSpec(kind, sources)
+    for kind in ("closure", "mini_rdf") for mix, sources in _SOURCE_MIXES.items()}
+_PINNED_REPORTS = {
+    "plain": (REPORT, None),
+    "densities-two-namespaces": (REPORT_WITH_DENSITIES,
+                                 NamespaceDecl((EX, "http://example.net/"))),
+}
+# (spec, report, namespaces) by the id that heads its text in the fixture.
+_PINNED_CASES = {f"{s}/{r}": (spec, *_PINNED_REPORTS[r])
+                 for s, spec in _PINNED_SPECS.items() for r in _PINNED_REPORTS}
+
+
+def _pinned_texts() -> dict[str, str]:
+    """fixtures/descriptions.txt: each text follows a '#: case-id' line."""
+    sections = fixture_text("descriptions.txt").split("#: ")[1:]
+    return dict(section.split("\n", 1) for section in sections)
+
+
+def test_pinned_texts_cover_the_cases():
+    assert list(_pinned_texts()) == list(_PINNED_CASES)
+
+
+@pytest.mark.parametrize("case", _PINNED_CASES)
+def test_emitted_bytes_are_pinned(case):
+    """The writer's exact text for each kind, rule-source mix and namespace
+    setting: a gn:Closure has no constraints line, a gn:RuleSet may name
+    no source, and sources group by format in n3, dlogic, rif order."""
+    spec, report, namespaces = _PINNED_CASES[case]
+    assert emit_description("data.ttl", report, spec, namespaces=namespaces) \
+        == _pinned_texts()[case]
 
 
 # Characters that cannot stand between '<' and '>' in a description.
@@ -250,6 +293,19 @@ class TestRead:
     def test_numeric_value_forms_read(self, text, value):
         (item,) = read_description(_stating(text)).items
         assert (type(item.value), item.value) == (type(value), value)
+
+    @pytest.mark.parametrize("more", [
+        "; gn:normalisation [ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:dlogic <d.ttl> ] ]",
+        "; gn:normalisation [ a gn:Closure ]",
+        '; gn:normalisation "x"',
+        f"; gn:normalisation {_MINI_A}",
+        ', "x"',
+    ])
+    def test_a_second_normalisation_is_refused(self, more):
+        """Reading only the first would verify against part of what the item states."""
+        with pytest.raises(GraphNormError) as raised:
+            read_description(_stating(f"4 ; gn:normalisation {_MINI_A} {more}"))
+        assert str(raised.value) == "description item carries more than one gn:normalisation"
 
     def test_unknown_normalisation_kind_rejected(self):
         text = emit_description("d.ttl", REPORT, MINI).replace("gn:MiniRDF", "gn:MaxiRDF")

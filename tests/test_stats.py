@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -193,6 +194,29 @@ class TestComputeStats:
         with pytest.raises(EmptyGraphError):
             compute_stats(Graph([shared]), EMPTY_RULESET, Graph([shared]),
                           NamespaceDecl((EX,)))
+
+    # ex:p transitive; each graph is written as "s o" pairs of ex:p edges.
+    TRANSITIVE = parse_rules(f"{{ ?x <{EX}p> ?y . ?y <{EX}p> ?z . }} => {{ ?x <{EX}p> ?z . }} .")
+
+    @pytest.mark.parametrize("edges, minimal, smallest", [
+        ("a b, a c, a d, c a, c d, d c", 4, 4),
+        ("a b, a d, a c, d a, d c, c d", 5, 4),  # the same graph, c and d swapped
+        ("a b, a c, b a, b c, c a, c b", 4, 3),  # a b, b c, c a
+    ])
+    def test_minimal_graph_is_irreducible_not_smallest(self, edges, minimal, smallest):
+        """Triples are dropped greedily in canonical order: no survivor can
+        go, but a smaller subset may have the same closure."""
+        g = Graph(t(s, "p", o) for s, o in map(str.split, edges.split(", ")))
+        assert compute_stats(g, self.TRANSITIVE).minimal_cardinality == minimal
+        kept = reduce(g, self.TRANSITIVE)
+        full = closure(g, self.TRANSITIVE).graph
+        assert closure(kept, self.TRANSITIVE).graph == full
+        for survivor in kept:
+            assert closure(kept.discard(survivor), self.TRANSITIVE).graph != full
+        triples = list(g)
+        assert min(len(sub) for n in range(len(triples) + 1)
+                   for sub in itertools.combinations(triples, n)
+                   if closure(Graph(sub), self.TRANSITIVE).graph == full) == smallest
 
 
 class TestCanonicalRatio:
