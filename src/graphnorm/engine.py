@@ -4,7 +4,8 @@ The engine works on (s, p, o) tuples of term ids from one dictionary,
 terms._Terms, into which the CLI parses its data and the library encodes
 its Graphs. They live in one store, _Store, indexed on first use per
 predicate for lookups that bind it, so adding a triple touches no index
-of another predicate. Rules compile against the same dictionary:
+of another predicate; atoms with a variable predicate look up indexes
+over all triples. Rules compile against the same dictionary:
 constants become term ids, variables negative ints. Only what a library
 function returns is decoded; the statistics count ids and the commands
 render them (render, each distinct term once). Ids follow first
@@ -66,22 +67,23 @@ from .terms import _IRI, _LITERAL, _Frozen, _Ids, _set, _Terms
 # A compiled atom holds term ids for constants and negative ints for
 # variables; a compiled rule's row, term ids where _compile lays them out.
 _Row = tuple[int, ...]
-# One body atom's lookup: (index, predicate, key, checks), see _compile.
-_Step = tuple[Callable | None, int, Callable[[_Row], object], list[tuple[int, int]]]
+# One body atom's lookup: (key, predicate, row key, checks), see _compile.
+_Step = tuple[itemgetter | None, int | None, itemgetter, list[tuple[int, int]]]
 
-
-_S, _P, _O, _SO = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 2)
+# The index keys, one per tuple of triple positions, shared because the
+# store files its indexes by key object. () is a single bucket: t[:0].
+_KEYS = {ks: itemgetter(*ks) if ks else itemgetter(slice(0))
+         for ks in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+_P, _O = _KEYS[(1,)], _KEYS[(2,)]
 _NO_INDEXES: dict = {}  # never mutated
 
 
 class _Store:
-    """A mutable set of interned triples with lookup by bound positions.
-
-    Indexes are kept per predicate: a lookup with a bound predicate uses
-    indexes over that predicate's triples only, and one with a variable
-    predicate those filed under None, over all triples. Each is built on
-    the first lookup that needs it and maintained by every later add and
-    remove. Callers must not mutate the store while consuming a match.
+    """A mutable set of interned triples: in through update, out through
+    remove, looked up through _index. Indexes are kept per predicate, and
+    under None over all triples; each is built on the first lookup that
+    needs it and maintained by every later update and remove. Callers
+    must not mutate the store while iterating a bucket.
     """
 
     __slots__ = ("triples", "_indexes")
@@ -89,12 +91,6 @@ class _Store:
     def __init__(self, triples: Iterable[_Ids]):
         self.triples: set[_Ids] = set(triples)
         self._indexes: dict[int | None, dict[itemgetter, dict]] = {}
-
-    def add(self, t: _Ids) -> None:
-        self.triples.add(t)
-        for p in (None, t[1]):
-            for key, index in self._indexes.get(p, _NO_INDEXES).items():
-                index.setdefault(key(t), set()).add(t)
 
     def update(self, triples: Collection[_Ids]) -> None:
         """Add triples in bulk: each indexed predicate filters them once."""
@@ -112,7 +108,7 @@ class _Store:
                 for key, index in self._indexes.get(p, _NO_INDEXES).items():
                     index[key(t)].discard(t)
 
-    def _index(self, key: itemgetter, p: int | None = None) -> dict:
+    def _index(self, key: itemgetter, p: int | None) -> dict:
         indexes = self._indexes.get(p) or self._indexes.setdefault(p, {})
         index = indexes.get(key)
         if index is None:
@@ -121,18 +117,6 @@ class _Store:
                 if p is None or t[1] == p:
                     index.setdefault(key(t), set()).add(t)
         return index
-
-    def match(self, s: int | None, p: int | None, o: int | None) -> Iterable[_Ids]:
-        if s is None and o is None:
-            return self.triples if p is None else self._index(_P, p).get(p, ())
-        if s is None:
-            return self._index(_O, p).get(o, ())
-        if o is None:
-            return self._index(_S, p).get(s, ())
-        if p is None:
-            return self._index(_SO).get((s, o), ())
-        t = (s, p, o)
-        return (t,) if t in self.triples else ()
 
 
 def _dispatch_key(atom: _Ids) -> int | tuple[int, int] | None:
@@ -163,9 +147,12 @@ def _compile(seed: _Ids, others: tuple[_Ids, ...], outs: tuple[_Ids, ...],
     the seed triple, the constants the dispatch key does not fix, and one
     matched triple per other atom, so each term has a fixed position.
     Returns the constants, the seed's checks, one step per other atom and
-    one pick per out atom. A step looks its atom up on its placed terms;
-    only equalities that neither the dispatch key nor a lookup ensures
-    are checked. A pick is one itemgetter over the row, flagged where it
+    one pick per out atom. A step whose atom is placed whole is a
+    membership test, any other one lookup, store._index(key, q).get(
+    row_key(row), ()): q is the atom's predicate, None if a variable, and
+    key the _KEYS entry for the placed positions less a constant q's own,
+    unless q is all that is placed. Only equalities that neither the dispatch key nor a lookup ensures are
+    checked. A pick is one itemgetter over the row, flagged where it
     moves a term into subject or predicate position that it may not hold."""
     _, p, o = seed
     where = {p: 1, o: 2} if p >= 0 and o >= 0 else {p: 1} if p >= 0 else {}
@@ -183,14 +170,16 @@ def _compile(seed: _Ids, others: tuple[_Ids, ...], outs: tuple[_Ids, ...],
     first = n = 3 + len(constants)
     for atom in others:
         at = [where.get(x) for x in atom]
-        if None not in at:  # a membership test
-            index, key = None, itemgetter(*at)
-        elif atom[1] >= 0:  # the predicate's index on a placed subject or object, or all of it
-            k = 0 if at[0] is not None else 2 if at[2] is not None else 1
-            index, key = (_S, _P, _O)[k], itemgetter(at[k])
-        else:  # a variable predicate: _Store.match on the placed terms
-            index, key = _Store.match, (lambda r, at=at: [None if a is None else r[a] for a in at])
-        steps.append((index, atom[1], key, place(atom, n, at)))
+        q = atom[1] if atom[1] >= 0 else None
+        placed = [k for k in range(3) if at[k] is not None]
+        if len(placed) == 3:  # a membership test
+            key, row_key = None, itemgetter(*at)
+        else:  # q's index (all triples' if None) on the placed positions
+            if q is not None and placed != [1]:  # q's index has only q there
+                placed.remove(1)
+            key = _KEYS[tuple(placed)]
+            row_key = itemgetter(*(at[k] for k in placed)) if placed else key
+        steps.append((key, q, row_key, place(atom, n, at)))
         n += 3
     subjects = {0, *range(first, n, 3), *(where[c] for c in constants if kinds[c] != _LITERAL)}
     predicates = {1, *range(first + 1, n, 3), *(where[c] for c in constants if kinds[c] == _IRI)}
@@ -212,15 +201,13 @@ def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
         rows = [t + constants for t in batch] if constants else batch
         for a, b in seed_checks:
             rows = [r for r in rows if r[a] == r[b]]
-        for index, q, key, checks in steps:
-            if index is None:
+        for key, q, row_key, checks in steps:
+            if key is None:
                 triples = store.triples
-                rows = [r + t for r in rows if (t := key(r)) in triples]
-            elif q < 0:
-                rows = [r + t for r in rows for t in index(store, *key(r))]
+                rows = [r + t for r in rows if (t := row_key(r)) in triples]
             else:
-                get = store._index(index, q).get
-                rows = [r + t for r in rows for t in get(key(r), ())]
+                get = store._index(key, q).get
+                rows = [r + t for r in rows for t in get(row_key(r), ())]
             for a, b in checks:
                 rows = [r for r in rows if r[a] == r[b]]
         for pick, checked in picks:
@@ -232,15 +219,11 @@ def _plan(body: tuple[_Ids, ...], i: int, head: tuple[_Ids, ...], store: _Store,
 def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
     """The row extended by each triple of the store that the step
     matches, one at a time."""
-    index, q, key, checks = step
-    if index is None:  # places every term, so it has no checks
-        t = key(row)
+    key, q, row_key, checks = step
+    if key is None:  # places every term, so it has no checks
+        t = row_key(row)
         return iter((row + t,) if t in store.triples else ())
-    if q < 0:
-        found = index(store, *key(row))
-    else:
-        found = store._index(index, q).get(key(row), ())
-    rows = map(row.__add__, found)
+    rows = map(row.__add__, store._index(key, q).get(row_key(row), ()))
     return (r for r in rows if all(r[a] == r[b] for a, b in checks)) if checks else rows
 
 
@@ -317,7 +300,7 @@ class _Materialization:
         for goal in sorted(self.data - self.aux, key=self._line()):
             prover.store.remove(goal)
             if not prover.prove(goal):
-                prover.store.add(goal)
+                prover.store.update((goal,))
                 kept.append(goal)
         return kept
 

@@ -37,7 +37,7 @@ from urllib.parse import urlsplit
 
 from .engine import _Materialization
 from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
-from .graph import EMPTY_GRAPH, Graph
+from .graph import Graph
 from .lex import (
     BLANK,
     DECIMAL,
@@ -53,7 +53,7 @@ from .lex import (
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
 from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, decimal_string,
                     stat_texts, stats_report)
-from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _Frozen, _set, _Terms
+from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, Triple, _Frozen, _set, _Terms
 from .turtle import _TurtleParser, parse_turtle
 
 DEFAULT_GN_BASE = "http://purl.org/gn#"
@@ -369,6 +369,8 @@ def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
     if not isinstance(node, dict):
         raise GraphNormError("gn:normalisation must be an anonymous node")
     types = _iris(node, _RDF_TYPE, "rdf:type")
+    if gn_base + "MiniRDF" in types and gn_base + "Closure" in types:
+        raise GraphNormError("gn:normalisation node is typed both gn:MiniRDF and gn:Closure")
     if gn_base + "MiniRDF" in types:
         kind = "mini_rdf"
     elif gn_base + "Closure" in types:
@@ -423,18 +425,17 @@ def load_dlogic(sources: Iterable[str], resolver: Resolver) -> Graph:
     """
     queue = list(sources)
     visited: set[str] = set()
-    merged = EMPTY_GRAPH
-    while queue:
-        locator = queue.pop(0)
+    merged: set[Triple] = set()
+    for locator in queue:  # grows as imports are found
         if locator in visited:
             continue
         visited.add(locator)
         graph = parse_turtle(resolver(locator), source=locator)
-        merged = merged | graph
+        merged |= graph.triples
         for t in graph.triples:
             if t.predicate == OWL_IMPORTS and isinstance(t.object, IRI):
                 queue.append(t.object.value)
-    return merged
+    return Graph(merged)
 
 
 def load_rules(spec: NormalisationSpec, resolver: Resolver) -> tuple[RuleSet, Graph]:

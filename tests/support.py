@@ -7,6 +7,7 @@ no goal direction, so it shares no code path with the engine under test.
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -95,6 +96,24 @@ def naive_closure(graph: Graph, rules) -> frozenset[Triple]:
         if not fresh:
             return frozenset(facts)
         facts |= fresh
+
+
+def minimum_subset(graph: Graph, rules) -> Graph:
+    """A smallest subset of graph with the same naive closure, by brute
+    force over subsets in order of size: the exact minimum that reduce's
+    greedy elimination is measured against. A subset has graph's closure
+    iff its closure holds all of graph. Closure is monotone, so a triple
+    that the rest of graph does not entail lies in every such subset;
+    only the other triples are searched. Exponential in their number:
+    for graphs of about 12 triples."""
+    needed = [t for t in graph if t not in naive_closure(graph.discard(t), rules)]
+    optional = [t for t in graph if t not in needed]
+    for k in range(len(optional) + 1):
+        for extra in itertools.combinations(optional, k):
+            subset = Graph(needed + list(extra))
+            if graph.triples <= naive_closure(subset, rules):
+                return subset
+    raise AssertionError("graph itself has graph's closure")
 
 
 DATA_NS = "http://inst.test/d/"

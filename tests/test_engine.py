@@ -19,13 +19,15 @@ from graphnorm import (
     reduce,
     serialize_turtle,
 )
-from graphnorm.engine import _Store, materialize
+from graphnorm.engine import _KEYS, _Store, materialize
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
 from graphnorm.terms import RDF_TYPE
 
-from support import SCHEMA_KINDS, all_candidates, naive_closure, random_instance, sort_key
+from support import (
+    SCHEMA_KINDS, all_candidates, minimum_subset, naive_closure, random_instance, sort_key,
+)
 
 EX = "http://example.org/"
 
@@ -202,6 +204,8 @@ _SHAPES_GRAPH = parse_turtle(
                  id="variable-predicate-bound-by-seed"),
     pytest.param("{ ?p :dom ?c . ?s ?p ?o . } => { ?s :type ?c . }", 1, 8,
                  id="variable-predicate-bound-by-constant-atom"),
+    pytest.param("{ ?x :p ?y . ?z ?r ?w . } => { ?x :r ?w . }", 1, 24,
+                 id="variable-predicate-nothing-bound"),
     pytest.param("{ ?x :p ?y . ?z :q ?z . } => { ?x :r ?z . }", 1, 3,
                  id="repeated-new-variable"),
     pytest.param("{ ?x :p ?y . ?y :p ?z . ?z :q ?w . } => { ?x :q ?w . }", 2, 8,
@@ -227,6 +231,7 @@ def test_join_shapes_match_naive_oracle(rule, rounds, derived):
 # removes, every lookup equals a filter of its triple set. Each step's
 # lookups build the indexes they need lazily (per predicate, or over all
 # triples), so later steps must maintain indexes built at any earlier one.
+# A single add is an update of one triple, as the prover's re-add is.
 _STORE_IDS = st.integers(min_value=0, max_value=2)
 _STORE_TRIPLES = st.tuples(_STORE_IDS, _STORE_IDS, _STORE_IDS)
 _STORE_STEPS = st.lists(st.tuples(st.one_of(
@@ -238,11 +243,19 @@ _STORE_STEPS = st.lists(st.tuples(st.one_of(
 
 
 def _check_lookups(store: _Store, probe) -> None:
+    """Each mask of placed positions, looked up with _compile's keys: over
+    all triples on every placed position (a whole triple is a membership
+    test instead), and under a placed predicate on its subject and object,
+    or on the predicate itself if neither is placed."""
     for mask in range(8):
-        s, p, o = (x if mask >> i & 1 else None for i, x in enumerate(probe))
-        expected = {t for t in store.triples
-                    if all(want is None or want == got for want, got in zip((s, p, o), t))}
-        assert set(store.match(s, p, o)) == expected, (s, p, o)
+        placed = tuple(k for k in range(3) if mask >> k & 1)
+        expected = {t for t in store.triples if all(t[k] == probe[k] for k in placed)}
+        lookups = [(placed, None)] if mask != 7 else []
+        if 1 in placed:
+            lookups.append((tuple(k for k in placed if k != 1) or (1,), probe[1]))
+        for ks, q in lookups:
+            key = _KEYS[ks]
+            assert set(store._index(key, q).get(key(probe), ())) == expected, (ks, q, probe)
 
 
 @settings(deadline=None, max_examples=300)
@@ -254,7 +267,7 @@ def test_store_lookups_match_a_filter_of_its_triples(initial, steps):
         if mutation is not None:
             op, arg = mutation
             if op == "add":
-                store.add(arg)
+                store.update((arg,))
                 model.add(arg)
             elif op == "update":
                 store.update(arg)
@@ -532,6 +545,23 @@ def test_reduce_preserves_closure_and_shrinks(seed):
     for triple in minimal:
         rest = minimal.discard(triple)
         assert triple not in naive_closure(rest, rules)
+
+
+# Small, dense instances: on these, greedy elimination sometimes keeps more
+# than the smallest subset with the same closure (test_stats.py pins three
+# transitive graphs where it does).
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_reduce_is_irreducible_and_never_below_the_exact_minimum(seed):
+    rng = random.Random(seed)
+    graph, rules, _ = random_instance(rng, min_triples=8, max_triples=12, max_nodes=4,
+                                      max_rules=6)
+    closed = naive_closure(graph, rules)
+    exact = minimum_subset(graph, rules)
+    assert exact.triples <= graph.triples
+    assert naive_closure(exact, rules) == closed
+    _assert_irreducible(graph, rules, closed)
+    assert len(reduce(graph, rules)) >= len(exact)
 
 
 # The naive oracle joins every pair of facts for a transitive rule, which

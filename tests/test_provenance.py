@@ -312,6 +312,13 @@ class TestRead:
         with pytest.raises(GraphNormError):
             read_description(text)
 
+    @pytest.mark.parametrize("types", ["gn:MiniRDF, gn:Closure", "gn:Closure, gn:MiniRDF"])
+    def test_a_normalisation_of_both_kinds_is_refused(self, types):
+        """Reading either kind would verify against half of what the node states."""
+        with pytest.raises(GraphNormError) as raised:
+            read_description(_stating(f"4 ; gn:normalisation [ a {types} ]"))
+        assert str(raised.value) == "gn:normalisation node is typed both gn:MiniRDF and gn:Closure"
+
     def test_inconsistent_specs_rejected(self):
         plain = NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
         text = emit_description("d.ttl", REPORT, plain)
