@@ -32,6 +32,10 @@ reduce() is the redundancy eliminator: minimize walks the input's ids in
 canonical order and drops every triple the remaining ones still entail.
 Auxiliary triples (typically schema) support the proofs but are never
 candidates and never part of the result; reduce decodes what is kept.
+Semi-naive evaluation fires every rule instance over the closure M once,
+so saturation also records which data triples some instance derives. A
+candidate that none derives has no one-step derivation in M, so no
+subset of the input entails it: it is kept without a proof.
 
 Each of those decisions is a proof over the shrinking working store,
 grounded in the materialization M, the closure of graph and aux, whose
@@ -41,14 +45,17 @@ every triple it entails lies in M. Entailment is then the least fixpoint
 over the ground rule instances whose body atoms all lie in M, as for
 propositional Horn clauses (Dowling and Gallier, 1984): a goal holds if
 it is stored or if some instance with that head has every body atom
-stored or proved. The prover explores that fixpoint from the candidate
-with an explicit stack, so no proof depth reaches the interpreter's
-recursion limit. A goal is tried only against the rule heads that can
-produce it, dispatched the same way as the forward body atoms. Backward,
-each head atom is a seed: the goal seeds the row, and a grounding walks
-the steps depth first, one lazy match iterator per step, each matching
-its atom against the stored triples first and then against the rest of
-M. A grounding stops at its first atom that is neither stored nor
+stored or proved. The prover first tries stored one-step support: it
+walks each instance with the candidate as its head through the working
+store alone, and one whose body the store holds proves the candidate,
+which the store never holds. Only when there is none does it explore the
+fixpoint from the candidate, with an explicit stack, so no proof depth
+reaches the interpreter's recursion limit. A goal is tried only against
+the rule heads that can produce it, dispatched the same way as the
+forward body atoms. Backward, each head atom is a seed: the goal seeds
+the row, and a grounding walks the steps depth first, one lazy match
+iterator per step, each matching its atom against the stored triples
+first and then against the rest of M. A grounding stops at its first atom that is neither stored nor
 proved: it watches that atom, which is explored in turn, and resumes
 from its row once the atom is proved. The candidate holds as soon as it
 is proved and fails once nothing is left to explore. Each candidate's
@@ -227,12 +234,20 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
     return (r for r in rows if all(r[a] == r[b] for a, b in checks)) if checks else rows
 
 
+def _stored(store: _Store, steps: list[_Step], j: int, row: _Row) -> bool:
+    """Whether the store completes the row from step j on: one depth-first
+    walk, one level per body atom."""
+    return j == len(steps) or any(_stored(store, steps, j + 1, r)
+                                  for r in _rows(store, steps[j], row))
+
+
 class _Materialization:
     """Input triples and rules interned in one dictionary, saturated: the
     compiled rules, the data and aux triples as term ids, the store, which
-    holds the whole closure, and the number of rounds saturate() took."""
+    holds the whole closure, the number of rounds saturate() took, and the
+    data triples that some rule instance over the closure derives."""
 
-    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "rounds")
+    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "rounds", "derivable")
 
     def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph):
         self.terms = terms
@@ -245,10 +260,14 @@ class _Materialization:
         self.data, self.aux = data, set(map(terms.encode, aux))
         self.base = data | self.aux
         self.store = _Store(self.base)
+        self.derivable: set[_Ids] = set()
         self.rounds = self.saturate()
 
     def saturate(self) -> int:
-        """Run the rules to fixpoint; returns the number of rounds."""
+        """Run the rules to fixpoint; returns the number of rounds. Every
+        rule instance over M fires in some round, so the data triples a
+        round produces, stored or not, are those with a one-step
+        derivation in M: they are collected in derivable."""
         store, kinds = self.store, self.terms.kinds
         plans: dict[int | tuple[int, int] | None, list[_Plan]] = {}
         for body, head in self.rules:
@@ -269,6 +288,7 @@ class _Materialization:
                             plan(sub, produced)
             for plan in plans.get(None, ()):
                 plan(delta, produced)
+            self.derivable |= produced & self.data
             produced -= store.triples
             if not produced:
                 return rounds
@@ -294,10 +314,16 @@ class _Materialization:
     def minimize(self) -> list[_Ids]:
         """reduce's survivors, as term ids in canonical order: irreducible,
         but not always the smallest subset with the same closure. aux backs
-        the proofs but is never a candidate."""
+        the proofs but is never a candidate. A candidate outside derivable
+        is kept unproved: without a one-step derivation in M, nothing the
+        working store holds can entail it."""
         prover = _Prover(self)
+        derivable = self.derivable
         kept: list[_Ids] = []
         for goal in sorted(self.data - self.aux, key=self._line()):
+            if goal not in derivable:
+                kept.append(goal)
+                continue
             prover.store.remove(goal)
             if not prover.prove(goal):
                 prover.store.update((goal,))
@@ -355,8 +381,20 @@ class _Prover:
                 self._heads.setdefault(_dispatch_key(atom), []).append(
                     _compile(atom, body, (), m.terms.kinds))
 
+    def _instances(self, atom: _Ids) -> list[tuple[list[_Step], int, _Row]]:
+        """Each rule instance with atom as its head, as steps and the row
+        the atom seeds, to be walked from step 0."""
+        return [(steps, 0, row) for constants, checks, steps, _
+                in _dispatched(self._heads, atom) for row in (atom + constants,)
+                if all(row[a] == row[b] for a, b in checks)]
+
     def prove(self, goal: _Ids) -> bool:
-        """Whether the working store entails goal, a triple of M outside it."""
+        """Whether the working store entails goal, a triple of M outside it.
+        A rule instance whose body the store holds proves it at once;
+        otherwise the watched search below decides."""
+        instances = self._instances(goal)
+        if any(_stored(self.store, steps, 0, row) for steps, _, row in instances):
+            return True
         proved: set[_Ids] = set()
         # A watch is (head, steps, row, next step): a grounding of head
         # that resumes once the atom it is filed under is proved.
@@ -364,14 +402,11 @@ class _Prover:
         explored: set[_Ids] = set()
         stack: list[tuple[_Ids, Iterator[_Ids | None]]] = []
 
-        def explore(atom: _Ids) -> None:
+        def explore(atom: _Ids, instances: list[tuple[list[_Step], int, _Row]]) -> None:
             explored.add(atom)
-            instances = ((steps, 0, row) for constants, checks, steps, _
-                         in _dispatched(self._heads, atom) for row in (atom + constants,)
-                         if all(row[a] == row[b] for a, b in checks))
             stack.append((atom, self._ground(atom, instances, proved, watchers)))
 
-        explore(goal)
+        explore(goal, instances)
         while stack:
             head, frame = stack[-1]
             atom = () if head in proved else next(frame, ())
@@ -394,7 +429,7 @@ class _Prover:
             elif not atom:
                 stack.pop()
             elif atom not in explored:
-                explore(atom)
+                explore(atom, self._instances(atom))
         return False
 
     def _ground(self, head: _Ids, instances: Iterable[tuple[list[_Step], int, _Row]],

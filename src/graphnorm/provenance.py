@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import os
 import re
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .engine import _Materialization
@@ -55,6 +54,9 @@ from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, dec
                     stat_texts, stats_report)
 from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, Triple, _Frozen, _set, _Terms
 from .turtle import _TurtleParser, parse_turtle
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_GN_BASE = "http://purl.org/gn#"
 VOID_NS = "http://rdfs.org/ns/void#"
@@ -221,6 +223,14 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
     return f"{header}\n<{dataset}> a void:Dataset ;\n{_render(pairs, '    ')} .\n"
 
 
+def _decimal(text: str) -> Fraction:
+    """A decimal's exact value. fractions is imported on the first one read,
+    as stats imports it on the first ratio built (see there)."""
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 class _Ref(str):
     """An IRI reference as written, possibly relative.
 
@@ -312,7 +322,7 @@ class _DescriptionReader(Reader):
         if k == INTEGER:
             return int(tok), i + 1
         if k == DECIMAL:
-            return Fraction(tok), i + 1
+            return _decimal(tok), i + 1
         if k == STRING:
             lexical = tok[1:-1]
             nxt = toks[i + 1]
@@ -325,7 +335,7 @@ class _DescriptionReader(Reader):
                 if datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
                     return int(lexical), i + 3
                 if datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
-                    return Fraction(lexical), i + 3
+                    return _decimal(lexical), i + 3
                 return lexical, i + 3
             return lexical, i + 1
         if k == "[":
@@ -377,6 +387,13 @@ def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
         kind = "closure"
     else:
         raise GraphNormError("gn:normalisation node carries no recognized kind")
+    constraints = node.get(gn_base + "constraints")
+    if constraints is not None:
+        if kind == "closure":
+            raise GraphNormError("a gn:Closure normalisation carries no gn:constraints")
+        if (len(constraints) != 1 or not isinstance(constraints[0], dict)
+                or gn_base + "ConstraintSet" not in _iris(constraints[0], _RDF_TYPE, "rdf:type")):
+            raise GraphNormError("gn:constraints must be one anonymous node typed gn:ConstraintSet")
     sources: list[RuleSource] = []
     for rules_node in node.get(gn_base + "rules", []):
         if not isinstance(rules_node, dict):
@@ -390,6 +407,8 @@ def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
 def read_description(text: str, source: str | None = None,
                      *, gn_base: str = DEFAULT_GN_BASE) -> Description:
     """Parse a description; exactly one void:Dataset is expected."""
+    from fractions import Fraction
+
     subjects = _DescriptionReader(text, source).read()
     datasets = [
         (subject, props)
@@ -474,11 +493,11 @@ def compare_description(description: Description, report: StatsReport,
             mismatches.append(f"unknown dimension {dim}")
         elif values[dim] is None:
             mismatches.append(f"{dim}: stated {item.value}, not recomputable")
-        elif Fraction(item.value) != canonical_ratio(values[dim]):
+        elif item.value != canonical_ratio(values[dim]):
             # A ratio quotes the stated value in canonical text too; a count
             # quotes it as read.
             stated = item.value
-            if isinstance(values[dim], Fraction):
-                stated = decimal_string(Fraction(item.value))
+            if not isinstance(values[dim], int):
+                stated = decimal_string(item.value)
             mismatches.append(f"{dim}: stated {stated}, recomputed {texts[dim]}")
     return mismatches

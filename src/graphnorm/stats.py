@@ -4,18 +4,24 @@ All ratios are exact rationals (fractions.Fraction). For reports they are
 rendered as decimals with at most six fractional digits, rounded half to
 even; decimal_string and canonical_ratio implement that one rule so that
 emission and verification agree exactly.
+
+fractions pulls in decimal and numbers, which no minimize or closure
+command uses, so each function that builds a ratio imports Fraction
+itself; the package's import loads none of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import _Materialization, materialize
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
 from .terms import IRI, _Frozen, _set, is_absolute_iri
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NamespaceDecl(_Frozen):
@@ -57,7 +63,7 @@ STAT_NAMES = ("publishedTriples", "closureTriples", "minimalTriples",
 def stat_texts(report: StatsReport) -> list[tuple[str, str]]:
     """(name, canonical text) of each value the report holds, in field
     order: counts as integers, ratios as decimal_string gives them."""
-    return [(name, decimal_string(v) if isinstance(v, Fraction) else str(v))
+    return [(name, str(v) if isinstance(v, int) else decimal_string(v))
             for name, v in zip(STAT_NAMES, report) if v is not None]
 
 
@@ -81,6 +87,8 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
 def stats_report(m: _Materialization, namespaces: NamespaceDecl | None = None) -> StatsReport:
     """All statistics of a materialization, counted on term ids: its counted
     closure, and the kept ids of its minimize (reduce's survivors undecoded)."""
+    from fractions import Fraction
+
     if not m.data:
         raise EmptyGraphError("statistics are undefined for an empty graph")
     counted = m.counted()
@@ -114,6 +122,8 @@ _RATIO_SCALE = 10 ** _RATIO_PLACES
 
 def canonical_ratio(value: Fraction) -> Fraction:
     """Round to six decimal places, half to even."""
+    from fractions import Fraction
+
     return Fraction(round(value * _RATIO_SCALE), _RATIO_SCALE)
 
 

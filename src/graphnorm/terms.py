@@ -43,10 +43,12 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-# Controls, space, the characters N-Triples forbids in an IRI, and lone
-# surrogates (no UTF-8 form; see the module docstring).
-_BAD_IRI_CHAR = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# Controls, space and the characters N-Triples forbids in an IRI.
+_BAD_IRI_CHAR = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# Lone surrogates have no UTF-8 form (see the module docstring). Only text
+# that is not ASCII can hold one, so re's cache compiles this range, which
+# costs about a millisecond, on the first such IRI or literal, not at import.
+_SURROGATE = r"[\ud800-\udfff]"
 _BLANK_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 _LANG_TAG = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _VARIABLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -104,7 +106,7 @@ class IRI(_Frozen):
     def __init__(self, value: str) -> None:
         if not is_absolute_iri(value):
             raise ValueError(f"IRI is not absolute: {value!r}")
-        if _BAD_IRI_CHAR.search(value):
+        if _BAD_IRI_CHAR.search(value) or not value.isascii() and re.search(_SURROGATE, value):
             raise ValueError(f"IRI contains a forbidden character: {value!r}")
         _set(self, "value", value)
         _set(self, "_hash", hash((value,)))
@@ -159,7 +161,7 @@ class Literal(_Frozen):
 
     def __init__(self, lexical: str, datatype: str | None = None,
                  language: str | None = None) -> None:
-        if _SURROGATE.search(lexical):
+        if not lexical.isascii() and re.search(_SURROGATE, lexical):
             raise ValueError(f"literal contains a lone surrogate: {lexical!r}")
         if datatype is not None and language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")

@@ -75,24 +75,28 @@ def _ground(term, binding):
     return term
 
 
+def rule_heads(facts: frozenset[Triple], rules) -> set[Triple]:
+    """The head triple of every rule instance whose body lies in facts:
+    one full pass, matching every body against every combination of facts."""
+    heads = set()
+    for rule in rules:
+        for binding in _all_bindings(tuple(rule.body), facts, {}):
+            for atom in rule.head:
+                s = _ground(atom.subject, binding)
+                p = _ground(atom.predicate, binding)
+                o = _ground(atom.object, binding)
+                try:
+                    heads.add(Triple(s, p, o))
+                except ValueError:
+                    continue
+    return heads
+
+
 def naive_closure(graph: Graph, rules) -> frozenset[Triple]:
     """Brute-force closure by repeated full passes until nothing new appears."""
     facts = set(graph.triples)
     while True:
-        snapshot = frozenset(facts)
-        fresh = set()
-        for rule in rules:
-            for binding in _all_bindings(tuple(rule.body), snapshot, {}):
-                for atom in rule.head:
-                    s = _ground(atom.subject, binding)
-                    p = _ground(atom.predicate, binding)
-                    o = _ground(atom.object, binding)
-                    try:
-                        fact = Triple(s, p, o)
-                    except ValueError:
-                        continue
-                    if fact not in facts:
-                        fresh.add(fact)
+        fresh = rule_heads(frozenset(facts), rules) - facts
         if not fresh:
             return frozenset(facts)
         facts |= fresh

@@ -407,6 +407,33 @@ class TestDescribeVerify:
         assert run(["verify", "desc.ttl"], capsys) == (
             1, "", "graphnorm: description item carries more than one gn:normalisation\n")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("a gn:MiniRDF", "a gn:Closure", "a gn:Closure normalisation carries no gn:constraints"),
+        ("[ a gn:ConstraintSet ]", "[ a gn:RuleSet ]",
+         "gn:constraints must be one anonymous node typed gn:ConstraintSet"),
+        ("[ a gn:ConstraintSet ]", "<constraints.ttl>",
+         "gn:constraints must be one anonymous node typed gn:ConstraintSet"),
+        ("[ a gn:ConstraintSet ]", "[ a gn:ConstraintSet ], [ a gn:ConstraintSet ]",
+         "gn:constraints must be one anonymous node typed gn:ConstraintSet"),
+    ])
+    def test_constraints_that_contradict_the_kind_exit_1(self, workdir, capsys, old, new,
+                                                          message):
+        run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
+        desc = workdir / "desc.ttl"
+        text = desc.read_text(encoding="utf-8")
+        assert text.count(old) == 4
+        desc.write_text(text.replace(old, new), encoding="utf-8")
+        assert run(["verify", "desc.ttl"], capsys) == (1, "", f"graphnorm: {message}\n")
+
+    def test_a_mini_rdf_normalisation_without_constraints_verifies(self, workdir, capsys):
+        run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)
+        desc = workdir / "desc.ttl"
+        text = desc.read_text(encoding="utf-8")
+        bare = text.replace(" ;\n            gn:constraints [ a gn:ConstraintSet ]", "")
+        assert "gn:constraints" not in bare and "gn:MiniRDF" in bare
+        desc.write_text(bare, encoding="utf-8")
+        assert run(["verify", "desc.ttl"], capsys) == (0, "ok: 4 statistics verified\n", "")
+
     def test_description_stating_no_statistic_exits_1(self, workdir, capsys):
         (workdir / "desc.ttl").write_text(
             "@prefix void: <http://rdfs.org/ns/void#> .\n<social.ttl> a void:Dataset .\n",
@@ -736,6 +763,20 @@ def test_importing_the_cli_leaves_out_the_network_stack():
                             env=cli_env("0"))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_a_minimize_process_loads_no_decimal_arithmetic(tmp_path):
+    """fractions, with decimal and numbers, is imported only where a ratio
+    is built or read: neither importing the CLI nor minimize loads it."""
+    (tmp_path / "d.ttl").write_text(f"<{CHAIN}a> <{CHAIN}p> <{CHAIN}b> .\n", encoding="utf-8")
+    loaded = "[m for m in ('fractions', 'decimal', '_decimal', 'numbers') if m in sys.modules]"
+    probe = (f"import sys, graphnorm.cli; print({loaded}); "
+             "code = graphnorm.cli.main(['minimize', '--data', 'd.ttl', '--output', 'm.ttl']); "
+             f"print(code, {loaded})")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                            text=True, env=cli_env("0"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n0 []\n"
 
 
 def write_chain_graph(workdir):

@@ -19,14 +19,15 @@ from graphnorm import (
     reduce,
     serialize_turtle,
 )
-from graphnorm.engine import _KEYS, _Store, materialize
+from graphnorm.engine import _KEYS, _Prover, _Store, materialize
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
 from graphnorm.terms import RDF_TYPE
 
 from support import (
-    SCHEMA_KINDS, all_candidates, minimum_subset, naive_closure, random_instance, sort_key,
+    SCHEMA_KINDS, all_candidates, minimum_subset, naive_closure, random_instance, rule_heads,
+    sort_key,
 )
 
 EX = "http://example.org/"
@@ -597,12 +598,88 @@ def test_reduce_keeps_what_greedy_naive_elimination_keeps(seed):
         kinds=_NON_TRANSITIVE, literals=True)
     aux = Graph(rng.sample(all_candidates(universe), 8)) | Graph(
         x for x in graph if rng.random() < 0.1)
+    assert reduce(graph, rules, aux) == _greedy_naive_elimination(graph, rules, aux)
+
+
+def _greedy_naive_elimination(graph: Graph, rules, aux: Graph) -> Graph:
+    """Walk graph - aux in the reference order and drop each triple that
+    the naive closure of the triples still kept, plus aux, contains."""
     kept = set((graph - aux).triples)
     for triple in sorted(kept, key=sort_key):
         kept.remove(triple)
         if triple not in naive_closure(Graph(kept) | aux, rules):
             kept.add(triple)
-    assert reduce(graph, rules, aux) == Graph(kept)
+    return Graph(kept)
+
+
+def _minimize_counting_proofs(monkeypatch, graph: Graph, rules, aux: Graph):
+    """minimize's survivors and the goals it asked _Prover.prove about,
+    both decoded."""
+    goals = []
+    prove = _Prover.prove
+
+    def counting(self, goal):
+        goals.append(goal)
+        return prove(self, goal)
+
+    monkeypatch.setattr(_Prover, "prove", counting)
+    m = materialize(graph, rules, aux)
+    kept = Graph(map(m.terms.decode, m.minimize()))
+    return kept, [m.terms.decode(g) for g in goals]
+
+
+def test_candidates_no_rule_instance_derives_are_kept_unproved(monkeypatch):
+    """x a A, y a B and c r d have no one-step derivation in the closure,
+    so minimize keeps them without a proof; x a B, a q b and b q a do."""
+    schema = Graph([Triple(IRI(EX + "A"), RDFS_SUBCLASSOF, IRI(EX + "B")),
+                    Triple(IRI(EX + "q"), RDF_TYPE, OWL_SYMMETRIC)])
+    typed = [Triple(IRI(EX + x), RDF_TYPE, IRI(EX + c)) for x, c in ("xA", "xB", "yB")]
+    graph = Graph([*typed, t("a", "q", "b"), t("b", "q", "a"), t("c", "r", "d")])
+    rules = compile_schema(schema)
+    kept, goals = _minimize_counting_proofs(monkeypatch, graph, rules, EMPTY_GRAPH)
+    assert goals == [t("a", "q", "b"), t("b", "q", "a"), typed[1]]  # canonical order
+    assert kept == _greedy_naive_elimination(graph, rules, EMPTY_GRAPH) == graph.discard(
+        typed[1]).discard(t("a", "q", "b"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minimize_proves_exactly_the_candidates_a_rule_instance_derives(monkeypatch, seed):
+    """The goals minimize proves are the candidates that head some rule
+    instance whose body lies in the naive closure, each once; the rest
+    are kept unproved, and the survivors are the greedy naive ones."""
+    rng = random.Random(seed)
+    graph, rules, universe = random_instance(rng, min_triples=10, max_triples=25, max_rules=6,
+                                             literals=True)
+    aux = Graph(rng.sample(all_candidates(universe), 4))
+    kept, goals = _minimize_counting_proofs(monkeypatch, graph, rules, aux)
+    heads = rule_heads(naive_closure(graph | aux, rules), rules)
+    assert len(goals) == len(set(goals))
+    assert set(goals) == (graph - aux).triples & heads
+    assert kept == _greedy_naive_elimination(graph, rules, aux)
+
+
+def test_stored_one_step_support_proves_without_the_search(monkeypatch):
+    """a p c has stored support, a p b and b p c, so prove answers from
+    the working store alone; a p d has none (a p c is gone) and needs
+    the watched search."""
+    grounded = []
+    ground = _Prover._ground
+
+    def counting(self, head, *args):
+        grounded.append(head)
+        return ground(self, head, *args)
+
+    monkeypatch.setattr(_Prover, "_ground", counting)
+    chain = [t("a", "p", "b"), t("b", "p", "c"), t("c", "p", "d")]
+    m = materialize(Graph([*chain, t("a", "p", "c"), t("a", "p", "d")]), trans("p"))
+    prover = _Prover(m)
+    ac, ad = m.terms.encode(t("a", "p", "c")), m.terms.encode(t("a", "p", "d"))
+    prover.store.remove(ac)
+    assert prover.prove(ac)
+    assert grounded == []
+    prover.store.remove(ad)
+    assert prover.prove(ad)
+    assert grounded[0] == ad
 
 
 def _reaches(successors: dict, start, goal, skip=None) -> bool:

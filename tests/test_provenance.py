@@ -319,6 +319,35 @@ class TestRead:
             read_description(_stating(f"4 ; gn:normalisation [ a {types} ]"))
         assert str(raised.value) == "gn:normalisation node is typed both gn:MiniRDF and gn:Closure"
 
+    @pytest.mark.parametrize("rules", ["", " ; gn:rules [ a gn:RuleSet ; gn:n3 <a.n3> ]"])
+    def test_constraints_on_a_closure_normalisation_are_refused(self, rules):
+        """gn:constraints belongs to the minimal-graph pipeline alone."""
+        with pytest.raises(GraphNormError) as raised:
+            read_description(_stating(
+                f"4 ; gn:normalisation [ a gn:Closure{rules} ; "
+                "gn:constraints [ a gn:ConstraintSet ] ]"))
+        assert type(raised.value) is GraphNormError
+        assert str(raised.value) == "a gn:Closure normalisation carries no gn:constraints"
+
+    @pytest.mark.parametrize("constraints", [
+        "<c.ttl>", '"x"', "4", "[]", "[ a gn:RuleSet ]", "[ gn:n3 <a.n3> ]",
+        "[ a gn:ConstraintSet ], [ a gn:ConstraintSet ]",
+        "[ a gn:ConstraintSet ] ; gn:constraints [ a gn:ConstraintSet ]",
+    ])
+    def test_constraints_other_than_one_constraint_set_are_refused(self, constraints):
+        with pytest.raises(GraphNormError) as raised:
+            read_description(_stating(
+                f"4 ; gn:normalisation [ a gn:MiniRDF ; gn:constraints {constraints} ]"))
+        assert str(raised.value) == (
+            "gn:constraints must be one anonymous node typed gn:ConstraintSet")
+
+    @pytest.mark.parametrize("constraints", ["", " ; gn:constraints [ a gn:ConstraintSet ]"])
+    def test_a_mini_rdf_normalisation_reads_with_or_without_constraints(self, constraints):
+        (item,) = read_description(_stating(
+            f"4 ; gn:normalisation [ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:n3 <a.n3> ]"
+            f"{constraints} ]")).items
+        assert item.normalisation == NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
+
     def test_inconsistent_specs_rejected(self):
         plain = NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
         text = emit_description("d.ttl", REPORT, plain)

@@ -16,11 +16,19 @@ class TestIRI:
         with pytest.raises(ValueError):
             IRI(bad)
 
-    @pytest.mark.parametrize(
-        "bad", ["http://e.org/a b", "http://e.org/<x>", "http://e.org/a\nb", "http://e.org/\ud800"])
+    @pytest.mark.parametrize("bad", [
+        "http://e.org/a b", "http://e.org/<x>", "http://e.org/a\nb", "http://e.org/\ud800",
+        "http://e.org/a\udfffb", "http://e.org/\u00e9\ud800", "http://e.org/\u65e5\udc00/x",
+        "http://e.org/\u00e9 x",
+    ])
     def test_rejects_forbidden_characters(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             IRI(bad)
+        assert str(raised.value) == f"IRI contains a forbidden character: {bad!r}"
+
+    def test_accepts_characters_beyond_ascii(self):
+        assert IRI("http://e.org/\u00e9/\u65e5\U0001f600").value == (
+            "http://e.org/\u00e9/\u65e5\U0001f600")
 
     def test_is_absolute_iri(self):
         assert is_absolute_iri("mailto:x@example.org")
@@ -64,6 +72,15 @@ class TestLiteral:
         # no UTF-8 form, so it could not be written or ordered bytewise
         with pytest.raises(ValueError):
             Literal("a\udfffb")
+
+    @pytest.mark.parametrize("bad", ["a\udfffb", "\ud800", "\u00e9\ud800", "\u65e5\udc00\u8a9e"])
+    def test_a_lone_surrogate_is_refused_after_any_text(self, bad):
+        with pytest.raises(ValueError) as raised:
+            Literal(bad)
+        assert str(raised.value) == f"literal contains a lone surrogate: {bad!r}"
+
+    def test_accepts_characters_beyond_ascii(self):
+        assert Literal("\u00e9\u65e5\U0001f600").lexical == "\u00e9\u65e5\U0001f600"
 
     def test_escaping(self):
         assert Literal('say "hi"\n').ntriples() == '"say \\"hi\\"\\n"'
