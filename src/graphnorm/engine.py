@@ -49,11 +49,11 @@ stored or proved. The prover first tries stored one-step support: it
 walks each instance with the candidate as its head through the working
 store alone, and one whose body the store holds proves the candidate,
 which the store never holds. Only when there is none does it explore the
-fixpoint from the candidate, with an explicit stack, so no proof depth
-reaches the interpreter's recursion limit. A goal is tried only against
-the rule heads that can produce it, dispatched the same way as the
-forward body atoms. Backward, each head atom is a seed: the goal seeds
-the row, and a grounding walks the steps depth first, one lazy match
+fixpoint from the candidate. Both walks keep an explicit stack, so
+neither proof depth nor body length reaches the interpreter's recursion
+limit. A goal is tried only against the rule heads that can produce it,
+dispatched the same way as the forward body atoms. Backward, each head
+atom is a seed: the goal seeds the row, and a grounding walks the steps depth first, one lazy match
 iterator per step, each matching its atom against the stored triples
 first and then against the rest of M. A grounding stops at its first atom that is neither stored nor
 proved: it watches that atom, which is explored in turn, and resumes
@@ -234,11 +234,20 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
     return (r for r in rows if all(r[a] == r[b] for a, b in checks)) if checks else rows
 
 
-def _stored(store: _Store, steps: list[_Step], j: int, row: _Row) -> bool:
-    """Whether the store completes the row from step j on: one depth-first
-    walk, one level per body atom."""
-    return j == len(steps) or any(_stored(store, steps, j + 1, r)
-                                  for r in _rows(store, steps[j], row))
+def _stored(store: _Store, steps: list[_Step], row: _Row) -> bool:
+    """Whether the store completes the row through every step: one
+    depth-first walk over an explicit stack, the row and then one match
+    iterator per step."""
+    stack = [iter((row,))]
+    while stack:
+        r = next(stack[-1], None)
+        if r is None:
+            stack.pop()
+        elif len(stack) > len(steps):
+            return True
+        else:
+            stack.append(_rows(store, steps[len(stack) - 1], r))
+    return False
 
 
 class _Materialization:
@@ -393,7 +402,7 @@ class _Prover:
         A rule instance whose body the store holds proves it at once;
         otherwise the watched search below decides."""
         instances = self._instances(goal)
-        if any(_stored(self.store, steps, 0, row) for steps, _, row in instances):
+        if any(_stored(self.store, steps, row) for steps, _, row in instances):
             return True
         proved: set[_Ids] = set()
         # A watch is (head, steps, row, next step): a grounding of head

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import random
@@ -31,7 +32,9 @@ from graphnorm import (
     serialize_turtle,
     skolemize,
 )
+from graphnorm import cli
 from graphnorm.cli import main
+from graphnorm.engine import _Materialization
 from graphnorm.stats import stat_texts
 from graphnorm.rules import OWL_INVERSEOF, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
 from graphnorm.terms import RDF_TYPE
@@ -668,6 +671,25 @@ class TestExitCodes:
         assert code == 3
         assert "?z" in err
 
+    def test_out_of_memory_exits_1_with_one_line(self, workdir, capsys, monkeypatch):
+        def exhausted(self):
+            raise MemoryError
+        monkeypatch.setattr(_Materialization, "saturate", exhausted)
+        code, out, err = run(["closure", "--data", "links.ttl", "--output", "out.ttl"], capsys)
+        assert (code, out, err) == (1, "", "graphnorm: out of memory\n")
+        assert not (workdir / "out.ttl").exists()
+
+    def test_out_of_memory_while_encoding_the_output_leaves_no_file(self, workdir, capsys,
+                                                                   monkeypatch):
+        class Unencodable(str):
+            def encode(self, *args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr(_Materialization, "render", lambda self, triples: Unencodable("x\n"))
+        code, out, err = run(["closure", "--data", "links.ttl", "--output", "out.ttl"], capsys)
+        assert (code, out, err) == (1, "", "graphnorm: out of memory\n")
+        assert not (workdir / "out.ttl").exists()
+
     def test_rif_rule_source_exits_5(self, workdir, capsys):
         report = StatsReport(2, 2, 2, Fraction(0))
         spec = NormalisationSpec("mini_rdf", (RuleSource("rif", "rules.rif"),))
@@ -753,6 +775,82 @@ def test_importing_the_cli_leaves_the_recursion_limit_alone():
                             env=cli_env("0"))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True\n"
+
+
+def test_importing_the_cli_leaves_the_collector_alone():
+    probe = ("import gc; before = gc.isenabled(), gc.get_threshold(); import graphnorm.cli; "
+             "print((gc.isenabled(), gc.get_threshold()) == before)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=cli_env("0"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["closure", "--data", "links.ttl", "--output", "out.ttl"], 0),
+    (["closure", "--data", "bad.ttl"], 2),  # a GraphNormError
+    (["closure"], 1),  # argparse's SystemExit
+])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(workdir, capsys, monkeypatch,
+                                                          argv, expected, enabled):
+    paused = []
+    build = cli.build_parser
+
+    def recording():
+        paused.append(not gc.isenabled())
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    (workdir / "bad.ttl").write_text("ex:a ex:b ex:c .\n", encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run(argv, capsys)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == expected
+    assert paused == [True]
+    assert after is enabled
+
+
+# Runs commands, one argv a line, with the collector off; prints each one's
+# exit code and what gc.collect() frees after it.
+_GARBAGE = """
+import gc, sys
+from graphnorm.cli import main
+gc.collect()
+gc.disable()
+for line in sys.stdin.read().splitlines():
+    code = main(line.split())
+    print(code, gc.collect())
+"""
+
+
+@pytest.mark.parametrize("commands", [
+    ["minimize {data} --output m.ttl"],
+    ["stats {data} --output s.txt"],
+    ["describe {data} --output desc.ttl", "verify desc.ttl --output v.txt"],
+    ["diff-minimize --prev-min {prev} --full {full} --insert {prev} --output d.ttl"],
+], ids=["minimize", "stats", "describe-verify", "diff-minimize"])
+def test_a_command_leaves_no_more_cyclic_garbage_on_a_larger_graph(workdir, commands):
+    """main pauses the collector because a command's data holds no
+    reference cycles: what gc.collect() frees after a command (argparse's
+    parser tree) does not grow with the graph."""
+    write_chain_graph(workdir)
+    (workdir / "three.ttl").write_text("".join(
+        f"<{CHAIN}x{i}> <{CHAIN}next> <{CHAIN}x{i + 1}> .\n" for i in range(3)), encoding="utf-8")
+    graphs = [{"data": "--data three.ttl", "prev": "three.ttl", "full": "three.ttl"},
+              {"data": "--data chain.ttl --dlogic chain-schema.ttl", "prev": "chain.ttl",
+               "full": "chain.ttl --dlogic chain-schema.ttl"}]
+    freed = [subprocess.run([sys.executable, "-c", _GARBAGE],
+                            input="".join(c.format(**g) + "\n" for c in commands),
+                            cwd=workdir, capture_output=True, text=True, env=cli_env("0"),
+                            check=True).stdout.splitlines()
+             for g in graphs]
+    assert [line.split()[0] for line in freed[0]] == ["0"] * len(commands)
+    assert freed[0] == freed[1]
 
 
 def test_importing_the_cli_leaves_out_the_network_stack():

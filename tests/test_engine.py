@@ -834,3 +834,15 @@ def test_reduce_of_a_9000_class_chain_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     assert reduce(graph, rules) == Graph([x for x in graph if x.object == classes[0]])
     assert sys.getrecursionlimit() == limit
+
+
+def test_reduce_with_a_400_atom_rule_body_leaves_the_recursion_limit_alone():
+    # The head's stored one-step support is the whole 400-edge path: one
+    # walk 400 body atoms deep.
+    n = 400
+    body = " . ".join(f"?x{i} <{EX}p{i}> ?x{i + 1}" for i in range(n))
+    rules = parse_rules(f"{{ {body} }} => {{ ?x0 <{EX}q> ?x{n} }} .")
+    path = [t(f"x{i}", f"p{i}", f"x{i + 1}") for i in range(n)]
+    limit = sys.getrecursionlimit()
+    assert reduce(Graph([*path, t("x0", "q", f"x{n}")]), rules) == Graph(path)
+    assert sys.getrecursionlimit() == limit

@@ -94,6 +94,12 @@ class TestLiterals:
         t = one(f'<{EX}s> <{EX}p> "a\\"b\\n\\u0041" .')
         assert t.object == Literal('a"b\nA')
 
+    def test_rebound_datatype_prefix_reads_the_new_datatype(self):
+        g = parse_turtle(f'@prefix dt: <{EX}a/> .\n<{EX}s> <{EX}p> "1"^^dt:t .\n'
+                         f'@prefix dt: <{EX}b/> .\n<{EX}s> <{EX}p> "1"^^dt:t .\n')
+        assert {x.object for x in g} == {Literal("1", datatype=f"{EX}a/t"),
+                                         Literal("1", datatype=f"{EX}b/t")}
+
 
 class TestErrors:
     def expect_error(self, text: str, fragment: str, line: int | None = None):
