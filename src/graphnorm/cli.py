@@ -80,7 +80,10 @@ def _gn_base() -> str:
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphNormError(f"cannot read {path!r}: {exc}") from None
 
 
 def _load(args: argparse.Namespace) -> _Materialization:

@@ -45,21 +45,19 @@ every triple it entails lies in M. Entailment is then the least fixpoint
 over the ground rule instances whose body atoms all lie in M, as for
 propositional Horn clauses (Dowling and Gallier, 1984): a goal holds if
 it is stored or if some instance with that head has every body atom
-stored or proved. The prover first tries stored one-step support: it
-walks each instance with the candidate as its head through the working
-store alone, and one whose body the store holds proves the candidate,
-which the store never holds. Only when there is none does it explore the
-fixpoint from the candidate. Both walks keep an explicit stack, so
-neither proof depth nor body length reaches the interpreter's recursion
-limit. A goal is tried only against the rule heads that can produce it,
-dispatched the same way as the forward body atoms. Backward, each head
-atom is a seed: the goal seeds the row, and a grounding walks the steps depth first, one lazy match
+stored or proved. The prover explores that fixpoint from the candidate,
+keeping an explicit stack, so neither proof depth nor body length
+reaches the interpreter's recursion limit. A goal is tried only against
+the rule heads that can produce it, dispatched the same way as the
+forward body atoms. Backward, each head atom is a seed: the goal seeds
+the row, and a grounding walks the steps depth first, one lazy match
 iterator per step, each matching its atom against the stored triples
-first and then against the rest of M. A grounding stops at its first atom that is neither stored nor
-proved: it watches that atom, which is explored in turn, and resumes
-from its row once the atom is proved. The candidate holds as soon as it
-is proved and fails once nothing is left to explore. Each candidate's
-search starts afresh: only the working store carries over to the next.
+first and then against the rest of M. A grounding stops at its first
+atom that is neither stored nor proved: it watches that atom, which is
+explored in turn, and resumes from its row once the atom is proved. The
+candidate holds as soon as it is proved and fails once nothing is left
+to explore. Each candidate's search starts afresh: only the working
+store carries over to the next.
 """
 
 from __future__ import annotations
@@ -234,22 +232,6 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
     return (r for r in rows if all(r[a] == r[b] for a, b in checks)) if checks else rows
 
 
-def _stored(store: _Store, steps: list[_Step], row: _Row) -> bool:
-    """Whether the store completes the row through every step: one
-    depth-first walk over an explicit stack, the row and then one match
-    iterator per step."""
-    stack = [iter((row,))]
-    while stack:
-        r = next(stack[-1], None)
-        if r is None:
-            stack.pop()
-        elif len(stack) > len(steps):
-            return True
-        else:
-            stack.append(_rows(store, steps[len(stack) - 1], r))
-    return False
-
-
 class _Materialization:
     """Input triples and rules interned in one dictionary, saturated: the
     compiled rules, the data and aux triples as term ids, the store, which
@@ -341,30 +323,20 @@ class _Materialization:
 
 
 class ClosureResult(_Frozen):
-    # _materialization stays out of equality and repr; graph is decoded on first read.
-    __slots__ = ("_input", "_graph", "derived_count", "rounds", "_materialization")
-    _fields = ("graph", "derived_count", "rounds")
+    __slots__ = _fields = ("graph", "derived_count", "rounds")
 
-    def __init__(self, graph: Graph, _materialization: _Materialization) -> None:
-        _set(self, "_input", graph)
-        _set(self, "_graph", None)
-        m = _materialization
-        _set(self, "derived_count", len(m.store.triples) - len(m.base))
-        _set(self, "rounds", m.rounds)
-        _set(self, "_materialization", m)
-
-    @property
-    def graph(self) -> Graph:
-        if self._graph is None:
-            m = self._materialization
-            derived = map(m.terms.decode, m.store.triples - m.base)
-            _set(self, "_graph", Graph(self._input.triples.union(derived)))
-        return self._graph
+    def __init__(self, graph: Graph, derived_count: int, rounds: int) -> None:
+        _set(self, "graph", graph)
+        _set(self, "derived_count", derived_count)
+        _set(self, "rounds", rounds)
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
-    return ClosureResult(graph, materialize(graph, rules))
+    m = materialize(graph, rules)
+    derived = m.store.triples - m.base
+    return ClosureResult(Graph(graph.triples.union(map(m.terms.decode, derived))),
+                         len(derived), m.rounds)
 
 
 def materialize(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> _Materialization:
@@ -398,12 +370,7 @@ class _Prover:
                 if all(row[a] == row[b] for a, b in checks)]
 
     def prove(self, goal: _Ids) -> bool:
-        """Whether the working store entails goal, a triple of M outside it.
-        A rule instance whose body the store holds proves it at once;
-        otherwise the watched search below decides."""
-        instances = self._instances(goal)
-        if any(_stored(self.store, steps, row) for steps, _, row in instances):
-            return True
+        """Whether the working store entails goal, a triple of M outside it."""
         proved: set[_Ids] = set()
         # A watch is (head, steps, row, next step): a grounding of head
         # that resumes once the atom it is filed under is proved.
@@ -411,11 +378,11 @@ class _Prover:
         explored: set[_Ids] = set()
         stack: list[tuple[_Ids, Iterator[_Ids | None]]] = []
 
-        def explore(atom: _Ids, instances: list[tuple[list[_Step], int, _Row]]) -> None:
+        def explore(atom: _Ids) -> None:
             explored.add(atom)
-            stack.append((atom, self._ground(atom, instances, proved, watchers)))
+            stack.append((atom, self._ground(atom, self._instances(atom), proved, watchers)))
 
-        explore(goal, instances)
+        explore(goal)
         while stack:
             head, frame = stack[-1]
             atom = () if head in proved else next(frame, ())
@@ -438,7 +405,7 @@ class _Prover:
             elif not atom:
                 stack.pop()
             elif atom not in explored:
-                explore(atom, self._instances(atom))
+                explore(atom)
         return False
 
     def _ground(self, head: _Ids, instances: Iterable[tuple[list[_Step], int, _Row]],

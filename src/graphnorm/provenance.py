@@ -163,7 +163,7 @@ class FileResolver(_Frozen):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ResolverError(f"cannot resolve {locator!r}: {exc}") from None
 
 

@@ -744,9 +744,30 @@ class TestMalformedInput:
         # UTF-8 bytes of U+D800 are not valid UTF-8: the file fails to decode.
         result = self._closure(workdir, b'"\xed\xa0\x80"')
         assert result.returncode == 1
-        assert result.stderr.startswith("graphnorm: 'utf-8' codec can't decode")
+        assert result.stderr.startswith("graphnorm: cannot read 'bad.ttl': 'utf-8' codec can't decode")
         assert "Traceback" not in result.stderr
         assert not (workdir / "out.ttl").exists()
+
+    NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+    @pytest.mark.parametrize("argv, failed", [
+        (["stats", "--data", "bad.ttl"], "cannot read 'bad.ttl'"),
+        (["stats", "--data", "social.ttl", "--dlogic", "bad.ttl"], "cannot resolve 'bad.ttl'"),
+        (["verify", "bad.ttl"], "cannot read 'bad.ttl'"),
+    ], ids=["stats-data", "stats-dlogic", "verify"])
+    def test_input_that_is_not_utf8_is_named(self, workdir, capsys, argv, failed):
+        (workdir / "bad.ttl").write_bytes(b"\xff .\n")
+        code, out, err = run([*argv, "--output", "out.txt"], capsys)
+        assert (code, out, err) == (1, "", f"graphnorm: {failed}: {self.NOT_UTF8}\n")
+        assert not (workdir / "out.txt").exists()
+
+    def test_described_dataset_that_is_not_utf8_is_named(self, workdir, capsys):
+        code, _, _ = run(["describe", "--data", "social.ttl", "--output", "desc.ttl"], capsys)
+        assert code == 0
+        (workdir / "social.ttl").write_bytes(b"\xff .\n")
+        code, out, err = run(["verify", "desc.ttl", "--output", "out.txt"], capsys)
+        assert (code, out, err) == (1, "", f"graphnorm: cannot resolve 'social.ttl': {self.NOT_UTF8}\n")
+        assert not (workdir / "out.txt").exists()
 
 
 def test_minimize_over_a_9000_class_chain_keeps_the_c0_types(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 
@@ -19,7 +21,7 @@ from graphnorm import (
     reduce,
     serialize_turtle,
 )
-from graphnorm.engine import _KEYS, _Prover, _Store, materialize
+from graphnorm.engine import _KEYS, _Materialization, _Prover, _Store, materialize
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
@@ -109,6 +111,11 @@ class TestClosure:
         result = closure(Graph([t("a", "p", "b"), t("b", "p", "c")]), trans("p"))
         assert repr(result) == (
             "ClosureResult(graph=Graph(3 triples), derived_count=1, rounds=1)")
+
+    def test_result_is_a_plain_value_that_keeps_no_materialization_alive(self):
+        result = closure(Graph([t("a", "p", "b"), t("b", "p", "c")]), trans("p"))
+        assert not any(isinstance(x, _Materialization) for x in gc.get_referents(result))
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 @settings(deadline=None, max_examples=60)
@@ -658,28 +665,17 @@ def test_minimize_proves_exactly_the_candidates_a_rule_instance_derives(monkeypa
     assert kept == _greedy_naive_elimination(graph, rules, aux)
 
 
-def test_stored_one_step_support_proves_without_the_search(monkeypatch):
-    """a p c has stored support, a p b and b p c, so prove answers from
-    the working store alone; a p d has none (a p c is gone) and needs
-    the watched search."""
-    grounded = []
-    ground = _Prover._ground
-
-    def counting(self, head, *args):
-        grounded.append(head)
-        return ground(self, head, *args)
-
-    monkeypatch.setattr(_Prover, "_ground", counting)
-    chain = [t("a", "p", "b"), t("b", "p", "c"), t("c", "p", "d")]
-    m = materialize(Graph([*chain, t("a", "p", "c"), t("a", "p", "d")]), trans("p"))
-    prover = _Prover(m)
-    ac, ad = m.terms.encode(t("a", "p", "c")), m.terms.encode(t("a", "p", "d"))
-    prover.store.remove(ac)
-    assert prover.prove(ac)
-    assert grounded == []
-    prover.store.remove(ad)
-    assert prover.prove(ad)
-    assert grounded[0] == ad
+def test_a_stored_instance_after_a_cyclic_one_proves_the_goal():
+    """a r b's first instance waits on a q b, which waits on a r b itself;
+    only the third rule's instance, whose body a s b is stored, proves it."""
+    rules = parse_rules(f"@prefix ex: <{EX}> .\n"
+                        "{ ?x ex:q ?y } => { ?x ex:r ?y } .\n"
+                        "{ ?x ex:r ?y } => { ?x ex:q ?y } .\n"
+                        "{ ?x ex:s ?y } => { ?x ex:r ?y } .\n")
+    graph = Graph([t("a", "r", "b"), t("a", "s", "b")])
+    kept = reduce(graph, rules)
+    assert kept == Graph([t("a", "s", "b")])
+    assert kept == _greedy_naive_elimination(graph, rules, EMPTY_GRAPH)
 
 
 def _reaches(successors: dict, start, goal, skip=None) -> bool:
@@ -837,8 +833,8 @@ def test_reduce_of_a_9000_class_chain_leaves_the_recursion_limit_alone():
 
 
 def test_reduce_with_a_400_atom_rule_body_leaves_the_recursion_limit_alone():
-    # The head's stored one-step support is the whole 400-edge path: one
-    # walk 400 body atoms deep.
+    # The head's only instance is the whole 400-edge path: _ground walks
+    # it 400 body atoms deep.
     n = 400
     body = " . ".join(f"?x{i} <{EX}p{i}> ?x{i + 1}" for i in range(n))
     rules = parse_rules(f"{{ {body} }} => {{ ?x0 <{EX}q> ?x{n} }} .")
