@@ -8,6 +8,11 @@ for and the scan is linear. A run of words joined by dots, such as
 ``a.a.a``, is matched whole and split afterwards, so that no alternative
 scans it again from each of its words. The parsers decide a token's kind
 from its first character (``kind``) and which tokens are legal where.
+The ``?name``, ``_:label`` and ``@tag`` tokens take their name patterns
+from ``graphnorm.terms``, which checks ``Variable``, ``BlankNode`` and
+``Literal`` names against the same strings, so a name the lexer takes
+whole is one the term types accept. ``Reader`` reads ``@prefix``
+directives and expands prefixed names for all three parsers.
 
 Tokens carry no positions. ``tokenize`` makes every lexical check before
 any parser runs: characters that start no token, words other than ``a``,
@@ -24,6 +29,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError
+from .terms import _BLANK_LABEL, _LANG_TAG, _VARIABLE_NAME
 
 # Token kinds that group many spellings; every other token (punctuation,
 # "a", "=>", "@prefix", '' at the end) is its own kind.
@@ -56,11 +62,11 @@ _TOKEN = re.compile(
         "<=>",
         "<" + _IRI_BODY + ">",
         _STRING_HEAD + '"',
-        "@[A-Za-z]+(?:-[A-Za-z0-9]+)*",
+        "@" + _LANG_TAG,
         r"\^\^",
         "=>",
-        r"\?[A-Za-z_][A-Za-z0-9_\-]*",
-        r"_:[A-Za-z0-9_][A-Za-z0-9_\-]*",
+        r"\?" + _VARIABLE_NAME,
+        "_:" + _BLANK_LABEL,
         "_:",  # no label: an error, not an empty prefix
         # "4." is the integer 4 followed by a statement dot
         r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)",
@@ -234,12 +240,14 @@ def _position(text: str, off: int) -> tuple[int, int]:
 
 
 class Reader:
-    """A tokenized text, for parsers that index its tokens."""
+    """A tokenized text, for parsers that index its tokens, with the
+    prefixes its ``@prefix`` directives have declared so far."""
 
     def __init__(self, text: str, source: str | None):
         self.text = text
         self.source = source
         self.toks = tokenize(text, source)
+        self.prefixes: dict[str, str] = {}
 
     def position(self, k: int) -> tuple[int, int]:
         """The 1-based line and column of token k."""
@@ -255,3 +263,27 @@ class Reader:
         if kind(tok) != want:
             raise self.error(f"expected {what}, got {value(tok)!r}", k)
         return tok
+
+    def _directive(self, i: int) -> int:
+        """Declare the prefix of the directive at token i (a repeated
+        prefix rebinds); the index after the directive."""
+        tok = self.toks[i]
+        if tok != "@prefix":
+            raise self.error(f"unsupported directive '{tok}'", i)
+        prefix, _, local = self.want(i + 1, PNAME, "a prefix name ending in ':'").partition(":")
+        if local:
+            raise self.error("prefix declarations take a bare 'name:' form", i + 1)
+        iri = self.want(i + 2, IRIREF, "an IRI")
+        self.want(i + 3, ".", "'.'")
+        self.prefixes[prefix] = iri[1:-1]
+        return i + 4
+
+    def _iri_text(self, i: int) -> str:
+        """The IRI that the IRI reference or prefixed name at token i writes."""
+        tok = self.toks[i]
+        if tok[0] == "<":
+            return tok[1:-1]
+        prefix, _, local = tok.partition(":")
+        if prefix not in self.prefixes:
+            raise self.error(f"undeclared prefix '{prefix}:'", i)
+        return self.prefixes[prefix] + local

@@ -239,10 +239,7 @@ class _Ref(str):
 
 
 class _DescriptionReader(Reader):
-    def __init__(self, text: str, source: str | None):
-        super().__init__(text, source)
-        self.prefixes: dict[str, str] = {}
-        self.depth = 0
+    depth = 0  # how deep the anonymous node being read is nested
 
     def read(self) -> dict[_Ref, dict[str, list]]:
         toks = self.toks
@@ -256,18 +253,6 @@ class _DescriptionReader(Reader):
             i = self._predicate_object_list(i + 1, props, closing=".")
         return subjects
 
-    def _directive(self, i: int) -> int:
-        tok = self.toks[i]
-        if tok != "@prefix":
-            raise self.error(f"unsupported directive '{tok}'", i)
-        prefix, _, local = self.want(i + 1, PNAME, "a prefix name ending in ':'").partition(":")
-        if local:
-            raise self.error("prefix declarations take a bare 'name:' form", i + 1)
-        iri = self.want(i + 2, IRIREF, "an IRI")
-        self.want(i + 3, ".", "'.'")
-        self.prefixes[prefix] = iri[1:-1]
-        return i + 4
-
     def _subject(self, i: int) -> _Ref:
         name = self._name(i)
         if name is None:
@@ -276,16 +261,7 @@ class _DescriptionReader(Reader):
 
     def _name(self, i: int) -> str | None:
         """The IRI that token i writes, expanded; None if it is no IRI."""
-        tok = self.toks[i]
-        k = kind(tok)
-        if k == IRIREF:
-            return tok[1:-1]
-        if k != PNAME:
-            return None
-        prefix, _, local = tok.partition(":")
-        if prefix not in self.prefixes:
-            raise self.error(f"undeclared prefix '{prefix}:'", i)
-        return self.prefixes[prefix] + local
+        return self._iri_text(i) if kind(self.toks[i]) in (IRIREF, PNAME) else None
 
     def _predicate_object_list(self, i: int, props: dict[str, list], closing: str) -> int:
         """Read up to and including ``closing``; return the index after it."""

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, UnsafeRuleError
+from .errors import UnsafeRuleError
 from .graph import Graph
 from .lex import (
     BLANK,
     DECIMAL,
     INTEGER,
-    IRIREF,
-    PNAME,
     STRING,
     VAR,
     kind,
@@ -188,7 +186,8 @@ EMPTY_RULESET = RuleSet()
 
 
 class _RuleParser(_TurtleParser):
-    """Reuses the Turtle term machinery for the pattern terms."""
+    """Reads a pattern term as the data parser reads a term, except for
+    variables and blank nodes."""
 
     def parse_rules(self) -> RuleSet:
         toks = self.toks
@@ -215,17 +214,13 @@ class _RuleParser(_TurtleParser):
 
     def _emit(self, rules, body, head, arrow: int) -> None:
         rule = Rule(tuple(body), tuple(head), label=f"r{len(rules) + 1}")
-        report = check_safe(rule)
-        if not report.ok:
-            problems = []
-            if report.unbound_head_variables:
-                names = ", ".join(f"?{v}" for v in report.unbound_head_variables)
-                problems.append(f"head variables not bound in body: {names}")
-            if report.blank_head_labels:
-                names = ", ".join(f"_:{b}" for b in report.blank_head_labels)
-                problems.append(f"blank nodes in head: {names}")
-            line, col = self.position(arrow)
-            raise UnsafeRuleError(f"unsafe rule {rule.label} at {line}:{col}: " + "; ".join(problems))
+        # The parser has refused blank nodes already; a head variable can
+        # still be unbound.
+        unbound = check_safe(rule).unbound_head_variables
+        if unbound:
+            names = ", ".join(f"?{v}" for v in unbound)
+            raise self._unsafe(
+                f"unsafe rule {rule.label}: head variables not bound in body: {names}", arrow)
         rules.append(rule)
 
     def _pattern_block(self, i: int, side: str) -> tuple[list[TriplePattern], int]:
@@ -250,28 +245,28 @@ class _RuleParser(_TurtleParser):
         return self._pattern_term(i, "object", side), i + 1
 
     def _pattern_term(self, i: int, position: str, side: str) -> Term:
+        """A variable, or the data term at token i; no blank node or brace."""
         tok = self.toks[i]
         k = kind(tok)
         if k == VAR:
             return Variable(tok[1:])
-        if k in (IRIREF, PNAME):
-            return self._iri(i)
-        if k == "a":
-            if position != "predicate":
-                raise self.error("'a' is only valid in predicate position", i)
-            return RDF_TYPE
         if k == BLANK:
             if side == "head":
-                line, col = self.position(i)
-                raise UnsafeRuleError(f"blank node {tok} in rule head at {line}:{col}")
+                raise self._unsafe(f"blank node {tok} in rule head", i)
             raise self.error("blank nodes are not allowed in rule patterns", i)
-        if k in (STRING, INTEGER, DECIMAL):
-            raise self.error(f"a literal cannot be a pattern {position}", i)
-        raise self.error(f"expected a pattern {position}, got {value(tok)!r}", i)
+        if k == "{":
+            raise self.error(f"expected a pattern {position}, got '{{'", i)
+        return self._term(i, position)
+
+    def _unsafe(self, message: str, k: int) -> UnsafeRuleError:
+        """An UnsafeRuleError placed at token k as a ParseError is placed."""
+        return UnsafeRuleError(str(self.error(message, k)))
 
 
 def parse_rules(text: str, source: str | None = None) -> RuleSet:
-    """Parse rule text; raises ParseError or UnsafeRuleError."""
+    """Parse rule text; raises ParseError or UnsafeRuleError, either placed
+    at ``source:line:col``. Names follow the patterns in ``graphnorm.terms``:
+    a variable is '?', a letter or '_', then letters, digits, '_' or '-'."""
     return _RuleParser(text, source).parse_rules()
 
 

@@ -49,9 +49,17 @@ _BAD_IRI_CHAR = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 # that is not ASCII can hold one, so re's cache compiles this range, which
 # costs about a millisecond, on the first such IRI or literal, not at import.
 _SURROGATE = r"[\ud800-\udfff]"
-_BLANK_LABEL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
-_LANG_TAG = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
-_VARIABLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# The name grammars, each defined once: the lexer builds its '?name',
+# '_:label' and '@tag' tokens from these strings (see graphnorm.lex), and
+# the constructors below check names against the same strings. A variable
+# name continues with '-', as N3's quick variables do. No group captures:
+# the lexer's findall returns its one group.
+_VARIABLE_NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_BLANK_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
+_LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_is_variable_name = re.compile(_VARIABLE_NAME).fullmatch
+_is_blank_label = re.compile(_BLANK_LABEL).fullmatch
+_is_lang_tag = re.compile(_LANG_TAG).fullmatch
 
 # Fields are written once, in __init__, past the __setattr__ that refuses.
 _set = object.__setattr__
@@ -105,7 +113,7 @@ class IRI(_Frozen):
 
     def __init__(self, value: str) -> None:
         if not is_absolute_iri(value):
-            raise ValueError(f"IRI is not absolute: {value!r}")
+            raise ValueError(f"relative IRI not allowed: {value!r}")
         if _BAD_IRI_CHAR.search(value) or not value.isascii() and re.search(_SURROGATE, value):
             raise ValueError(f"IRI contains a forbidden character: {value!r}")
         _set(self, "value", value)
@@ -128,7 +136,7 @@ class BlankNode(_Frozen):
     _fields = ("label",)
 
     def __init__(self, label: str) -> None:
-        if not _BLANK_LABEL.match(label):
+        if not _is_blank_label(label):
             raise ValueError(f"invalid blank node label: {label!r}")
         _set(self, "label", label)
         _set(self, "_hash", hash((label,)))
@@ -167,7 +175,7 @@ class Literal(_Frozen):
             raise ValueError("a literal cannot carry both a datatype and a language tag")
         if datatype is not None and not is_absolute_iri(datatype):
             raise ValueError(f"literal datatype is not an absolute IRI: {datatype!r}")
-        if language is not None and not _LANG_TAG.match(language):
+        if language is not None and not _is_lang_tag(language):
             raise ValueError(f"invalid language tag: {language!r}")
         _set(self, "lexical", lexical)
         _set(self, "datatype", datatype)
@@ -198,7 +206,7 @@ class Variable(_Frozen):
     _fields = ("name",)
 
     def __init__(self, name: str) -> None:
-        if not _VARIABLE_NAME.match(name):
+        if not _is_variable_name(name):
             raise ValueError(f"invalid variable name: {name!r}")
         _set(self, "name", name)
         _set(self, "_hash", hash((name,)))

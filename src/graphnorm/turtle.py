@@ -51,7 +51,6 @@ from .terms import (
 class _TurtleParser(Reader):
     def __init__(self, text: str, source: str | None):
         super().__init__(text, source)
-        self.prefixes: dict[str, str] = {}
         # Tokens to their IRIs, and to their term ids as a subject or object
         # (ids) or as a predicate. A rebound prefix clears all three.
         self.iris: dict[str, IRI] = {}
@@ -101,38 +100,25 @@ class _TurtleParser(Reader):
         return triples
 
     def _directive(self, i: int) -> int:
-        tok = self.toks[i]
-        if tok != "@prefix":
-            raise self.error(f"unsupported directive '{tok}'", i)
-        prefix, _, local = self.want(i + 1, PNAME, "a prefix name ending in ':'").partition(":")
-        if local:
-            raise self.error("prefix declarations take a bare 'name:' form", i + 1)
-        iri = self.want(i + 2, IRIREF, "an IRI")[1:-1]
+        """Reader's directive, refusing a relative prefix IRI; a rebound
+        prefix clears the caches."""
+        declared = len(self.prefixes)
+        end = super()._directive(i)
+        iri = self.toks[i + 2][1:-1]
         if not is_absolute_iri(iri):
             raise self.error(f"relative IRI not allowed: <{iri}>", i + 2)
-        self.want(i + 3, ".", "'.'")
-        if prefix in self.prefixes:
+        if len(self.prefixes) == declared:
             for cache in (self.iris, self.ids, self.predicates):
                 cache.clear()
-        self.prefixes[prefix] = iri
-        return i + 4
+        return end
 
     def _iri(self, i: int) -> IRI:
         tok = self.toks[i]
         iri = self.iris.get(tok)
         if iri is not None:
             return iri
-        if tok[0] == "<":
-            iri_value = tok[1:-1]
-            if not is_absolute_iri(iri_value):
-                raise self.error(f"relative IRI not allowed: <{iri_value}>", i)
-        else:
-            prefix, _, local = tok.partition(":")
-            if prefix not in self.prefixes:
-                raise self.error(f"undeclared prefix '{prefix}:'", i)
-            iri_value = self.prefixes[prefix] + local
         try:
-            iri = self.iris[tok] = IRI(iri_value)
+            iri = self.iris[tok] = IRI(self._iri_text(i))
         except ValueError as exc:
             raise self.error(str(exc), i) from None
         return iri

@@ -3,6 +3,7 @@ import gc
 import io
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphnorm import (
     Graph,
@@ -39,7 +40,7 @@ from graphnorm.stats import stat_texts
 from graphnorm.rules import OWL_INVERSEOF, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
 from graphnorm.terms import RDF_TYPE
 
-from support import CLASS_NS, DATA_NS, FIXTURES, PRED_NS, cli_env, random_instance
+from support import CLASS_NS, DATA_NS, FIXTURES, PRED_NS, cli_env, fixture_text, random_instance
 
 LINKS = "http://example.org/links/"
 CHAIN = "http://example.org/chain/"
@@ -1006,3 +1007,106 @@ class TestRuleFileHandling:
             ["closure", "--data", "links.ttl", "--rules", "broken.n3"], capsys)
         assert code == 2
         assert "broken.n3" in err
+
+    @pytest.mark.parametrize("head, message", [
+        ("?x <http://example.org/q> ?z",
+         "unsafe.n3:2:36: unsafe rule r1: head variables not bound in body: ?z"),
+        ("?x <http://example.org/q> _:b",
+         "unsafe.n3:2:67: blank node _:b in rule head"),
+    ], ids=["unbound-variable", "blank-node"])
+    def test_an_unsafe_rule_is_placed_in_its_file(self, workdir, capsys, head, message):
+        """Of two rule files, the message names the one with the unsafe rule,
+        as a parse error names its file."""
+        (workdir / "unsafe.n3").write_text(
+            "# the second file\n"
+            f"{{ ?x <http://example.org/p> ?y . }} => {{ {head} . }} .\n", encoding="utf-8")
+        code, out, err = run(["closure", "--data", "links.ttl", "--rules", "links-rules.n3",
+                              "--rules", "unsafe.n3"], capsys)
+        assert (code, out, err) == (3, "", f"graphnorm: {message}\n")
+
+
+# The fuzz below mutates one input of the mixed fixture, or a description
+# written from them, and runs one command over the whole set.
+_FUZZ_FILES = {"data": "mixed.ttl", "rules": "rules.n3", "dlogic": "mixed-vocab.ttl",
+               "description": "desc.ttl"}
+_FUZZ_ARGS = ["--data", "mixed.ttl", "--rules", "rules.n3", "--dlogic", "mixed-vocab.ttl"]
+_FUZZ_ARGV = {
+    "closure": ["closure", *_FUZZ_ARGS],
+    "minimize": ["minimize", *_FUZZ_ARGS],
+    "stats": ["stats", *_FUZZ_ARGS, "--namespace", "http://example.org/cat/"],
+    "describe": ["describe", *_FUZZ_ARGS, "--namespace", "http://example.org/cat/"],
+    "verify": ["verify", "desc.ttl"],
+}
+# Tokens of every grammar the readers share, and characters that start none.
+_FUZZ_TOKENS = ["-", "?o-", "?", "_:", "_:b", "@en", "@prefix", "@base", "<rel>",
+                "<http://e.org/x>", "<file:x>", "ex:", "ex:y", ":", "a", "{", "}", "[",
+                "]", "=>", "<=>", "^^", ".", ";", ",", '"x"', '"\\q"', "1", "-2.5",
+                "#", "\n", "\u00e9", "\\", "gn:rif", "gn:Closure", "rdf:value"]
+# The refusals that exit 1, as their messages begin. Each names what is
+# wrong with an input; none is an error of the program.
+_REFUSALS = (
+    "cannot resolve ", "only local file locators are supported: ",
+    "a file: locator ", "description must contain exactly one void:Dataset",
+    "description states no statistic", "description item needs exactly one ",
+    "description item carries more than one gn:normalisation",
+    "description carries inconsistent normalisation specs",
+    "rdf:value must be numeric", "rdf:type must be an IRI", "scovo:dimension must be an IRI",
+    "gn:n3 must be an IRI", "gn:dlogic must be an IRI", "gn:rif must be an IRI",
+    "gn:namespace must be an IRI", "gn:normalisation ", "gn:rules must be ",
+    "gn:constraints must be ", "a gn:Closure normalisation carries no gn:constraints",
+    "void:statItem must be an anonymous node", "statistics are undefined for an empty graph",
+    "out-link density (minus) is undefined", "namespace prefix is not an absolute IRI",
+    "nested namespace prefixes",
+)
+_RULES_TEXT = fixture_text("rules.n3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(sorted(_FUZZ_FILES)), command=st.sampled_from(sorted(_FUZZ_ARGV)),
+       op=st.sampled_from(["delete", "insert", "duplicate"]), start=st.integers(0, 2000),
+       length=st.integers(0, 20), token=st.sampled_from(_FUZZ_TOKENS))
+@example(target="rules", command="closure", op="insert",
+         start=_RULES_TEXT.index("?o .") + 2, length=0, token="-")
+def test_a_mutated_input_ends_in_a_documented_exit(target, command, op, start, length, token):
+    """A deleted span, an inserted token or a duplicated span in one input:
+    the command exits 0, or with a documented code and one placed or listed
+    `graphnorm:` line on stderr, writing no --output; a mismatch writes only
+    its report."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            os.chdir(tmp)
+            for name in ("mixed.ttl", "rules.n3", "mixed-vocab.ttl"):
+                shutil.copy(FIXTURES / name, name)
+            assert _run_captured([*_FUZZ_ARGV["describe"], "--output", "desc.ttl"])[0] == 0
+            path = _FUZZ_FILES[target]
+            text = Path(path).read_text(encoding="utf-8")
+            start = min(start, len(text))
+            end = min(start + length, len(text))
+            text = {"delete": text[:start] + text[end:],
+                    "insert": text[:start] + token + text[start:],
+                    "duplicate": text[:end] + text[start:end] + text[end:]}[op]
+            Path(path).write_text(text, encoding="utf-8")
+            code, out, err = _run_captured([*_FUZZ_ARGV[command], "--output", "out.txt"])
+            # A schema construct the mutation made unknown is skipped with a
+            # warning, which is not a failure.
+            err = "".join(line for line in err.splitlines(True)
+                          if not line.startswith("ignoring unrecognized schema triple: "))
+            assert out == ""
+            if code in (0, 4):
+                assert err == ""
+                written = Path("out.txt").read_text(encoding="utf-8")
+                assert code == 0 or (command == "verify" and written.startswith("mismatch: "))
+                return
+            assert not os.path.exists("out.txt")
+            assert code in (1, 2, 3, 5) and re.fullmatch(r"graphnorm: [^\n]*\n", err), (code, err)
+            message = err[len("graphnorm: "):-1]
+            if code in (2, 3):
+                where = re.match(r"(.+?):(\d+):(\d+): ", message)
+                assert where and where[1] in _FUZZ_FILES.values(), err
+            if code == 1:
+                assert message.startswith(_REFUSALS), err
+            if code == 5:
+                assert message == "unsupported: RIF"
+        finally:
+            os.chdir(home)

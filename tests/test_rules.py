@@ -146,7 +146,9 @@ class TestRuleSet:
             f"@prefix ex: <{EX}> .\n"
             "{ ?s ?p ?o . ?p ex:domain ?c . } => { ?s a ?c . } .\n"
             '{ ?x ex:status "on" . } => { ?x a ex:Active . } .\n'
+            "{ ?s-1 ex:p ?o- . } => { ?o- ex:q ?s-1 . } .\n"
         )
+        assert Variable("o-") in rs.rules[2].head[0].terms()
         assert parse_rules(format_rules(rs)) == rs
 
 

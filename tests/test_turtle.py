@@ -4,9 +4,10 @@ import string
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from graphnorm import Graph, IRI, Literal, ParseError, Triple, parse_turtle, serialize_turtle
+from graphnorm import Graph, IRI, Literal, ParseError, Triple, Variable, parse_turtle, serialize_turtle
+from graphnorm.lex import tokenize
 from graphnorm.terms import RDF_NS, BlankNode, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER, XSD_NS, _Terms
 from graphnorm.turtle import _TurtleParser
 from support import CLASS_NS, DATA_NS, EXT_NS, PRED_NS, random_instance, sort_key
@@ -202,6 +203,27 @@ def test_error_message_and_position(text, message, line, col):
 def test_a_dotted_run_before_a_colon_is_a_prefix():
     graph = parse_turtle(f"@prefix a.b: <{EX}> . a.b:s a.b:p a.b:o.a.b .")
     assert list(graph) == [Triple(IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o.a.b"))]
+
+
+_NAMED_TERMS = {"?": Variable, "_:": BlankNode, "@": lambda tag: Literal("x", language=tag)}
+
+
+@given(st.sampled_from(sorted(_NAMED_TERMS)), st.text("aZ_09-.:\u00e9", max_size=6))
+@example("?", "o-")
+@example("@", "en-GB-1")
+def test_the_lexer_takes_a_name_whole_exactly_when_its_term_accepts_it(sigil, name):
+    """'?name', '_:label' and '@tag' are one token exactly when Variable,
+    BlankNode and Literal(language=...) accept the name."""
+    try:
+        whole = tokenize(sigil + name) == [sigil + name, ""]
+    except ParseError:
+        whole = False
+    try:
+        _NAMED_TERMS[sigil](name)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert whole == accepted
 
 
 class TestSerialization:
