@@ -15,6 +15,13 @@ command that writes a description reads every locator it records the way
 switches it back on afterwards if it was on. Importing this module
 changes no interpreter-wide setting.
 
+A ``graphnorm`` process (the console script, ``python -m graphnorm``)
+starts in ``run``: once ``main`` has returned and stdout and stderr are
+flushed, the process ends with ``os._exit``, skipping the interpreter's
+teardown, so atexit handlers do not run in it. Usage errors, an
+exception that escapes ``main`` and a failed flush end it through
+``sys.exit``, as before.
+
 Exit codes:
 
 * 0 — success
@@ -31,6 +38,7 @@ import argparse
 import gc
 import os
 import sys
+from typing import NoReturn
 
 from .errors import (
     GraphNormError,
@@ -86,10 +94,11 @@ def _read_file(path: str) -> str:
             raise GraphNormError(f"cannot read {path!r}: {exc}") from None
 
 
-def _load(args: argparse.Namespace) -> _Materialization:
+def _load(args: argparse.Namespace, minimizes: bool = True) -> _Materialization:
     """The materialization of what a command reads, the data parsed into term
-    ids. A description reads its locators from its directory, as verify does,
-    needs a local --dataset to hold the --data graph, and refuses --base."""
+    ids, made to be minimized unless minimizes is false. A description reads
+    its locators from its directory, as verify does, needs a local --dataset
+    to hold the --data graph, and refuses --base."""
     describes = getattr(args, "format", None) == "turtle"
     if describes and args.base:
         raise GraphNormError("a description cannot record --base: "
@@ -105,7 +114,7 @@ def _load(args: argparse.Namespace) -> _Materialization:
         if _TurtleParser(resolver(args.dataset), args.dataset).parse(terms) != data:
             raise GraphNormError(f"--dataset {args.dataset!r} does not hold the --data graph")
     rules, aux = load_rules(_description_spec(args), resolver)
-    return _Materialization(terms, data, rules, aux)
+    return _Materialization(terms, data, rules, aux, minimizes=minimizes)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -115,6 +124,8 @@ def _write_output(text: str, path: str | None) -> None:
         data = text.encode("utf-8")
         with open(path, "wb") as handle:
             handle.write(data)
+    elif sys.stdout is None:
+        raise GraphNormError("cannot write the result: stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -134,7 +145,7 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    m = _load(args)
+    m = _load(args, minimizes=False)
     _write_output(m.render(m.counted()), args.output)
     return 0
 
@@ -291,5 +302,19 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> NoReturn:
+    """The process entry point: main, then the end of the process."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):  # a failed write, or a stream already closed
+        sys.exit(code)  # the interpreter's exit reports the failed flush, as it always has
+    # Safe to skip teardown: main's output files are closed by `with`, graphnorm registers
+    # no atexit handler, and logging's last-resort handler writes each warning as it happens.
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

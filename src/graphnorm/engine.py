@@ -33,9 +33,10 @@ canonical order and drops every triple the remaining ones still entail.
 Auxiliary triples (typically schema) support the proofs but are never
 candidates and never part of the result; reduce decodes what is kept.
 Semi-naive evaluation fires every rule instance over the closure M once,
-so saturation also records which data triples some instance derives. A
-candidate that none derives has no one-step derivation in M, so no
-subset of the input entails it: it is kept without a proof.
+so saturation also records which data triples some instance derives,
+where a minimize will follow. A candidate that none derives has no
+one-step derivation in M, so no subset of the input entails it: it is
+kept without a proof.
 
 Each of those decisions is a proof over the shrinking working store,
 grounded in the materialization M, the closure of graph and aux, whose
@@ -236,11 +237,13 @@ class _Materialization:
     """Input triples and rules interned in one dictionary, saturated: the
     compiled rules, the data and aux triples as term ids, the store, which
     holds the whole closure, the number of rounds saturate() took, and the
-    data triples that some rule instance over the closure derives."""
+    data triples that some rule instance over the closure derives, which
+    only a materialization made to be minimized collects."""
 
     __slots__ = ("terms", "rules", "data", "aux", "base", "store", "rounds", "derivable")
 
-    def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph):
+    def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph,
+                 *, minimizes: bool = True):
         self.terms = terms
         self.rules: list[tuple[tuple[_Ids, ...], tuple[_Ids, ...]]] = []
         for rule in rules:
@@ -251,15 +254,15 @@ class _Materialization:
         self.data, self.aux = data, set(map(terms.encode, aux))
         self.base = data | self.aux
         self.store = _Store(self.base)
-        self.derivable: set[_Ids] = set()
+        self.derivable: set[_Ids] | None = set() if minimizes else None
         self.rounds = self.saturate()
 
     def saturate(self) -> int:
         """Run the rules to fixpoint; returns the number of rounds. Every
         rule instance over M fires in some round, so the data triples a
         round produces, stored or not, are those with a one-step
-        derivation in M: they are collected in derivable."""
-        store, kinds = self.store, self.terms.kinds
+        derivation in M: they are collected in derivable, unless it is None."""
+        store, kinds, derivable = self.store, self.terms.kinds, self.derivable
         plans: dict[int | tuple[int, int] | None, list[_Plan]] = {}
         for body, head in self.rules:
             for i, atom in enumerate(body):
@@ -279,7 +282,8 @@ class _Materialization:
                             plan(sub, produced)
             for plan in plans.get(None, ()):
                 plan(delta, produced)
-            self.derivable |= produced & self.data
+            if derivable is not None:
+                derivable |= produced & self.data
             produced -= store.triples
             if not produced:
                 return rounds
@@ -308,8 +312,10 @@ class _Materialization:
         the proofs but is never a candidate. A candidate outside derivable
         is kept unproved: without a one-step derivation in M, nothing the
         working store holds can entail it."""
-        prover = _Prover(self)
         derivable = self.derivable
+        if derivable is None:
+            raise RuntimeError("minimize() of a materialization made with minimizes=False")
+        prover = _Prover(self)
         kept: list[_Ids] = []
         for goal in sorted(self.data - self.aux, key=self._line()):
             if goal not in derivable:
@@ -333,7 +339,9 @@ class ClosureResult(_Frozen):
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
-    m = materialize(graph, rules)
+    terms = _Terms()
+    m = _Materialization(terms, set(map(terms.encode, graph.triples)), rules, EMPTY_GRAPH,
+                         minimizes=False)
     derived = m.store.triples - m.base
     return ClosureResult(Graph(graph.triples.union(map(m.terms.decode, derived))),
                          len(derived), m.rounds)

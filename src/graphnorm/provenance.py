@@ -408,6 +408,11 @@ def read_description(text: str, source: str | None = None,
         spec = _read_spec(item_node, gn_base)
         items.append(StatDescription(str(dataset), str(dimension), value, spec))
     namespaces = tuple(str(ref) for ref in _iris(props, gn_base + "namespace", "gn:namespace"))
+    if namespaces:
+        try:
+            NamespaceDecl(namespaces)
+        except ValueError as exc:
+            raise GraphNormError(f"{exc} in gn:namespace of {source or 'the description'}") from None
     description = Description(str(dataset), tuple(items), namespaces)
     description.normalisation  # reject inconsistent specs early
     return description

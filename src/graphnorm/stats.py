@@ -18,7 +18,7 @@ from .engine import _Materialization, materialize
 from .errors import EmptyGraphError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
-from .terms import IRI, _Frozen, _set, is_absolute_iri
+from .terms import IRI, _Frozen, _set, _Terms, is_absolute_iri
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -74,7 +74,9 @@ def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_G
     they overlap the published graph, keeping published <= closure. The
     text is rendered from the interned closure; no Triple is decoded.
     """
-    m = materialize(graph, rules, aux)
+    terms = _Terms()
+    m = _Materialization(terms, set(map(terms.encode, graph.triples)), rules, aux,
+                         minimizes=False)
     return m.render(m.counted())
 
 

@@ -200,6 +200,22 @@ class TestMinimize:
         assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("command, collects", [("closure", False), ("minimize", True),
+                                               ("stats", True)])
+def test_only_a_command_that_minimizes_collects_derivable(workdir, capsys, monkeypatch,
+                                                          command, collects):
+    made = []
+    saturate = _Materialization.saturate
+
+    def recording(self):
+        made.append(self.derivable is not None)
+        return saturate(self)
+
+    monkeypatch.setattr(_Materialization, "saturate", recording)
+    code, _, _ = run([command, "--data", "social.ttl", "--dlogic", "vocab.ttl"], capsys)
+    assert (code, made) == (0, [collects])
+
+
 class TestStats:
     def test_table_format(self, workdir, capsys):
         code, out, _ = run(
@@ -364,6 +380,21 @@ class TestDescribeVerify:
         assert code == 4
         assert out.startswith("mismatch: ")
         assert "stated 7, recomputed 4" in out
+
+    def test_a_namespace_that_is_not_an_absolute_iri_exits_1_naming_the_description(
+            self, workdir, capsys):
+        code, _, _ = run(["describe", "--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl",
+                          "--namespace", "http://example.org/cat/", "--output", "desc.ttl"],
+                         capsys)
+        assert code == 0
+        text = (workdir / "desc.ttl").read_text(encoding="utf-8")
+        bad = text.replace("<http://example.org/cat/>", "<ht,tp://example.org/cat/>")
+        assert bad != text
+        (workdir / "desc.ttl").write_text(bad, encoding="utf-8")
+        code, out, err = run(["verify", "desc.ttl", "--output", "out.txt"], capsys)
+        assert (code, out, err) == (1, "", "graphnorm: namespace prefix is not an absolute IRI: "
+                                           "'ht,tp://example.org/cat/' in gn:namespace of desc.ttl\n")
+        assert not (workdir / "out.txt").exists()
 
     def test_literal_locator_exits_1(self, workdir, capsys):
         run(self.DESCRIBE + ["--output", "desc.ttl"], capsys)

@@ -25,7 +25,7 @@ from graphnorm.engine import _KEYS, _Materialization, _Prover, _Store, materiali
 from graphnorm.rules import (
     EMPTY_RULESET, OWL_SYMMETRIC, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_SUBCLASSOF,
 )
-from graphnorm.terms import RDF_TYPE
+from graphnorm.terms import RDF_TYPE, _Terms
 
 from support import (
     SCHEMA_KINDS, all_candidates, minimum_subset, naive_closure, random_instance, rule_heads,
@@ -539,6 +539,21 @@ def test_minimize_visits_the_candidates_in_canonical_order(seed):
     m = materialize(graph, EMPTY_RULESET, aux)
     kept = [m.terms.decode(x) for x in m.minimize()]
     assert kept == list(graph - aux) == sorted((graph - aux).triples, key=sort_key)
+
+
+def test_a_materialization_made_not_to_be_minimized_refuses_to_minimize():
+    """Without derivable, minimize would keep every candidate unproved: it
+    raises instead, and the closure is the same either way."""
+    graph = Graph([t("a", "p", "b"), t("b", "p", "c"), t("a", "p", "c")])
+    terms = _Terms()
+    data = set(map(terms.encode, graph.triples))
+    m = _Materialization(terms, data, trans("p"), EMPTY_GRAPH, minimizes=False)
+    assert m.derivable is None
+    with pytest.raises(RuntimeError, match="minimizes=False"):
+        m.minimize()
+    made = materialize(graph, trans("p"))
+    assert made.derivable == {made.terms.encode(t("a", "p", "c"))}
+    assert {m.terms.decode(x) for x in m.store.triples} == closure(graph, trans("p")).graph.triples
 
 
 @settings(deadline=None, max_examples=40)

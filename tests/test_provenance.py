@@ -381,6 +381,22 @@ class TestRead:
         assert type(raised.value) is GraphNormError
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("prefixes, message", [
+        ("<ht,tp://example.org/cat/>",
+         "namespace prefix is not an absolute IRI: 'ht,tp://example.org/cat/'"),
+        (f"<{EX}>, <{EX}cat/>", f"nested namespace prefixes: '{EX}' contains '{EX}cat/'"),
+    ], ids=["not-absolute", "nested"])
+    def test_a_namespace_that_no_declaration_accepts_is_refused_naming_the_source(
+            self, prefixes, message):
+        text = emit_description("data.ttl", REPORT_WITH_DENSITIES, MINI,
+                                namespaces=NamespaceDecl((EX,)))
+        bad = text.replace(f"gn:namespace <{EX}>", f"gn:namespace {prefixes}")
+        assert bad != text
+        with pytest.raises(GraphNormError) as raised:
+            read_description(bad, source="desc.ttl")
+        assert type(raised.value) is GraphNormError
+        assert str(raised.value) == f"{message} in gn:namespace of desc.ttl"
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError):
             read_description("<d.ttl> a", source="desc.ttl")
