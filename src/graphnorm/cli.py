@@ -5,7 +5,8 @@ Subcommands mirror the library: ``closure``, ``minimize``, ``stats`` and
 turtle``, a machine-readable description of the statistics, and ``verify``
 recomputes a description's statistics from its referenced sources and
 compares. Results go to stdout (or ``--output``); diagnostics go to
-stderr. Identical invocations produce byte-identical output.
+stderr, if it can take them. Identical invocations produce
+byte-identical output.
 
 Rule sources load through ``provenance.load_rules``, as in ``verify``. A
 command that writes a description reads every locator it records the way
@@ -25,7 +26,8 @@ exception that escapes ``main`` and a failed flush end it through
 Exit codes:
 
 * 0 — success
-* 1 — usage error, missing file, out of memory, or other failure
+* 1 — usage error, unreadable file or locator, refused value (such as
+  ``--namespace``), a result stdout cannot encode, or out of memory
 * 2 — parse error in an input file
 * 3 — unsafe rule (head variables or blanks unbound by the body)
 * 4 — verification found mismatching statistics
@@ -127,7 +129,18 @@ def _write_output(text: str, path: str | None) -> None:
     elif sys.stdout is None:
         raise GraphNormError("cannot write the result: stdout is closed")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # a character stdout's encoding lacks
+            raise GraphNormError(f"cannot write the result: {exc}") from None
+
+
+def _tell(line: str) -> None:
+    """One diagnostic line to stderr, dropped if stderr cannot take it."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError, ValueError):  # stderr is None, closed or failing
+        pass
 
 
 def _namespaces(args: argparse.Namespace) -> NamespaceDecl | None:
@@ -181,7 +194,7 @@ def _cmd_diff_minimize(args: argparse.Namespace) -> int:
         if path:
             _TurtleParser(_read_file(path), path).parse(_Terms())
     code = _cmd_minimize(args)
-    print("fallback: false", file=sys.stderr)
+    _tell("fallback: false")
     return code
 
 
@@ -292,10 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return args.func(args)
         except MemoryError:
-            print("graphnorm: out of memory", file=sys.stderr)
+            _tell("graphnorm: out of memory")
             return _EXIT_USAGE
-        except (GraphNormError, OSError, ValueError) as exc:
-            print(f"graphnorm: {exc}", file=sys.stderr)
+        except (GraphNormError, OSError) as exc:
+            _tell(f"graphnorm: {exc}")
             return _EXIT_CODES.get(type(exc), _EXIT_USAGE)
     finally:
         if enabled:

@@ -9,11 +9,9 @@ over all triples. Rules compile against the same dictionary:
 constants become term ids, variables negative ints. Only what a library
 function returns is decoded; the statistics count ids and the commands
 render them (render, each distinct term once). Ids follow first
-occurrence in the text, then the rules and the aux Graph's canonical
-order; but a data Graph the library encodes takes them in set order,
-which varies with the hash seed, and so then does the order in which the
-store iterates. Nothing observable may depend on either: Graph iteration,
-render() and the prover's candidates follow the rendered lines (_line).
+occurrence: in the text the CLI parses, or in a Graph's canonical order
+(_Terms.encode), then in the rules and the aux Graph. So neither the ids
+nor the order in which the store iterates follows the hash seed.
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -251,7 +249,7 @@ class _Materialization:
             body = tuple(terms.compile(atom, variables) for atom in rule.body)
             head = tuple(terms.compile(atom, variables) for atom in rule.head)
             self.rules.append((body, head))
-        self.data, self.aux = data, set(map(terms.encode, aux))
+        self.data, self.aux = data, terms.encode(aux)
         self.base = data | self.aux
         self.store = _Store(self.base)
         self.derivable: set[_Ids] | None = set() if minimizes else None
@@ -340,8 +338,7 @@ class ClosureResult(_Frozen):
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
     terms = _Terms()
-    m = _Materialization(terms, set(map(terms.encode, graph.triples)), rules, EMPTY_GRAPH,
-                         minimizes=False)
+    m = _Materialization(terms, terms.encode(graph), rules, EMPTY_GRAPH, minimizes=False)
     derived = m.store.triples - m.base
     return ClosureResult(Graph(graph.triples.union(map(m.terms.decode, derived))),
                          len(derived), m.rounds)
@@ -350,7 +347,7 @@ def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
 def materialize(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH) -> _Materialization:
     """The materialization of graph, encoded in a fresh dictionary, and aux."""
     terms = _Terms()
-    return _Materialization(terms, set(map(terms.encode, graph.triples)), rules, aux)
+    return _Materialization(terms, terms.encode(graph), rules, aux)
 
 
 class _Prover:

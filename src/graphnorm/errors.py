@@ -26,6 +26,12 @@ class ParseError(GraphNormError):
         return f"{where}: {self.message}"
 
 
+class InvalidValueError(GraphNormError, ValueError):
+    """A value the caller passed that the library refuses, such as a
+    namespace prefix or a skolemization scope that is not an absolute IRI.
+    It is a ValueError too, as these refusals are documented."""
+
+
 class UnsafeRuleError(GraphNormError):
     """A rule whose head is not fully grounded by its body, or contains a blank node."""
 

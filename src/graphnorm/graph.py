@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .errors import InvalidValueError
 from .terms import _BLANK, IRI, Triple, _Ids, _Terms, is_absolute_iri
 
 
@@ -83,16 +84,18 @@ def skolemize(graph: Graph, scope: str | IRI) -> Graph:
     deterministic and graphs already free of blanks pass through unchanged.
     """
     terms = _Terms()
-    triples = set(map(terms.encode, graph.triples))
-    return Graph(map(terms.decode, skolemize_ids(terms, triples, scope)))
+    return Graph(map(terms.decode, skolemize_ids(terms, terms.encode(graph), scope)))
 
 
 def skolemize_ids(terms: _Terms, triples: set[_Ids], scope: str | IRI) -> set[_Ids]:
     """skolemize on triples of ids in terms, interning the genid IRIs."""
     scope_value = scope.value if isinstance(scope, IRI) else scope
     if not is_absolute_iri(scope_value):
-        raise ValueError(f"skolemization scope must be an absolute IRI: {scope_value!r}")
+        raise InvalidValueError(f"skolemization scope must be an absolute IRI: {scope_value!r}")
     prefix = scope_value.rstrip("/") + "/.well-known/genid/"
-    new = [terms.intern(IRI(prefix + terms.terms[i].label)) if k == _BLANK else i
-           for i, k in enumerate(terms.kinds[:])]
+    try:
+        new = [terms.intern(IRI(prefix + terms.terms[i].label)) if k == _BLANK else i
+               for i, k in enumerate(terms.kinds[:])]
+    except ValueError as exc:  # the scope holds a character no IRI may
+        raise InvalidValueError(str(exc)) from None
     return {(new[s], p, new[o]) for s, p, o in triples}

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .engine import _Materialization
-from .errors import GraphNormError, ResolverError, UnsupportedFeatureError
+from .errors import GraphNormError, InvalidValueError, ResolverError, UnsupportedFeatureError
 from .graph import Graph
 from .lex import (
     BLANK,
@@ -52,7 +53,7 @@ from .lex import (
 from .rules import EMPTY_RULESET, OWL_IMPORTS, RuleSet, compile_schema, parse_rules
 from .stats import (STAT_NAMES, NamespaceDecl, StatsReport, canonical_ratio, decimal_string,
                     stat_texts, stats_report)
-from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, Triple, _Frozen, _set, _Terms
+from .terms import IRI, RDF_NS, XSD_DECIMAL, XSD_INTEGER, _SURROGATE, Triple, _Frozen, _set, _Terms
 from .turtle import _TurtleParser, parse_turtle
 
 if TYPE_CHECKING:
@@ -135,16 +136,21 @@ class FileResolver(_Frozen):
     @staticmethod
     def reads(locator: str) -> bool:
         """Whether the locator names a local file: a path or a file: IRI."""
-        scheme = urlsplit(locator).scheme
+        try:
+            scheme = urlsplit(locator).scheme
+        except ValueError as exc:  # such as an unclosed '[' in the host
+            raise ResolverError(f"cannot resolve {locator!r}: {exc}") from None
         return scheme == "file" or len(scheme) < 2
 
-    def resolve_path(self, locator: str) -> str:
+    def __call__(self, locator: str) -> str:
         if not self.reads(locator):
             raise ResolverError(f"only local file locators are supported: {locator!r}")
         split = urlsplit(locator)
-        if split.scheme == "file":
-            if split.netloc.lower() not in ("", "localhost"):
-                raise ResolverError(f"a file: locator must name this machine: {locator!r}")
+        if split.scheme != "file":
+            path = os.path.join(self.base_dir, locator)  # an absolute path is kept whole
+        elif split.netloc.lower() not in ("", "localhost"):
+            raise ResolverError(f"a file: locator must name this machine: {locator!r}")
+        else:
             # urllib.request pulls in http.client, ssl and email: import it
             # only here, so that importing the package stays cheap.
             from urllib.request import url2pathname
@@ -153,17 +159,10 @@ class FileResolver(_Frozen):
             if not os.path.isabs(path):
                 # 'file:d2.ttl' names no directory to be relative to.
                 raise ResolverError(f"a file: locator needs an absolute path: {locator!r}")
-            return path
-        if os.path.isabs(locator):
-            return locator
-        return os.path.join(self.base_dir, locator)
-
-    def __call__(self, locator: str) -> str:
-        path = self.resolve_path(locator)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ResolverError(f"cannot resolve {locator!r}: {exc}") from None
 
 
@@ -185,21 +184,23 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
     """Render a deterministic description of the report.
 
     Stat items are sorted by dimension name; equal inputs produce
-    byte-identical output. Raises ValueError for what no reader could
-    recompute: densities without the namespace declaration, or an IRI
-    that read_description cannot read back from between '<' and '>'.
+    byte-identical output. Raises InvalidValueError, a ValueError, for
+    what no reader could recompute: densities without the namespace
+    declaration, or an IRI that read_description cannot read back from
+    between '<' and '>' or that holds a lone surrogate.
     """
     has_density = (report.out_link_density_plus is not None
                    or report.out_link_density_minus is not None)
     if has_density and namespaces is None:
-        raise ValueError("reports with out-link densities need the namespace declaration")
+        raise InvalidValueError("reports with out-link densities need the namespace declaration")
     for iri in (dataset, gn_base, *(src.locator for src in spec.rule_sources),
                 *(namespaces.prefixes if namespaces is not None else ())):
-        # Readable iff the lexer takes <iri> whole as one IRI reference:
-        # '<=>' is a token of its own.
+        # Readable iff the lexer takes <iri> whole as one IRI reference
+        # ('<=>' is a token of its own), and UTF-8 can write it.
         ref = f"<{iri}>"
-        if _TOKEN.match(ref)[1] != ref or kind(ref) != IRIREF:
-            raise ValueError(f"cannot be written as an IRI reference: {iri!r}")
+        if (_TOKEN.match(ref)[1] != ref or kind(ref) != IRIREF
+                or not iri.isascii() and re.search(_SURROGATE, iri)):
+            raise InvalidValueError(f"cannot be written as an IRI reference: {iri!r}")
 
     normalisation: list[_Pair] = []
     if spec.kind != "none":
@@ -221,14 +222,6 @@ def emit_description(dataset: str, report: StatsReport, spec: NormalisationSpec,
     header = "".join(f"@prefix {prefix}: <{iri}> .\n" for prefix, iri in (
         ("gn", gn_base), ("rdf", RDF_NS), ("scovo", SCOVO_NS), ("void", VOID_NS)))
     return f"{header}\n<{dataset}> a void:Dataset ;\n{_render(pairs, '    ')} .\n"
-
-
-def _decimal(text: str) -> Fraction:
-    """A decimal's exact value. fractions is imported on the first one read,
-    as stats imports it on the first ratio built (see there)."""
-    from fractions import Fraction
-
-    return Fraction(text)
 
 
 class _Ref(str):
@@ -295,10 +288,8 @@ class _DescriptionReader(Reader):
         k = kind(tok)
         if k in (IRIREF, PNAME):
             return _Ref(self._name(i)), i + 1
-        if k == INTEGER:
-            return int(tok), i + 1
-        if k == DECIMAL:
-            return _decimal(tok), i + 1
+        if k in (INTEGER, DECIMAL):
+            return self._number(tok, i, k == DECIMAL), i + 1
         if k == STRING:
             lexical = tok[1:-1]
             nxt = toks[i + 1]
@@ -309,9 +300,9 @@ class _DescriptionReader(Reader):
                 if datatype is None:
                     raise self.error("expected a datatype IRI after '^^'", i + 2)
                 if datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
-                    return int(lexical), i + 3
+                    return self._number(lexical, i, False), i + 3
                 if datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
-                    return _decimal(lexical), i + 3
+                    return self._number(lexical, i, True), i + 3
                 return lexical, i + 3
             return lexical, i + 1
         if k == "[":
@@ -327,6 +318,23 @@ class _DescriptionReader(Reader):
         if k == BLANK:
             raise self.error("labeled blank nodes are not supported in descriptions", i)
         raise self.error(f"expected an object, got {value(tok)!r}", i)
+
+    def _number(self, text: str, i: int, decimal: bool) -> int | Fraction:
+        """The exact value of the number written at token i, which must also
+        convert back to text, as a mismatch quotes it. fractions is imported
+        on the first decimal read, as stats imports it on the first ratio."""
+        try:
+            if decimal:
+                from fractions import Fraction
+
+                number = Fraction(text)
+            else:
+                number = int(text)
+            str(number)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"number has more than {sys.get_int_max_str_digits()} digits",
+                             i) from None
+        return number
 
 
 def _one(values: list, what: str):
@@ -432,7 +440,7 @@ def load_dlogic(sources: Iterable[str], resolver: Resolver) -> Graph:
         visited.add(locator)
         graph = parse_turtle(resolver(locator), source=locator)
         merged |= graph.triples
-        for t in graph.triples:
+        for t in graph:
             if t.predicate == OWL_IMPORTS and isinstance(t.object, IRI):
                 queue.append(t.object.value)
     return Graph(merged)

@@ -331,5 +331,5 @@ def compile_schema(schema: Graph) -> RuleSet:
             import logging
 
             logging.getLogger(__name__).warning(
-                "ignoring unrecognized schema triple: %s", t.ntriples())
+                "graphnorm: warning: ignoring unrecognized schema triple: %s", t.ntriples())
     return RuleSet(rules)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import _Materialization, materialize
-from .errors import EmptyGraphError
+from .errors import EmptyGraphError, InvalidValueError
 from .graph import EMPTY_GRAPH, Graph
 from .rules import RuleSet
 from .terms import IRI, _Frozen, _set, _Terms, is_absolute_iri
@@ -31,14 +31,14 @@ class NamespaceDecl(_Frozen):
 
     def __init__(self, prefixes: tuple[str, ...]) -> None:
         if not prefixes:
-            raise ValueError("a namespace declaration needs at least one prefix")
+            raise InvalidValueError("a namespace declaration needs at least one prefix")
         for p in prefixes:
             if not is_absolute_iri(p):
-                raise ValueError(f"namespace prefix is not an absolute IRI: {p!r}")
+                raise InvalidValueError(f"namespace prefix is not an absolute IRI: {p!r}")
         for a in prefixes:
             for b in prefixes:
                 if a != b and b.startswith(a):
-                    raise ValueError(f"nested namespace prefixes: {a!r} contains {b!r}")
+                    raise InvalidValueError(f"nested namespace prefixes: {a!r} contains {b!r}")
         _set(self, "prefixes", prefixes)
 
     def owns(self, iri: str) -> bool:
@@ -75,8 +75,7 @@ def serialize_counted_closure(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_G
     text is rendered from the interned closure; no Triple is decoded.
     """
     terms = _Terms()
-    m = _Materialization(terms, set(map(terms.encode, graph.triples)), rules, aux,
-                         minimizes=False)
+    m = _Materialization(terms, terms.encode(graph), rules, aux, minimizes=False)
     return m.render(m.counted())
 
 

@@ -22,20 +22,18 @@ above it ('@', '^', '-', label characters), and no rendered IRI continues
 past its closing '>', which cannot occur inside an IRI.
 
 Terms and triples are immutable __slots__ objects that compute their hash
-once, at construction. Graphs, the parser and the engine's intern table
-hash every term and triple many times, and recomputing the hash from the
-fields on each set or dict operation cost more than the lookup itself.
-The invariant: the cached hash equals the hash of the tuple of the fields
-that define equality, hash((value,)) for an IRI and hash((subject,
-predicate, object)) for a triple. Those are the values frozen dataclasses
-give, so set and dict iteration orders stay what they were before the
-types became slots classes, and with them the engine's search order.
+once, at construction (_Hashed). Graphs, the parser and the engine's intern
+table hash every term and triple many times, and recomputing the hash from
+the fields on each set or dict operation cost more than the lookup itself.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -107,9 +105,24 @@ class _Frozen:
         return (self.__class__, tuple([getattr(self, f) for f in self._fields]))
 
 
-class IRI(_Frozen):
-    __slots__ = ("value", "_hash")
-    _fields = ("value",)
+class _Hashed(_Frozen):
+    """A _Frozen value whose __init__ stores its hash in _hash once: the
+    hash of the tuple of its _fields. Equality compares the class, then
+    the stored hash, then _key()."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class IRI(_Hashed):
+    __slots__ = _fields = ("value",)
 
     def __init__(self, value: str) -> None:
         if not is_absolute_iri(value):
@@ -119,35 +132,18 @@ class IRI(_Frozen):
         _set(self, "value", value)
         _set(self, "_hash", hash((value,)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is IRI:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def ntriples(self) -> str:
         return f"<{self.value}>"
 
 
-class BlankNode(_Frozen):
-    __slots__ = ("label", "_hash")
-    _fields = ("label",)
+class BlankNode(_Hashed):
+    __slots__ = _fields = ("label",)
 
     def __init__(self, label: str) -> None:
         if not _is_blank_label(label):
             raise ValueError(f"invalid blank node label: {label!r}")
         _set(self, "label", label)
         _set(self, "_hash", hash((label,)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is BlankNode:
-            return self.label == other.label
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def ntriples(self) -> str:
         return f"_:{self.label}"
@@ -163,9 +159,8 @@ def _escape(text: str) -> str:
     )
 
 
-class Literal(_Frozen):
-    __slots__ = ("lexical", "datatype", "language", "_hash")
-    _fields = ("lexical", "datatype", "language")
+class Literal(_Hashed):
+    __slots__ = _fields = ("lexical", "datatype", "language")
 
     def __init__(self, lexical: str, datatype: str | None = None,
                  language: str | None = None) -> None:
@@ -182,16 +177,6 @@ class Literal(_Frozen):
         _set(self, "language", language)
         _set(self, "_hash", hash((lexical, datatype, language)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Literal:
-            return (self._hash == other._hash
-                    and (self.lexical, self.datatype, self.language)
-                    == (other.lexical, other.datatype, other.language))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def ntriples(self) -> str:
         text = f'"{_escape(self.lexical)}"'
         if self.language is not None:
@@ -201,23 +186,14 @@ class Literal(_Frozen):
         return text
 
 
-class Variable(_Frozen):
-    __slots__ = ("name", "_hash")
-    _fields = ("name",)
+class Variable(_Hashed):
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         if not _is_variable_name(name):
             raise ValueError(f"invalid variable name: {name!r}")
         _set(self, "name", name)
         _set(self, "_hash", hash((name,)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Variable:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def text(self) -> str:
         return f"?{self.name}"
@@ -231,9 +207,8 @@ XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
 
 
-class Triple(_Frozen):
-    __slots__ = ("subject", "predicate", "object", "_hash")
-    _fields = ("subject", "predicate", "object")
+class Triple(_Hashed):
+    __slots__ = _fields = ("subject", "predicate", "object")
 
     def __init__(self, subject: IRI | BlankNode, predicate: IRI,
                  object: IRI | BlankNode | Literal) -> None:
@@ -247,16 +222,6 @@ class Triple(_Frozen):
         _set(self, "predicate", predicate)
         _set(self, "object", object)
         _set(self, "_hash", hash((subject, predicate, object)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Triple:
-            return (self._hash == other._hash
-                    and (self.subject, self.predicate, self.object)
-                    == (other.subject, other.predicate, other.object))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
@@ -287,8 +252,12 @@ class _Terms:
                               else _BLANK if isinstance(term, BlankNode) else _LITERAL)
         return i
 
-    def encode(self, t: Triple) -> _Ids:
-        return (self.intern(t.subject), self.intern(t.predicate), self.intern(t.object))
+    def encode(self, graph: Graph) -> set[_Ids]:
+        """The triples of graph as ids, interned in its canonical order, so
+        that neither the ids nor a set's order of them follows the hash seed.
+        The one place a Graph becomes ids."""
+        intern = self.intern
+        return {(intern(t.subject), intern(t.predicate), intern(t.object)) for t in graph}
 
     def decode(self, t: _Ids) -> Triple:
         terms = self.terms

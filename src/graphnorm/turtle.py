@@ -145,7 +145,8 @@ class _TurtleParser(Reader):
             raise self.error("blank node property lists are not supported", i)
         if k == "{":
             raise self.error("graph data cannot contain rule braces", i)
-        raise self.error(f"expected a {position} term, got {value(tok)!r}", i)
+        article = "an" if position == "object" else "a"
+        raise self.error(f"expected {article} {position} term, got {value(tok)!r}", i)
 
     def _literal(self, i: int) -> tuple[Literal, int]:
         """The literal starting at token i and the index after it."""

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from graphnorm import (
     Graph,
+    GraphNormError,
     IRI,
     NamespaceDecl,
     NormalisationSpec,
@@ -802,6 +803,88 @@ class TestMalformedInput:
         assert not (workdir / "out.txt").exists()
 
 
+class TestUserErrors:
+    """Each user error reaches main as a GraphNormError with its own message
+    and exit code; main catches no bare ValueError, so a defect of the
+    program is not mistaken for one."""
+
+    @pytest.mark.parametrize("argv, locator, reason", [
+        (["closure", "--data", "links.ttl", "--rules", "http://[x/r.n3"], "http://[x/r.n3",
+         "Invalid IPv6 URL"),
+        (["describe", "--data", "links.ttl", "--dataset", "http://[x/d.ttl"], "http://[x/d.ttl",
+         "Invalid IPv6 URL"),
+        (["verify", "desc.ttl"], "http://[x/d.ttl", "Invalid IPv6 URL"),
+        (["verify", "desc.ttl"], "d\x00.ttl", "embedded null byte"),
+    ], ids=["rules", "dataset", "described-dataset", "described-nul"])
+    def test_a_locator_that_names_no_path_is_named(self, workdir, capsys, argv, locator, reason):
+        (workdir / "desc.ttl").write_text(emit_description(
+            locator, StatsReport(2, 2, 2, Fraction(0)), NormalisationSpec("none")),
+            encoding="utf-8")
+        code, out, err = run([*argv, "--output", "out.txt"], capsys)
+        assert (code, out, err) == (1, "", f"graphnorm: cannot resolve {locator!r}: {reason}\n")
+        assert not (workdir / "out.txt").exists()
+
+    @pytest.mark.parametrize("output", [[], ["--output", "desc.ttl"]], ids=["stdout", "file"])
+    def test_a_file_name_that_is_not_utf8_is_not_described(self, workdir, capsys, output):
+        """Such a name reaches argv as surrogate escapes, which no UTF-8
+        description can hold."""
+        name = os.fsdecode(b"\xff.ttl")
+        shutil.copy(workdir / "links.ttl", workdir / name)
+        code, out, err = run(["describe", "--data", name, *output], capsys)
+        assert (code, out, err) == (
+            1, "", f"graphnorm: cannot be written as an IRI reference: {name!r}\n")
+        assert not (workdir / "desc.ttl").exists()
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "1" * 3000 + "." + "1" * 2000],
+                             ids=["integer", "decimal"])
+    def test_a_number_longer_than_the_interpreter_converts_exits_2(self, workdir, capsys,
+                                                                   value):
+        text = emit_description("links.ttl", StatsReport(2, 2, 2, Fraction(0)),
+                                NormalisationSpec("none"))
+        # The first value, closureTriples, is on line 9 from column 19.
+        (workdir / "desc.ttl").write_text(text.replace("rdf:value 2\n", f"rdf:value {value}\n", 1),
+                                          encoding="utf-8")
+        code, out, err = run(["verify", "desc.ttl", "--output", "out.txt"], capsys)
+        assert (code, out, err) == (
+            2, "", "graphnorm: desc.ttl:9:19: number has more than 4300 digits\n")
+        assert not (workdir / "out.txt").exists()
+
+    def test_a_skolemization_scope_no_iri_can_hold_exits_1(self, workdir, capsys):
+        (workdir / "blank.ttl").write_text(f"_:b <{LINKS}p> <{LINKS}o> .\n", encoding="utf-8")
+        code, out, err = run(["closure", "--data", "blank.ttl", "--base", "http://e x/"], capsys)
+        assert (code, out, err) == (1, "", "graphnorm: IRI contains a forbidden character: "
+                                           "'http://e x/.well-known/genid/b'\n")
+
+    @pytest.mark.parametrize("refuse", [
+        lambda: NamespaceDecl(("rel/",)),
+        lambda: skolemize(Graph(), "rel"),
+        lambda: emit_description("a b.ttl", StatsReport(2, 2, 2, Fraction(0)),
+                                 NormalisationSpec("none")),
+    ], ids=["namespace", "base", "description-iri"])
+    def test_a_refused_value_is_a_graphnorm_error_and_a_value_error(self, refuse):
+        with pytest.raises(GraphNormError) as raised:
+            refuse()
+        assert isinstance(raised.value, ValueError)
+
+    def test_a_result_stdout_cannot_encode_exits_1(self, workdir):
+        line = f'<{LINKS}s> <{LINKS}p> "caf\u00e9" .\n'
+        (workdir / "cafe.ttl").write_text(line, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "graphnorm", "closure", "--data", "cafe.ttl"], cwd=workdir,
+            capture_output=True, text=True, env={**cli_env("0"), "PYTHONIOENCODING": "ascii"})
+        assert (result.returncode, result.stdout) == (1, "")
+        at = line.index("\u00e9")
+        assert result.stderr == ("graphnorm: cannot write the result: 'ascii' codec can't encode "
+                                 f"character '\\xe9' in position {at}: ordinal not in range(128)\n")
+
+    def test_a_value_error_of_the_program_is_not_caught(self, workdir, monkeypatch):
+        def defect(self):
+            raise ValueError("a defect")
+        monkeypatch.setattr(_Materialization, "saturate", defect)
+        with pytest.raises(ValueError, match="a defect"):
+            main(["closure", "--data", "links.ttl"])
+
+
 def test_minimize_over_a_9000_class_chain_keeps_the_c0_types(tmp_path):
     # x0..x2 are typed C0, C4500 and C9000 on a 9000-class subClassOf
     # chain: the proofs of the C9000 types walk 9000 steps from C0.
@@ -969,8 +1052,8 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("command, lines", [("closure", 6950), ("minimize", 155)])
     def test_chain_graph_output_is_stable_across_hash_seeds(self, workdir, command, lines):
-        # Term ids follow set iteration order, which the hash seed changes;
-        # only decoding and the canonical sort keep the output fixed.
+        # The hash seed changes the order of every set of terms; the
+        # output must not follow it.
         write_chain_graph(workdir)
         args = [command, "--data", "chain.ttl", "--dlogic", "chain-schema.ttl"]
         first = self._invoke(workdir, "1", args)
@@ -999,6 +1082,20 @@ def test_load_takes_the_same_term_ids_under_every_hash_seed(workdir):
                                   capture_output=True, env=cli_env(seed), check=True).stdout
              for seed in ("0", "1", "987")}
     assert loads["0"] == loads["1"] == loads["987"]
+
+
+def test_a_missing_import_is_reported_the_same_under_every_hash_seed(workdir):
+    """load_dlogic queues owl:imports in the schema Graph's canonical
+    order, so the import it fails on first does not follow the seed."""
+    (workdir / "imp.ttl").write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n<http://example.org/onto> owl:imports "
+        "<file:///nope/c.ttl>, <file:///nope/a.ttl>, <file:///nope/b.ttl> .\n", encoding="utf-8")
+    runs = {seed: subprocess.run(
+        [sys.executable, "-m", "graphnorm", "stats", "--data", "links.ttl", "--dlogic", "imp.ttl"],
+        cwd=workdir, capture_output=True, env=cli_env(seed)) for seed in ("0", "1", "987")}
+    assert {(r.returncode, r.stdout, r.stderr) for r in runs.values()} == {(
+        1, b"", b"graphnorm: cannot resolve 'file:///nope/a.ttl': "
+                b"[Errno 2] No such file or directory: '/nope/a.ttl'\n")}
 
 
 class TestRuleFileHandling:
@@ -1122,7 +1219,8 @@ def test_a_mutated_input_ends_in_a_documented_exit(target, command, op, start, l
             # A schema construct the mutation made unknown is skipped with a
             # warning, which is not a failure.
             err = "".join(line for line in err.splitlines(True)
-                          if not line.startswith("ignoring unrecognized schema triple: "))
+                          if not line.startswith(
+                              "graphnorm: warning: ignoring unrecognized schema triple: "))
             assert out == ""
             if code in (0, 4):
                 assert err == ""

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import subprocess
 import sys
 
 import pytest
@@ -28,8 +29,8 @@ from graphnorm.rules import (
 from graphnorm.terms import RDF_TYPE, _Terms
 
 from support import (
-    SCHEMA_KINDS, all_candidates, minimum_subset, naive_closure, random_instance, rule_heads,
-    sort_key,
+    SCHEMA_KINDS, all_candidates, cli_env, minimum_subset, naive_closure, random_instance,
+    rule_heads, sort_key,
 )
 
 EX = "http://example.org/"
@@ -546,13 +547,12 @@ def test_a_materialization_made_not_to_be_minimized_refuses_to_minimize():
     raises instead, and the closure is the same either way."""
     graph = Graph([t("a", "p", "b"), t("b", "p", "c"), t("a", "p", "c")])
     terms = _Terms()
-    data = set(map(terms.encode, graph.triples))
-    m = _Materialization(terms, data, trans("p"), EMPTY_GRAPH, minimizes=False)
+    m = _Materialization(terms, terms.encode(graph), trans("p"), EMPTY_GRAPH, minimizes=False)
     assert m.derivable is None
     with pytest.raises(RuntimeError, match="minimizes=False"):
         m.minimize()
     made = materialize(graph, trans("p"))
-    assert made.derivable == {made.terms.encode(t("a", "p", "c"))}
+    assert made.derivable == made.terms.encode(Graph([t("a", "p", "c")]))
     assert {m.terms.decode(x) for x in m.store.triples} == closure(graph, trans("p")).graph.triples
 
 
@@ -800,6 +800,35 @@ def test_transitive_reduce_keeps_the_pinned_survivors(graph, kept, digest):
     minimal = reduce(graph, trans("p"))
     assert len(minimal) == kept
     assert hashlib.sha256(serialize_turtle(minimal).encode()).hexdigest() == digest
+
+
+# Counts the rule heads the prover dispatches in one library reduce of the
+# data in argv[1] under the schema in argv[2]; prints it and the survivors.
+_COUNT_DISPATCHES = """
+import sys
+from graphnorm import compile_schema, engine, parse_turtle, reduce
+calls = 0
+dispatched = engine._dispatched
+def counted(index, t):
+    global calls
+    calls += 1
+    return dispatched(index, t)
+engine._dispatched = counted
+kept = reduce(parse_turtle(sys.argv[1]), compile_schema(parse_turtle(sys.argv[2])))
+print(calls, len(kept))
+"""
+
+
+def test_library_reduce_does_the_same_work_under_every_hash_seed():
+    """reduce encodes its Graph in canonical order, so the term ids, the
+    store's order and with them the prover's whole search, not only the
+    survivors, are the same whatever the hash seed."""
+    argv = [sys.executable, "-c", _COUNT_DISPATCHES,
+            serialize_turtle(_random_triples(random.Random(3), 200, 60, "pq")),
+            f"<{EX}p> a <http://www.w3.org/2002/07/owl#TransitiveProperty> ."]
+    counts = {seed: subprocess.run(argv, capture_output=True, text=True, check=True,
+                                   env=cli_env(seed)).stdout for seed in ("0", "1", "987")}
+    assert counts == dict.fromkeys(("0", "1", "987"), "35947 163\n")
 
 
 _PERSON_DATA = parse_turtle(f"@prefix ex: <{EX}> .\nex:bob ex:knows ex:alice .\n")

@@ -141,7 +141,8 @@ def test_a_schema_warning_still_reaches_stderr(workdir):
     code, out, err = in_child(["closure", "--data", "mixed.ttl", "--dlogic", "mixed-vocab.ttl"],
                               workdir)
     assert (code, err) == (0, (
-        "ignoring unrecognized schema triple: <http://example.org/cat/partOf> "
+        "graphnorm: warning: ignoring unrecognized schema triple: "
+        "<http://example.org/cat/partOf> "
         f"<{RDFS}rarange> <http://example.org/cat/Collection> .\n").encode())
     assert out.startswith(b"<http://example.org/cat/")
 
@@ -163,6 +164,35 @@ def test_a_closed_stdout_ends_in_one_line(workdir, argv):
          "--output", "out.txt"], cwd=workdir, capture_output=True, env=cli_env("0"))
     assert (written.returncode, written.stderr) == (0, b"")
     assert (workdir / "out.txt").read_bytes() == in_process(argv)[1]
+
+
+def with_closed_stderr(argv, cwd):
+    """(exit code, stdout) of a `python -m graphnorm` process started with
+    stderr closed."""
+    result = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$0" -m graphnorm "$@" 2>&-', sys.executable, *argv],
+        cwd=cwd, stdout=subprocess.PIPE, env=cli_env("0"))
+    return result.returncode, result.stdout
+
+
+@pytest.mark.parametrize("code", range(6))
+def test_a_closed_stderr_keeps_each_documented_exit(workdir, code):
+    """Every diagnostic goes through one writer, which drops the line when
+    stderr cannot take it, so the exit code stays the command's."""
+    argv = _exit_argv(workdir, code)
+    assert with_closed_stderr(argv, workdir) == in_process(argv)[:2]
+
+
+def test_a_closed_stderr_drops_the_diff_minimize_and_warning_lines(workdir):
+    vocab = (workdir / "mixed-vocab.ttl").read_text(encoding="utf-8")
+    (workdir / "odd-vocab.ttl").write_text(vocab.replace("rdfs:range", "rdfs:rarange"),
+                                           encoding="utf-8")
+    argv = ["diff-minimize", "--prev-min", "mixed.ttl", "--full", "mixed.ttl",
+            "--dlogic", "odd-vocab.ttl"]
+    code, out, err = in_child(argv, workdir)
+    assert code == 0 and err.startswith(b"graphnorm: warning: ")
+    assert err.endswith(b"\nfallback: false\n")
+    assert with_closed_stderr(argv, workdir) == (0, out)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -141,8 +141,11 @@ class TestEmit:
         {"spec": NormalisationSpec("mini_rdf", (RuleSource("n3", "ru<les.n3"),))},
         {"namespaces": NamespaceDecl((EX + "a b/",))},
         {"gn_base": "http://purl.org/g n#"},
-    ], ids=["dataset", "equivalence", "locator", "namespace", "gn_base"])
+        {"dataset": "\udcff.ttl"},
+    ], ids=["dataset", "equivalence", "locator", "namespace", "gn_base", "lone-surrogate"])
     def test_unreadable_iri_rejected(self, kwargs):
+        """A lone surrogate, as a file name that is not UTF-8 reaches argv,
+        has no UTF-8 form to be written in."""
         args = {"dataset": "data.ttl", "report": REPORT_WITH_DENSITIES, "spec": MINI,
                 "namespaces": NamespaceDecl((EX,)), **kwargs}
         with pytest.raises(ValueError, match="cannot be written as an IRI reference"):
@@ -189,10 +192,11 @@ def test_emitted_bytes_are_pinned(case):
         == _pinned_texts()[case]
 
 
-# Characters that cannot stand between '<' and '>' in a description.
-_UNREADABLE = sorted(' <>"{}|^`\\\n')
-_READABLE = st.text(st.characters(blacklist_characters=_UNREADABLE) | st.sampled_from("\r\t#"),
-                    max_size=8)
+# Characters that cannot stand between '<' and '>' in a description, and
+# a lone surrogate, which UTF-8 cannot write.
+_UNREADABLE = [*sorted(' <>"{}|^`\\\n'), "\udcff"]
+_READABLE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_UNREADABLE)
+                    | st.sampled_from("\r\t#"), max_size=8)
 
 
 @settings(deadline=None, max_examples=300)
@@ -401,6 +405,20 @@ class TestRead:
         with pytest.raises(ParseError):
             read_description("<d.ttl> a", source="desc.ttl")
 
+    @pytest.mark.parametrize("value", [
+        "1" * 5000, "1" * 3000 + "." + "1" * 2000, "0." + "1" * 4300,
+        f'"{"1" * 5000}"^^<{XSD}integer>', f'"{"1" * 5000}.5"^^<{XSD}decimal>',
+    ], ids=["integer", "decimal", "decimal-denominator", "typed-integer", "typed-decimal"])
+    def test_a_number_longer_than_the_interpreter_converts_is_a_positioned_parse_error(
+            self, value):
+        """int() refuses more than 4300 digits (by default), to and from
+        text; a mismatch would quote the number, so its exact value must
+        convert both ways."""
+        with pytest.raises(ParseError) as raised:
+            read_description(_stating(value), source="desc.ttl")
+        column = len("  void:statItem [ scovo:dimension gn:publishedTriples ; rdf:value ") + 1
+        assert str(raised.value) == f"desc.ttl:6:{column}: number has more than 4300 digits"
+
     def test_nesting_beyond_the_limit_is_a_positioned_parse_error(self):
         def nested(depth: int) -> str:
             return f"<d.ttl> <{EX}p> " + f"[ <{EX}p> " * depth + "1" + " ]" * depth + " .\n"
@@ -464,6 +482,16 @@ class TestFileResolver:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ResolverError):
             FileResolver(str(tmp_path))("absent.ttl")
+
+    @pytest.mark.parametrize("locator, reason", [
+        ("http://[x/d.ttl", "Invalid IPv6 URL"),
+        ("file://[x/d.ttl", "Invalid IPv6 URL"),
+        ("d\x00.ttl", "embedded null byte"),
+    ], ids=["unclosed-host", "unclosed-file-host", "nul"])
+    def test_a_locator_that_names_no_path_is_named(self, tmp_path, locator, reason):
+        with pytest.raises(ResolverError) as raised:
+            FileResolver(str(tmp_path))(locator)
+        assert str(raised.value) == f"cannot resolve {locator!r}: {reason}"
 
 
 class TestLoadDlogic:

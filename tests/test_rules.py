@@ -212,11 +212,12 @@ PINNED_LABELS = [
     "inverseOf(parentOf)", "inverseOf(childOf)", "transitive(partOf)",
 ]
 
+_WARNING = "graphnorm: warning: ignoring unrecognized schema triple: "
 PINNED_WARNINGS = [
-    f'ignoring unrecognized schema triple: <{EX}p> <{RDFS_NS}domain> "x" .',
-    f"ignoring unrecognized schema triple: <{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}domain> .",
-    f"ignoring unrecognized schema triple: <{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}subClassOf> .",
-    f"ignoring unrecognized schema triple: _:b <{RDFS_NS}subClassOf> <{EX}C> .",
+    f'{_WARNING}<{EX}p> <{RDFS_NS}domain> "x" .',
+    f"{_WARNING}<{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}domain> .",
+    f"{_WARNING}<{EX}x> {RDF_TYPE.ntriples()} <{RDFS_NS}subClassOf> .",
+    f"{_WARNING}_:b <{RDFS_NS}subClassOf> <{EX}C> .",
 ]
 
 

@@ -189,7 +189,7 @@ POSITIONED_ERRORS = [
     (S_P + "a.-a.a .", "unexpected character '-'", 1, 37),
     (S_P + "a.5a.b .", "unexpected token 'b'", 1, 40),
     ("\n" + S_P + "x_1.a-b..c .", "unexpected token 'x_1'", 2, 35),
-    ("<http://e.org/s> a.a.a <http://e.org/o> .", "expected a object term, got '.'", 1, 19),
+    ("<http://e.org/s> a.a.a <http://e.org/o> .", "expected an object term, got '.'", 1, 19),
 ]
 
 
