@@ -21,9 +21,7 @@ from .rules import (
     EMPTY_RULESET,
     Rule,
     RuleSet,
-    SafetyReport,
     TriplePattern,
-    check_safe,
     compile_schema,
     format_rules,
     parse_rules,
@@ -74,7 +72,6 @@ __all__ = [
     "Rule",
     "RuleSet",
     "RuleSource",
-    "SafetyReport",
     "StatDescription",
     "StatsReport",
     "Triple",
@@ -83,7 +80,6 @@ __all__ = [
     "UnsupportedFeatureError",
     "Variable",
     "canonical_ratio",
-    "check_safe",
     "closure",
     "compare_description",
     "compile_schema",

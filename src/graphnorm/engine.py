@@ -419,7 +419,8 @@ class _Prover:
         one match iterator per step: stored triples first, then the rest
         of M. A grounding stops at its first atom that is neither stored
         nor proved; it watches that atom, which is yielded to be explored.
-        None is yielded when a grounding completes."""
+        None is yielded when a grounding completes; prove then holds head
+        proved (or returns) and never resumes this walk."""
         store, closed = self.store, self._closed
         stored = store.triples
         for steps, i, row in instances:
@@ -434,7 +435,6 @@ class _Prover:
                             yield t
                     elif j == last:
                         yield None
-                        return
                     else:
                         positions.append((j + 1, r, _rows(store, steps[j + 1], r), False))
                         break

@@ -7,9 +7,10 @@ Rules are written in an N3-style syntax::
     { ?x :links_to ?y } <=> { ?y :linked_from ?x } .
 
 ``=>`` yields one rule; ``<=>`` yields the forward and the reversed rule.
-Only safe rules are accepted: every head variable must occur in the body,
-and heads are blank-free, so forward application of a rule to ground facts
-always produces ground triples.
+A rule value is one this syntax can write, whether parsed or built in
+code: TriplePattern refuses a blank node, and Rule refuses a head variable
+its body does not bind, so forward application of a rule to ground facts
+always produces ground triples, and format_rules output always reads back.
 
 compile_schema turns a recognized RDFS/OWL fragment (domain, range,
 subClassOf, subPropertyOf, inverseOf, symmetric and transitive property
@@ -19,7 +20,7 @@ namespaces is skipped with a warning.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import UnsafeRuleError
 from .graph import Graph
@@ -84,15 +85,14 @@ class TriplePattern(_Frozen):
             raise ValueError("a literal cannot be a pattern subject")
         if not isinstance(predicate, (IRI, Variable)):
             raise ValueError("a pattern predicate must be an IRI or a variable")
+        if isinstance(subject, BlankNode) or isinstance(object, BlankNode):
+            raise ValueError("a rule pattern cannot hold a blank node")
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
-
-    def variables(self) -> set[str]:
-        return {t.name for t in self.terms() if isinstance(t, Variable)}
 
     def text(self) -> str:
         return " ".join(
@@ -107,6 +107,11 @@ class Rule(_Frozen):
                  label: str | None = None) -> None:
         if not body or not head:
             raise ValueError("rules need a non-empty body and head")
+        bound = {t for p in body for t in p.terms()}
+        unbound = {t for p in head for t in p.terms() if isinstance(t, Variable)} - bound
+        if unbound:
+            names = ", ".join(sorted(v.text() for v in unbound))
+            raise UnsafeRuleError(f"head variables not bound in body: {names}")
         _set(self, "body", body)
         _set(self, "head", head)
         _set(self, "label", label)
@@ -114,39 +119,10 @@ class Rule(_Frozen):
     def _key(self) -> tuple:
         return (self.body, self.head)  # the label is not part of a rule's identity
 
-    def body_variables(self) -> set[str]:
-        return set().union(*(p.variables() for p in self.body))
-
-    def head_variables(self) -> set[str]:
-        return set().union(*(p.variables() for p in self.head))
-
     def text(self) -> str:
         body = " . ".join(p.text() for p in self.body)
         head = " . ".join(p.text() for p in self.head)
         return f"{{ {body} }} => {{ {head} }} ."
-
-
-class SafetyReport(NamedTuple):
-    unbound_head_variables: tuple[str, ...]
-    blank_head_labels: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.unbound_head_variables and not self.blank_head_labels
-
-
-def check_safe(rule: Rule) -> SafetyReport:
-    """Report head variables the body never binds, and blanks in the head."""
-    unbound = sorted(rule.head_variables() - rule.body_variables())
-    blanks = sorted(
-        {
-            t.label
-            for p in rule.head
-            for t in p.terms()
-            if isinstance(t, BlankNode)
-        }
-    )
-    return SafetyReport(tuple(unbound), tuple(blanks))
 
 
 class RuleSet:
@@ -213,15 +189,11 @@ class _RuleParser(_TurtleParser):
         return RuleSet(rules)
 
     def _emit(self, rules, body, head, arrow: int) -> None:
-        rule = Rule(tuple(body), tuple(head), label=f"r{len(rules) + 1}")
-        # The parser has refused blank nodes already; a head variable can
-        # still be unbound.
-        unbound = check_safe(rule).unbound_head_variables
-        if unbound:
-            names = ", ".join(f"?{v}" for v in unbound)
-            raise self._unsafe(
-                f"unsafe rule {rule.label}: head variables not bound in body: {names}", arrow)
-        rules.append(rule)
+        label = f"r{len(rules) + 1}"
+        try:
+            rules.append(Rule(tuple(body), tuple(head), label))
+        except UnsafeRuleError as exc:
+            raise self._unsafe(f"unsafe rule {label}: {exc}", arrow) from None
 
     def _pattern_block(self, i: int, side: str) -> tuple[list[TriplePattern], int]:
         toks = self.toks

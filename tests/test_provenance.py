@@ -434,6 +434,46 @@ class TestRead:
             f"desc.ttl:1:{column}: anonymous nodes nest more than {_MAX_NESTING} deep")
 
 
+# What the description reader refuses where it reads it: the message,
+# line and column of each ParseError (exit 2 in the CLI).
+DESCRIPTION_PARSE_ERRORS = [
+    ('"x" <http://e.org/p> 1 .', "expected a subject IRI, got 'x'", 1, 1),
+    ('<d.ttl> "p" 1 .', "expected a predicate, got 'p'", 1, 9),
+    ('<d.ttl> <http://e.org/p> "x"^^"y" .', "expected a datatype IRI after '^^'", 1, 31),
+    ("<d.ttl> <http://e.org/p> _:b .",
+     "labeled blank nodes are not supported in descriptions", 1, 26),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", DESCRIPTION_PARSE_ERRORS)
+def test_description_parse_error_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as raised:
+        read_description(text, source="desc.ttl")
+    assert (raised.value.message, raised.value.line, raised.value.column) == (
+        message, line, col)
+
+
+# What it refuses once read: a plain GraphNormError (exit 1 in the CLI).
+DESCRIPTION_REFUSALS = [
+    (_stating("1, 2"), "description item needs exactly one rdf:value"),
+    (_stating("1").replace(" ; rdf:value 1", ""),
+     "description item needs exactly one rdf:value"),
+    (_stating("1 ; gn:normalisation <n.ttl>"), "gn:normalisation must be an anonymous node"),
+    (_stating("1 ; gn:normalisation [ a gn:MiniRDF ; gn:rules <r.ttl> ]"),
+     "gn:rules must be an anonymous node"),
+    (_stating("1").replace("[ scovo:dimension gn:publishedTriples ; rdf:value 1 ]", "<item>"),
+     "void:statItem must be an anonymous node"),
+]
+
+
+@pytest.mark.parametrize("text, message", DESCRIPTION_REFUSALS)
+def test_description_refusal_message(text, message):
+    with pytest.raises(GraphNormError) as raised:
+        read_description(text, source="desc.ttl")
+    assert type(raised.value) is GraphNormError
+    assert str(raised.value) == message
+
+
 class TestFileResolver:
     def test_relative_path(self, tmp_path):
         (tmp_path / "x.ttl").write_text("# empty\n", encoding="utf-8")

@@ -2,17 +2,19 @@ import logging
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from graphnorm import (
+    BlankNode,
     Graph,
     IRI,
+    Literal,
     ParseError,
     Rule,
     RuleSet,
     Triple,
     UnsafeRuleError,
     Variable,
-    check_safe,
     compile_schema,
     parse_rules,
     parse_turtle,
@@ -26,10 +28,11 @@ from graphnorm.rules import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    _FRAGMENT,
     TriplePattern,
     format_rules,
 )
-from graphnorm.terms import RDF_TYPE, RDFS_NS
+from graphnorm.terms import RDF_TYPE, RDFS_NS, XSD_INTEGER
 
 EX = "http://example.org/"
 
@@ -103,14 +106,39 @@ class TestSafety:
         with pytest.raises(UnsafeRuleError):
             parse_rules(f"{{ ?x <{EX}p> ?z . }} <=> {{ ?x <{EX}q> ?x . }} .")
 
-    def test_check_safe_report(self):
-        rule = Rule(
-            (TriplePattern(Variable("x"), IRI(EX + "p"), Variable("y")),),
-            (TriplePattern(Variable("x"), IRI(EX + "q"), Variable("z")),),
-        )
-        report = check_safe(rule)
-        assert not report.ok
-        assert report.unbound_head_variables == ("z",)
+    @pytest.mark.parametrize("head, names", [
+        ((Variable("x"), IRI(EX + "q"), Variable("z")), "?z"),
+        ((Variable("z"), IRI(EX + "q"), Variable("w")), "?w, ?z"),
+    ], ids=["one", "two"])
+    def test_rule_refuses_an_unbound_head_variable(self, head, names):
+        """A rule built in code is refused as a rule file is, when it is
+        built: the engine never sees it."""
+        with pytest.raises(UnsafeRuleError) as exc:
+            Rule((TriplePattern(Variable("x"), IRI(EX + "p"), Variable("y")),),
+                 (TriplePattern(*head),))
+        assert str(exc.value) == f"head variables not bound in body: {names}"
+
+    @pytest.mark.parametrize("position", ["subject", "predicate", "object"])
+    def test_pattern_refuses_a_blank_node(self, position):
+        terms = {"subject": Variable("x"), "predicate": IRI(EX + "p"), "object": Variable("y")}
+        terms[position] = BlankNode("b")
+        with pytest.raises(ValueError):
+            TriplePattern(**terms)
+
+    @pytest.mark.parametrize("text, message", [
+        (f"{{ ?x <{EX}p> ?y . }} => {{ ?x <{EX}q> ?z . }} .",
+         "r.n3:1:36: unsafe rule r1: head variables not bound in body: ?z"),
+        (f"{{ ?x <{EX}p> ?z . }} <=> {{ ?x <{EX}q> ?x . }} .",
+         "r.n3:1:36: unsafe rule r2: head variables not bound in body: ?z"),
+        (f"{{ ?x <{EX}p> ?y }} => {{ ?z <{EX}q> ?w }} .",
+         "r.n3:1:34: unsafe rule r1: head variables not bound in body: ?w, ?z"),
+        (f"{{ ?x <{EX}p> ?y }} => {{ ?x <{EX}q> _:b }} .",
+         "r.n3:1:65: blank node _:b in rule head"),
+    ], ids=["forward", "reverse", "two-variables", "blank-head"])
+    def test_an_unsafe_rule_is_placed_at_its_arrow_or_blank(self, text, message):
+        with pytest.raises(UnsafeRuleError) as exc:
+            parse_rules(text, "r.n3")
+        assert str(exc.value) == message
 
     def test_ground_head_is_safe(self):
         rs = parse_rules(f"{{ ?x <{EX}p> ?y . }} => {{ <{EX}s> a <{EX}Seen> . }} .")
@@ -150,6 +178,32 @@ class TestRuleSet:
         )
         assert Variable("o-") in rs.rules[2].head[0].terms()
         assert parse_rules(format_rules(rs)) == rs
+
+
+# Pattern terms of every kind; blank nodes and literals are few, so that
+# most drawn rules are built and read back, not refused.
+_PATTERN_TERMS = st.sampled_from([
+    Variable("x"), Variable("y"), Variable("z"), Variable("o-"),
+    IRI(EX + "p"), IRI(EX + "q"), RDF_TYPE,
+    Literal("1", datatype=XSD_INTEGER), Literal('a"b\n', language="en"),
+    BlankNode("b"),
+])
+_PATTERN_TRIPLES = st.lists(st.tuples(_PATTERN_TERMS, _PATTERN_TERMS, _PATTERN_TERMS),
+                            min_size=1, max_size=3)
+
+
+@given(_PATTERN_TRIPLES, _PATTERN_TRIPLES)
+@example([(Variable("x"), IRI(EX + "p"), Variable("y"))],
+         [(Variable("y"), RDF_TYPE, Literal("1", datatype=XSD_INTEGER))])
+def test_a_rule_value_is_refused_or_reads_back(body, head):
+    """Every Rule the library builds is one the rule language writes."""
+    try:
+        rule = Rule(tuple(TriplePattern(*t) for t in body),
+                    tuple(TriplePattern(*t) for t in head))
+    except (ValueError, UnsafeRuleError):
+        return
+    rules = RuleSet([rule])
+    assert parse_rules(format_rules(rules)) == rules
 
 
 def _iri(local: str) -> IRI:
@@ -263,13 +317,18 @@ class TestCompileSchema:
         assert len(rule.body) == 2
 
     def test_compiled_rules_are_safe(self):
-        schema = Graph([
-            Triple(_iri("p"), RDFS_DOMAIN, _iri("C")),
-            Triple(_iri("p"), OWL_INVERSEOF, _iri("q")),
-            Triple(_iri("p"), RDF_TYPE, OWL_TRANSITIVE),
-        ])
-        for rule in compile_schema(schema):
-            assert check_safe(rule).ok
+        """One schema triple per fragment entry: each rule it compiles
+        binds every head variable in its body."""
+        schema = Graph(Triple(_iri("p"), *key) if isinstance(key, tuple)
+                       else Triple(_iri("p"), key, _iri("q")) for key in _FRAGMENT)
+        rules = compile_schema(schema)
+        assert sorted(r.label for r in rules) == [
+            "domain(p)", "inverseOf(p)", "inverseOf(q)", "range(p)", "subClassOf(p)",
+            "subPropertyOf(p)", "symmetric(p)", "transitive(p)"]
+        for rule in rules:
+            body, head = ({t for p in side for t in p.terms() if isinstance(t, Variable)}
+                          for side in (rule.body, rule.head))
+            assert head <= body
 
     def test_unrecognized_schema_construct_warns(self, caplog):
         schema = Graph([Triple(_iri("p"), IRI(RDFS_NS + "subPropertyOfish"), _iri("q"))])

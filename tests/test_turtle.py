@@ -190,6 +190,15 @@ POSITIONED_ERRORS = [
     (S_P + "a.5a.b .", "unexpected token 'b'", 1, 40),
     ("\n" + S_P + "x_1.a-b..c .", "unexpected token 'x_1'", 2, 35),
     ("<http://e.org/s> a.a.a <http://e.org/o> .", "expected an object term, got '.'", 1, 19),
+    # escapes cut short or malformed
+    (S_P + '"x\\uZZZZ" .', "invalid \\u escape", 1, 37),
+    (S_P + '"x\\', "unterminated escape sequence", 1, 37),
+    # prefix declarations
+    ("@prefix ex:y <http://e.org/> .", "prefix declarations take a bare 'name:' form", 1, 9),
+    ("@prefix e: <rel/> .", "relative IRI not allowed: <rel/>", 1, 12),
+    # literals
+    (S_P + '"x"^^"y" .', "expected a datatype IRI after '^^'", 1, 40),
+    (S_P + '"x\ud800" .', "literal contains a lone surrogate: 'x\\ud800'", 1, 35),
 ]
 
 
