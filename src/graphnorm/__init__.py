@@ -41,7 +41,6 @@ from .provenance import (
     FileResolver,
     NormalisationSpec,
     RuleSource,
-    StatDescription,
     compare_description,
     emit_description,
     load_dlogic,
@@ -72,7 +71,6 @@ __all__ = [
     "Rule",
     "RuleSet",
     "RuleSource",
-    "StatDescription",
     "StatsReport",
     "Triple",
     "TriplePattern",

@@ -170,11 +170,13 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    report = stats_report(_load(args), _namespaces(args))
+    m = _load(args)
+    namespaces = _namespaces(args)
+    report = stats_report(m, namespaces)
     if args.format == "turtle":
         dataset = args.dataset or args.data
         text = emit_description(dataset, report, _description_spec(args),
-                                namespaces=_namespaces(args), gn_base=_gn_base())
+                                namespaces=namespaces, gn_base=_gn_base())
     else:
         rows = stat_texts(report)
         if args.format == "tsv":
@@ -207,7 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if mismatches:
         _write_output("".join(f"mismatch: {m}\n" for m in mismatches), args.output)
         return _EXIT_MISMATCH
-    _write_output(f"ok: {len(description.items)} statistics verified\n", args.output)
+    _write_output(f"ok: {len(description.stated)} statistics verified\n", args.output)
     return 0
 
 

@@ -12,7 +12,8 @@ The ``?name``, ``_:label`` and ``@tag`` tokens take their name patterns
 from ``graphnorm.terms``, which checks ``Variable``, ``BlankNode`` and
 ``Literal`` names against the same strings, so a name the lexer takes
 whole is one the term types accept. ``Reader`` reads ``@prefix``
-directives and expands prefixed names for all three parsers.
+directives, expands prefixed names and reads literals for all three
+parsers, so a literal a description states is one data could state.
 
 Tokens carry no positions. ``tokenize`` makes every lexical check before
 any parser runs: characters that start no token, words other than ``a``,
@@ -29,7 +30,7 @@ import re
 from itertools import islice
 
 from .errors import ParseError
-from .terms import _BLANK_LABEL, _LANG_TAG, _VARIABLE_NAME
+from .terms import IRI, XSD_DECIMAL, XSD_INTEGER, Literal, _BLANK_LABEL, _LANG_TAG, _VARIABLE_NAME
 
 # Token kinds that group many spellings; every other token (punctuation,
 # "a", "=>", "@prefix", '' at the end) is its own kind.
@@ -287,3 +288,33 @@ class Reader:
         if prefix not in self.prefixes:
             raise self.error(f"undeclared prefix '{prefix}:'", i)
         return self.prefixes[prefix] + local
+
+    def _iri(self, i: int) -> IRI:
+        """The absolute IRI at token i, refused where it is written."""
+        try:
+            return IRI(self._iri_text(i))
+        except ValueError as exc:
+            raise self.error(str(exc), i) from None
+
+    def _literal(self, i: int) -> tuple[Literal, int]:
+        """The literal starting at token i and the index after it."""
+        toks = self.toks
+        tok = toks[i]
+        k = kind(tok)
+        if k != STRING:
+            return Literal(tok, datatype=XSD_DECIMAL if k == DECIMAL else XSD_INTEGER), i + 1
+        nxt = toks[i + 1]
+        datatype = language = None
+        end = i + 1
+        if nxt[:1] == "@":
+            language = nxt[1:]
+            end = i + 2
+        elif nxt == "^^":
+            if kind(toks[i + 2]) not in (IRIREF, PNAME):
+                raise self.error("expected a datatype IRI after '^^'", i + 2)
+            datatype = self._iri(i + 2).value
+            end = i + 3
+        try:
+            return Literal(tok[1:-1], datatype=datatype, language=language), end
+        except ValueError as exc:
+            raise self.error(str(exc), i) from None

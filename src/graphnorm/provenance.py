@@ -17,14 +17,18 @@ rules, a ``gn:normalisation`` node pointing at the rule sources::
         ] .
 
 The writer emits bracketed anonymous nodes and relative locator
-references; the reader here accepts them for this shape only (data graphs
-go through the strict parser). load_rules() fetches the n3 rules and the
-dlogic graphs, following owl:imports to a fixpoint, and compiles the
-dlogic to rules; recompute() is load_rules(), the dataset, and a recount
-with the dlogic as auxiliary support. The CLI's describe loads through
-load_rules() from the description's directory, as verify does. Locators
-resolve through an injected resolver; only local files are supported,
-and RIF rule sources are rejected as unsupported.
+references; the reader here accepts them for this shape only (data
+graphs go through the strict parser), and reads literals as data does,
+so a datatype must be an absolute IRI; an rdf:value is a number when
+typed xsd:integer or xsd:decimal in that type's lexical form. A
+Description states its dataset, normalisation and namespaces once.
+load_rules() fetches the n3 rules and the dlogic graphs, following
+owl:imports to a fixpoint, and compiles the dlogic to rules; recompute()
+is load_rules(), the dataset, and a recount with the dlogic as auxiliary
+support. The CLI's describe loads through load_rules() from the
+description's directory, as verify does. Locators resolve through an
+injected resolver; only local files are supported, and RIF rule sources
+are rejected as unsupported.
 """
 
 from __future__ import annotations
@@ -102,24 +106,14 @@ class NormalisationSpec(_Frozen):
         _set(self, "rule_sources", rule_sources)
 
 
-class StatDescription(NamedTuple):
-    dataset: str
-    dimension: str
-    value: int | Fraction
-    normalisation: NormalisationSpec
-
-
 class Description(NamedTuple):
-    dataset: str
-    items: tuple[StatDescription, ...]
-    namespaces: tuple[str, ...] = ()
+    """The (dimension IRI, value) pairs a description states, in document
+    order, repeats kept, with what every one of them was computed from."""
 
-    @property
-    def normalisation(self) -> NormalisationSpec:
-        specs = {item.normalisation for item in self.items}
-        if len(specs) > 1:
-            raise GraphNormError("description carries inconsistent normalisation specs")
-        return specs.pop() if specs else NormalisationSpec("none")
+    dataset: str
+    normalisation: NormalisationSpec
+    stated: tuple[tuple[str, int | Fraction], ...]
+    namespaces: NamespaceDecl | None = None
 
 
 Resolver = Callable[[str], str]
@@ -288,23 +282,14 @@ class _DescriptionReader(Reader):
         k = kind(tok)
         if k in (IRIREF, PNAME):
             return _Ref(self._name(i)), i + 1
-        if k in (INTEGER, DECIMAL):
-            return self._number(tok, i, k == DECIMAL), i + 1
-        if k == STRING:
-            lexical = tok[1:-1]
-            nxt = toks[i + 1]
-            if nxt[:1] == "@":
-                return lexical, i + 2
-            if nxt == "^^":
-                datatype = self._name(i + 2)
-                if datatype is None:
-                    raise self.error("expected a datatype IRI after '^^'", i + 2)
-                if datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
-                    return self._number(lexical, i, False), i + 3
-                if datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
-                    return self._number(lexical, i, True), i + 3
-                return lexical, i + 3
-            return lexical, i + 1
+        if k in (STRING, INTEGER, DECIMAL):
+            literal, end = self._literal(i)
+            lexical = literal.lexical
+            if literal.datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
+                return self._number(lexical, i, False), end
+            if literal.datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
+                return self._number(lexical, i, True), end
+            return lexical, end
         if k == "[":
             if self.depth == _MAX_NESTING:
                 raise self.error(f"anonymous nodes nest more than {_MAX_NESTING} deep", i)
@@ -404,7 +389,8 @@ def read_description(text: str, source: str | None = None,
     dataset, props = datasets[0]
     if not props.get(_VOID_STAT_ITEM):
         raise GraphNormError("description states no statistic: its void:Dataset has no void:statItem")
-    items: list[StatDescription] = []
+    specs: set[NormalisationSpec] = set()
+    stated: list[tuple[str, int | Fraction]] = []
     for item_node in props.get(_VOID_STAT_ITEM, []):
         if not isinstance(item_node, dict):
             raise GraphNormError("void:statItem must be an anonymous node")
@@ -413,17 +399,18 @@ def read_description(text: str, source: str | None = None,
         value = _one(item_node.get(_RDF_VALUE, []), "rdf:value")
         if not isinstance(value, (int, Fraction)):
             raise GraphNormError(f"rdf:value must be numeric, got {value!r}")
-        spec = _read_spec(item_node, gn_base)
-        items.append(StatDescription(str(dataset), str(dimension), value, spec))
-    namespaces = tuple(str(ref) for ref in _iris(props, gn_base + "namespace", "gn:namespace"))
-    if namespaces:
+        specs.add(_read_spec(item_node, gn_base))
+        stated.append((str(dimension), value))
+    if len(specs) > 1:
+        raise GraphNormError("description carries inconsistent normalisation specs")
+    prefixes = tuple(str(ref) for ref in _iris(props, gn_base + "namespace", "gn:namespace"))
+    namespaces = None
+    if prefixes:
         try:
-            NamespaceDecl(namespaces)
+            namespaces = NamespaceDecl(prefixes)
         except ValueError as exc:
             raise GraphNormError(f"{exc} in gn:namespace of {source or 'the description'}") from None
-    description = Description(str(dataset), tuple(items), namespaces)
-    description.normalisation  # reject inconsistent specs early
-    return description
+    return Description(str(dataset), specs.pop(), tuple(stated), namespaces)
 
 
 def load_dlogic(sources: Iterable[str], resolver: Resolver) -> Graph:
@@ -466,8 +453,7 @@ def recompute(description: Description, resolver: Resolver) -> StatsReport:
     rules, aux = load_rules(description.normalisation, resolver)
     terms = _Terms()
     data = _TurtleParser(resolver(description.dataset), description.dataset).parse(terms)
-    namespaces = NamespaceDecl(description.namespaces) if description.namespaces else None
-    return stats_report(_Materialization(terms, data, rules, aux), namespaces)
+    return stats_report(_Materialization(terms, data, rules, aux), description.namespaces)
 
 
 def compare_description(description: Description, report: StatsReport,
@@ -476,17 +462,16 @@ def compare_description(description: Description, report: StatsReport,
     values = {gn_base + name: value for name, value in zip(STAT_NAMES, report)}
     texts = {gn_base + name: text for name, text in stat_texts(report)}
     mismatches: list[str] = []
-    for item in description.items:
-        dim = item.dimension
+    for dim, value in description.stated:
         if dim not in values:
             mismatches.append(f"unknown dimension {dim}")
         elif values[dim] is None:
-            mismatches.append(f"{dim}: stated {item.value}, not recomputable")
-        elif item.value != canonical_ratio(values[dim]):
+            mismatches.append(f"{dim}: stated {value}, not recomputable")
+        elif value != canonical_ratio(values[dim]):
             # A ratio quotes the stated value in canonical text too; a count
             # quotes it as read.
-            stated = item.value
+            stated = value
             if not isinstance(values[dim], int):
-                stated = decimal_string(item.value)
+                stated = decimal_string(value)
             mismatches.append(f"{dim}: stated {stated}, recomputed {texts[dim]}")
     return mismatches

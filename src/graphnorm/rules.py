@@ -8,9 +8,11 @@ Rules are written in an N3-style syntax::
 
 ``=>`` yields one rule; ``<=>`` yields the forward and the reversed rule.
 A rule value is one this syntax can write, whether parsed or built in
-code: TriplePattern refuses a blank node, and Rule refuses a head variable
-its body does not bind, so forward application of a rule to ground facts
-always produces ground triples, and format_rules output always reads back.
+code: TriplePattern holds only IRIs, literals and variables, refusing a
+blank node, and Rule holds a tuple of TriplePatterns on each side and
+refuses a head variable its body does not bind, so forward application of
+a rule to ground facts always produces ground triples, and format_rules
+output always reads back.
 
 compile_schema turns a recognized RDFS/OWL fragment (domain, range,
 subClassOf, subPropertyOf, inverseOf, symmetric and transitive property
@@ -81,12 +83,16 @@ class TriplePattern(_Frozen):
     __slots__ = _fields = ("subject", "predicate", "object")
 
     def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+        terms = (subject, predicate, object)
+        if any(isinstance(term, BlankNode) for term in terms):
+            raise ValueError("a rule pattern cannot hold a blank node")
+        for term in terms:
+            if not isinstance(term, (IRI, Literal, Variable)):
+                raise TypeError(f"rule patterns hold IRI, Literal or Variable values, got {term!r}")
         if isinstance(subject, Literal):
             raise ValueError("a literal cannot be a pattern subject")
         if not isinstance(predicate, (IRI, Variable)):
             raise ValueError("a pattern predicate must be an IRI or a variable")
-        if isinstance(subject, BlankNode) or isinstance(object, BlankNode):
-            raise ValueError("a rule pattern cannot hold a blank node")
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
@@ -103,8 +109,12 @@ class TriplePattern(_Frozen):
 class Rule(_Frozen):
     __slots__ = _fields = ("body", "head", "label")
 
-    def __init__(self, body: tuple[TriplePattern, ...], head: tuple[TriplePattern, ...],
+    def __init__(self, body: Iterable[TriplePattern], head: Iterable[TriplePattern],
                  label: str | None = None) -> None:
+        body, head = tuple(body), tuple(head)
+        for pattern in body + head:
+            if not isinstance(pattern, TriplePattern):
+                raise TypeError(f"rules hold TriplePattern values, got {pattern!r}")
         if not body or not head:
             raise ValueError("rules need a non-empty body and head")
         bound = {t for p in body for t in p.terms()}
@@ -191,7 +201,7 @@ class _RuleParser(_TurtleParser):
     def _emit(self, rules, body, head, arrow: int) -> None:
         label = f"r{len(rules) + 1}"
         try:
-            rules.append(Rule(tuple(body), tuple(head), label))
+            rules.append(Rule(body, head, label))
         except UnsafeRuleError as exc:
             raise self._unsafe(f"unsafe rule {label}: {exc}", arrow) from None
 

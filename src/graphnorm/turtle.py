@@ -37,11 +37,7 @@ from .lex import (
 from .terms import (
     IRI,
     RDF_TYPE,
-    XSD_DECIMAL,
-    XSD_INTEGER,
     BlankNode,
-    Literal,
-    Triple,
     _Ids,
     _Terms,
     is_absolute_iri,
@@ -113,14 +109,11 @@ class _TurtleParser(Reader):
         return end
 
     def _iri(self, i: int) -> IRI:
+        """Reader's IRI, cached per token."""
         tok = self.toks[i]
         iri = self.iris.get(tok)
-        if iri is not None:
-            return iri
-        try:
-            iri = self.iris[tok] = IRI(self._iri_text(i))
-        except ValueError as exc:
-            raise self.error(str(exc), i) from None
+        if iri is None:
+            iri = self.iris[tok] = super()._iri(i)
         return iri
 
     def _term(self, i: int, position: str):
@@ -148,29 +141,6 @@ class _TurtleParser(Reader):
         article = "an" if position == "object" else "a"
         raise self.error(f"expected {article} {position} term, got {value(tok)!r}", i)
 
-    def _literal(self, i: int) -> tuple[Literal, int]:
-        """The literal starting at token i and the index after it."""
-        toks = self.toks
-        tok = toks[i]
-        k = kind(tok)
-        if k != STRING:
-            return Literal(tok, datatype=XSD_DECIMAL if k == DECIMAL else XSD_INTEGER), i + 1
-        nxt = toks[i + 1]
-        datatype = language = None
-        end = i + 1
-        if nxt[:1] == "@":
-            language = nxt[1:]
-            end = i + 2
-        elif nxt == "^^":
-            if kind(toks[i + 2]) not in (IRIREF, PNAME):
-                raise self.error("expected a datatype IRI after '^^'", i + 2)
-            datatype = self._iri(i + 2).value
-            end = i + 3
-        try:
-            return Literal(tok[1:-1], datatype=datatype, language=language), end
-        except ValueError as exc:
-            raise self.error(str(exc), i) from None
-
 
 def parse_turtle(text: str, source: str | None = None) -> Graph:
     """Parse Turtle subset text into term ids in a fresh dictionary, and
@@ -181,8 +151,7 @@ def parse_turtle(text: str, source: str | None = None) -> Graph:
     """
     terms = _Terms()
     triples = _TurtleParser(text, source).parse(terms)
-    t = terms.terms
-    return Graph([Triple(t[s], t[p], t[o]) for s, p, o in triples])
+    return Graph(map(terms.decode, triples))
 
 
 def serialize_turtle(graph: Graph) -> str:

@@ -227,10 +227,7 @@ def test_descriptions_verify_and_reemit_byte_identically(criterion, tmp_path):
             decl = NamespaceDecl(tuple(namespaces)) if namespaces else None
             report = compute_stats(parse_turtle(resolver(data)), rules, aux, decl)
 
-            stated = {
-                item.dimension: item.value
-                for item in read_description(first.stdout.decode("utf-8")).items
-            }
+            stated = dict(read_description(first.stdout.decode("utf-8")).stated)
             expected = {
                 DEFAULT_GN_BASE + "publishedTriples": report.published_cardinality,
                 DEFAULT_GN_BASE + "closureTriples": report.closure_cardinality,

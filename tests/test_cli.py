@@ -422,6 +422,17 @@ class TestDescribeVerify:
         assert self._verify_stating(workdir, capsys, stated) == (
             1, "", f"graphnorm: rdf:value must be numeric, got {lexical!r}\n")
 
+    def test_a_relative_datatype_is_a_placed_parse_error(self, workdir, capsys):
+        """A stated literal is read as data reads it: its datatype must be
+        an absolute IRI."""
+        code, out, err = self._verify_stating(workdir, capsys, '"4"^^<integer>')
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"graphnorm: desc\.ttl:\d+:\d+: relative IRI not allowed: 'integer'\n",
+                            err)
+        line, col = map(int, err.split(":")[2:4])
+        text = (workdir / "desc.ttl").read_text(encoding="utf-8")
+        assert text.splitlines()[line - 1][col - 1:].startswith("<integer>")
+
     @pytest.mark.parametrize("stated", [
         f'"4"^^<{XSD}integer>', f'"+4"^^<{XSD}integer>', f'"004"^^<{XSD}integer>',
         f'"4."^^<{XSD}decimal>', f'"+4.0"^^<{XSD}decimal>', "+4", "004", "4.0",

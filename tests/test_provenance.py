@@ -14,7 +14,6 @@ from graphnorm import (
     ParseError,
     ResolverError,
     RuleSource,
-    StatDescription,
     StatsReport,
     Triple,
     UnsupportedFeatureError,
@@ -25,6 +24,7 @@ from graphnorm import (
     recompute,
 )
 from graphnorm.provenance import DEFAULT_GN_BASE, _MAX_NESTING, _DescriptionReader
+from graphnorm.stats import STAT_NAMES, canonical_ratio
 
 from support import fixture_text
 
@@ -94,7 +94,7 @@ class TestEmit:
         text = emit_description("data.ttl", REPORT, MINI)
         desc = read_description(text)
         assert desc.dataset == "data.ttl"
-        values = {item.dimension: item.value for item in desc.items}
+        values = dict(desc.stated)
         assert values == {
             DEFAULT_GN_BASE + "publishedTriples": 4,
             DEFAULT_GN_BASE + "closureTriples": 6,
@@ -107,8 +107,8 @@ class TestEmit:
         ns = NamespaceDecl((EX,))
         text = emit_description("data.ttl", REPORT_WITH_DENSITIES, MINI, namespaces=ns)
         desc = read_description(text)
-        assert desc.namespaces == (EX,)
-        values = {item.dimension: item.value for item in desc.items}
+        assert desc.namespaces == ns
+        values = dict(desc.stated)
         assert values[DEFAULT_GN_BASE + "outLinkDensityPlus"] == Fraction(333333, 10**6)
         assert values[DEFAULT_GN_BASE + "outLinkDensityMinus"] == Fraction(1, 2)
 
@@ -127,7 +127,7 @@ class TestEmit:
         text = emit_description("data.ttl", REPORT, MINI, gn_base=base)
         assert f"@prefix gn: <{base}> ." in text
         desc = read_description(text, gn_base=base)
-        assert desc.items[0].dimension.startswith(base)
+        assert desc.stated[0][0].startswith(base)
 
     def test_integer_values_emitted_bare(self):
         text = emit_description("data.ttl", REPORT, MINI)
@@ -224,12 +224,13 @@ def test_every_accepted_locator_reads_back(dataset, namespace, locators, spoil):
         return
     desc = read_description(emit_description(dataset, REPORT_WITH_DENSITIES, spec,
                                              namespaces=ns))
-    assert desc.dataset == dataset
-
-    def key(src):
-        return src.format, src.locator
-    assert sorted(desc.normalisation.rule_sources, key=key) == sorted(spec.rule_sources, key=key)
-    assert desc.namespaces == ns.prefixes
+    # The writer groups the sources by format, in n3, dlogic, rif order,
+    # and states each value in canonical form, sorted by dimension.
+    grouped = sorted(spec.rule_sources, key=lambda src: ("n3", "dlogic", "rif").index(src.format))
+    stated = sorted((DEFAULT_GN_BASE + name, v if isinstance(v, int) else canonical_ratio(v))
+                    for name, v in zip(STAT_NAMES, REPORT_WITH_DENSITIES))
+    assert desc == Description(dataset, NormalisationSpec("mini_rdf", tuple(grouped)),
+                               tuple(stated), ns)
 
 
 class TestRead:
@@ -247,7 +248,7 @@ class TestRead:
             ' rdf:value "0.5"^^xsd:decimal ] .\n'
         )
         desc = read_description(text)
-        values = {item.dimension: item.value for item in desc.items}
+        values = dict(desc.stated)
         assert values["http://purl.org/gn#publishedTriples"] == 4
         assert values["http://purl.org/gn#redundancy"] == Fraction(1, 2)
 
@@ -293,10 +294,11 @@ class TestRead:
         ("007", 7),
         ("-0.5", Fraction(-1, 2)),
         (".5", Fraction(1, 2)),
+        ("4 ;", 4),  # a ';' may end the item's last pair
     ])
     def test_numeric_value_forms_read(self, text, value):
-        (item,) = read_description(_stating(text)).items
-        assert (type(item.value), item.value) == (type(value), value)
+        ((_, stated),) = read_description(_stating(text)).stated
+        assert (type(stated), stated) == (type(value), value)
 
     @pytest.mark.parametrize("more", [
         "; gn:normalisation [ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:dlogic <d.ttl> ] ]",
@@ -347,10 +349,10 @@ class TestRead:
 
     @pytest.mark.parametrize("constraints", ["", " ; gn:constraints [ a gn:ConstraintSet ]"])
     def test_a_mini_rdf_normalisation_reads_with_or_without_constraints(self, constraints):
-        (item,) = read_description(_stating(
+        desc = read_description(_stating(
             f"4 ; gn:normalisation [ a gn:MiniRDF ; gn:rules [ a gn:RuleSet ; gn:n3 <a.n3> ]"
-            f"{constraints} ]")).items
-        assert item.normalisation == NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
+            f"{constraints} ]"))
+        assert desc.normalisation == NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
 
     def test_inconsistent_specs_rejected(self):
         plain = NormalisationSpec("mini_rdf", (RuleSource("n3", "a.n3"),))
@@ -440,6 +442,8 @@ DESCRIPTION_PARSE_ERRORS = [
     ('"x" <http://e.org/p> 1 .', "expected a subject IRI, got 'x'", 1, 1),
     ('<d.ttl> "p" 1 .', "expected a predicate, got 'p'", 1, 9),
     ('<d.ttl> <http://e.org/p> "x"^^"y" .', "expected a datatype IRI after '^^'", 1, 31),
+    # a literal reads as in data, where a datatype must be an absolute IRI
+    ('<d.ttl> <http://e.org/p> "5"^^<integer> .', "relative IRI not allowed: 'integer'", 1, 31),
     ("<d.ttl> <http://e.org/p> _:b .",
      "labeled blank nodes are not supported in descriptions", 1, 26),
 ]
@@ -669,8 +673,9 @@ class TestRecompute:
         assert recomputed == plain
 
 
-def _stated(name: str, value) -> StatDescription:
-    return StatDescription("data.ttl", DEFAULT_GN_BASE + name, value, NormalisationSpec("none"))
+def _stating_only(*stated) -> Description:
+    """A description of data.ttl stating these (dimension IRI, value) pairs."""
+    return Description("data.ttl", NormalisationSpec("none"), stated)
 
 
 class TestCompareLines:
@@ -690,31 +695,31 @@ class TestCompareLines:
     ])
     def test_recomputable_items(self, dimension, stated, line):
         mismatches = compare_description(
-            Description("data.ttl", (_stated(dimension, stated),)), REPORT_WITH_DENSITIES)
+            _stating_only((DEFAULT_GN_BASE + dimension, stated)), REPORT_WITH_DENSITIES)
         assert mismatches == ([] if line is None else [DEFAULT_GN_BASE + line])
 
     def test_density_absent_from_the_report_is_not_recomputable(self):
-        items = (_stated("outLinkDensityPlus", Fraction("0.5")),
-                 _stated("outLinkDensityMinus", 0))
-        assert compare_description(Description("data.ttl", items), REPORT) == [
+        description = _stating_only((DEFAULT_GN_BASE + "outLinkDensityPlus", Fraction("0.5")),
+                                    (DEFAULT_GN_BASE + "outLinkDensityMinus", 0))
+        assert compare_description(description, REPORT) == [
             "http://purl.org/gn#outLinkDensityPlus: stated 1/2, not recomputable",
             "http://purl.org/gn#outLinkDensityMinus: stated 0, not recomputable",
         ]
 
     def test_unknown_dimensions(self):
-        items = (_stated("tripleFeeling", 4),
-                 StatDescription("data.ttl", "publishedTriples", 4, NormalisationSpec("none")),
-                 _stated("minimalTriples", 2))
-        assert compare_description(Description("data.ttl", items), REPORT) == [
+        description = _stating_only((DEFAULT_GN_BASE + "tripleFeeling", 4),
+                                    ("publishedTriples", 4),
+                                    (DEFAULT_GN_BASE + "minimalTriples", 2))
+        assert compare_description(description, REPORT) == [
             "unknown dimension http://purl.org/gn#tripleFeeling",
             "unknown dimension publishedTriples",
         ]
 
     def test_dimensions_follow_the_base(self):
         base = "http://stats.example/v#"
-        items = (StatDescription("data.ttl", base + "closureTriples", 5, NormalisationSpec("none")),
-                 _stated("closureTriples", 5))
-        assert compare_description(Description("data.ttl", items), REPORT, gn_base=base) == [
+        description = _stating_only((base + "closureTriples", 5),
+                                    (DEFAULT_GN_BASE + "closureTriples", 5))
+        assert compare_description(description, REPORT, gn_base=base) == [
             "http://stats.example/v#closureTriples: stated 5, recomputed 6",
             "unknown dimension http://purl.org/gn#closureTriples",
         ]

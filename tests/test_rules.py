@@ -140,6 +140,25 @@ class TestSafety:
             parse_rules(text, "r.n3")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("side", ["body", "head"])
+    def test_rule_refuses_an_empty_side(self, side):
+        pattern = TriplePattern(Variable("x"), IRI(EX + "p"), Variable("y"))
+        sides = {"body": (pattern,), "head": (pattern,), side: ()}
+        with pytest.raises(ValueError) as exc:
+            Rule(sides["body"], sides["head"])
+        assert str(exc.value) == "rules need a non-empty body and head"
+
+    @pytest.mark.parametrize("text, message", [
+        (f"{{ {{ ?x <{EX}p> ?y }} }} => {{ ?x a ?y }} .",
+         "r.n3:1:3: expected a pattern subject, got '{'"),
+        (f"{{ ?x <{EX}p> {{ ?y }} }} => {{ ?x a ?y }} .",
+         "r.n3:1:29: expected a pattern object, got '{'"),
+    ], ids=["subject", "object"])
+    def test_a_brace_inside_a_pattern_is_placed(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_rules(text, "r.n3")
+        assert str(exc.value) == message
+
     def test_ground_head_is_safe(self):
         rs = parse_rules(f"{{ ?x <{EX}p> ?y . }} => {{ <{EX}s> a <{EX}Seen> . }} .")
         assert len(rs) == 1
@@ -180,28 +199,50 @@ class TestRuleSet:
         assert parse_rules(format_rules(rs)) == rs
 
 
-# Pattern terms of every kind; blank nodes and literals are few, so that
-# most drawn rules are built and read back, not refused.
+# Pattern terms of every kind, and a Python string, which is no term;
+# blank nodes, literals and strings are few, so that most drawn rules are
+# built and read back, not refused.
 _PATTERN_TERMS = st.sampled_from([
     Variable("x"), Variable("y"), Variable("z"), Variable("o-"),
     IRI(EX + "p"), IRI(EX + "q"), RDF_TYPE,
     Literal("1", datatype=XSD_INTEGER), Literal('a"b\n', language="en"),
-    BlankNode("b"),
+    BlankNode("b"), "lit",
 ])
 _PATTERN_TRIPLES = st.lists(st.tuples(_PATTERN_TERMS, _PATTERN_TERMS, _PATTERN_TERMS),
                             min_size=1, max_size=3)
+# How a drawn side reaches Rule: as a tuple or a list of patterns, or as
+# a tuple of the bare term triples, which are no patterns.
+_SIDES = st.sampled_from(["tuple", "list", "bare"])
 
 
-@given(_PATTERN_TRIPLES, _PATTERN_TRIPLES)
+def _side(triples: list, form: str):
+    if form == "bare":
+        return tuple(triples)
+    patterns = [TriplePattern(*t) for t in triples]
+    return patterns if form == "list" else tuple(patterns)
+
+
+@given(_PATTERN_TRIPLES, _PATTERN_TRIPLES, _SIDES)
 @example([(Variable("x"), IRI(EX + "p"), Variable("y"))],
-         [(Variable("y"), RDF_TYPE, Literal("1", datatype=XSD_INTEGER))])
-def test_a_rule_value_is_refused_or_reads_back(body, head):
-    """Every Rule the library builds is one the rule language writes."""
+         [(Variable("y"), RDF_TYPE, Literal("1", datatype=XSD_INTEGER))], "tuple")
+@example([(Variable("x"), IRI(EX + "p"), Variable("y"))],
+         [(Variable("y"), RDF_TYPE, Variable("x"))], "list")
+@example([(Variable("x"), IRI(EX + "p"), Variable("y"))],
+         [(Variable("y"), RDF_TYPE, "lit")], "tuple")
+@example([(Variable("x"), IRI(EX + "p"), Variable("y"))],
+         [(Variable("y"), RDF_TYPE, Variable("x"))], "bare")
+def test_a_rule_value_is_refused_or_reads_back(body, head, form):
+    """Every Rule the library builds is one the rule language writes: a
+    value that is no term or no pattern is refused with a TypeError, and a
+    list of patterns is stored as a tuple."""
     try:
-        rule = Rule(tuple(TriplePattern(*t) for t in body),
-                    tuple(TriplePattern(*t) for t in head))
+        rule = Rule(_side(body, form), _side(head, form))
+    except TypeError:
+        assert form == "bare" or "lit" in (term for t in body + head for term in t)
+        return
     except (ValueError, UnsafeRuleError):
         return
+    assert (type(rule.body), type(rule.head)) == (tuple, tuple)
     rules = RuleSet([rule])
     assert parse_rules(format_rules(rules)) == rules
 
