@@ -8,10 +8,11 @@ of another predicate; atoms with a variable predicate look up indexes
 over all triples. Rules compile against the same dictionary:
 constants become term ids, variables negative ints. Only what a library
 function returns is decoded; the statistics count ids and the commands
-render them (render, each distinct term once). Ids follow first
-occurrence: in the text the CLI parses, or in a Graph's canonical order
-(_Terms.encode), then in the rules and the aux Graph. So neither the ids
-nor the order in which the store iterates follows the hash seed.
+render them (render, each distinct term once and one subject at a time).
+Ids follow first occurrence: in the text the CLI parses, or in a Graph's
+canonical order (_Terms.encode), then in the rules and the aux Graph.
+So neither the ids nor the order in which the store iterates follows the
+hash seed.
 
 closure() saturates a graph under safe rules with semi-naive iteration:
 each round only considers rule instantiations that touch a triple derived
@@ -61,6 +62,7 @@ store carries over to the next.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -78,7 +80,7 @@ _Step = tuple[itemgetter | None, int | None, itemgetter, list[tuple[int, int]]]
 # store files its indexes by key object. () is a single bucket: t[:0].
 _KEYS = {ks: itemgetter(*ks) if ks else itemgetter(slice(0))
          for ks in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
-_P, _O = _KEYS[(1,)], _KEYS[(2,)]
+_S, _P, _O = _KEYS[(0,)], _KEYS[(1,)], _KEYS[(2,)]
 _NO_INDEXES: dict = {}  # never mutated
 
 
@@ -139,9 +141,9 @@ _Plan = Callable[[Collection[_Ids], set[_Ids]], None]
 
 
 def _group(triples: Iterable[_Ids], key: itemgetter) -> dict[int, list[_Ids]]:
-    groups: dict[int, list[_Ids]] = {}
+    groups: defaultdict[int, list[_Ids]] = defaultdict(list)
     for t in triples:
-        groups.setdefault(key(t), []).append(t)
+        groups[key(t)].append(t)
     return groups
 
 
@@ -296,13 +298,28 @@ class _Materialization:
 
     def _line(self) -> Callable[[_Ids], str]:
         """An interned triple's line of serialize_turtle text, each distinct
-        term rendered once; sorting by it gives Graph iteration's order."""
+        term rendered once; sorting by it gives Graph iteration's order,
+        the order in which minimize tries its candidates."""
         texts = [term.ntriples() for term in self.terms.terms]
         return lambda t: f"{texts[t[0]]} {texts[t[1]]} {texts[t[2]]} .\n"
 
     def render(self, triples: Iterable[_Ids]) -> str:
-        """Interned triples as the text serialize_turtle gives for their Graph."""
-        return "".join(sorted(map(self._line(), triples)))
+        """Interned triples as the text serialize_turtle gives for their Graph,
+        each distinct term rendered once. The triples are grouped by subject,
+        the subjects ordered by their text and each one's "p o ." tails
+        sorted. That is the order of the whole lines, because where one
+        subject's text is a proper prefix of another's, the space after it
+        sorts below every character that can continue a term (the argument
+        is in graphnorm/terms.py)."""
+        texts = [term.ntriples() for term in self.terms.terms]
+        parts = []
+        groups = _group(triples, _S)
+        for s in sorted(groups, key=texts.__getitem__):
+            # head + head.join(tails) puts the subject before each tail
+            head = texts[s] + " "
+            parts.append(head)
+            parts.append(head.join(sorted([f"{texts[p]} {texts[o]} .\n" for _, p, o in groups[s]])))
+        return "".join(parts)
 
     def minimize(self) -> list[_Ids]:
         """reduce's survivors, as term ids in canonical order: irreducible,

@@ -60,6 +60,18 @@ _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
     "("
     + "|".join([
+        # Most tokens are prefixed names, so that alternative comes first,
+        # after the two for '_:', which it would otherwise take as a name
+        # with the prefix '_'. The order changes no token: no alternative
+        # these three have moved ahead of can match where one of them
+        # does. A name starts with a letter, '_' or ':', and of those
+        # alternatives only the dotted run starts so; it ends where the
+        # name characters end, before a character other than ':', where a
+        # prefixed name needs the ':'.
+        "_:" + _BLANK_LABEL,
+        "_:",  # no label: an error, not an empty prefix
+        # a prefixed name ends before any trailing dots
+        r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?",
         "<=>",
         "<" + _IRI_BODY + ">",
         _STRING_HEAD + '"',
@@ -67,17 +79,13 @@ _TOKEN = re.compile(
         r"\^\^",
         "=>",
         r"\?" + _VARIABLE_NAME,
-        "_:" + _BLANK_LABEL,
-        "_:",  # no label: an error, not an empty prefix
         # "4." is the integer 4 followed by a statement dot
         r"[+-]?(?:[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+)",
         r"[.;,{}\[\]]",
         # Words joined by dots with no ':' after them: matched whole, or the
-        # prefixed name below would rescan the run at each of its words.
+        # prefixed name above would rescan the run at each of its words.
         # tokenize splits the run into the tokens it is made of (_RUN_PART).
         r"[A-Za-z_][A-Za-z0-9_\-]*\.[0-9.\-]*[A-Za-z_][A-Za-z0-9_.\-]*(?![A-Za-z0-9_.\-:])",
-        # a prefixed name ends before any trailing dots
-        r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?",
         r"[A-Za-z_][A-Za-z0-9_\-]*",
         # a character that starts no token, or the end of the input
         r"(?s:.)",

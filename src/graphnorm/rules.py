@@ -162,6 +162,12 @@ class RuleSet:
         return hash(frozenset(self._rules))
 
     def __or__(self, other: "RuleSet") -> "RuleSet":
+        """The rules of both, in first-seen order. A set unioned with an
+        empty one is returned as it is, without hashing its rules again."""
+        if not other._rules:
+            return self
+        if not self._rules:
+            return other
         return RuleSet(self._rules + other._rules)
 
     def __repr__(self) -> str:

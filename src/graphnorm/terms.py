@@ -19,7 +19,10 @@ surrogates. The two orders could differ only where one term's rendering
 is a proper prefix of another's: in the line the shorter term is followed
 by a space (0x20), while every character that can continue a term sorts
 above it ('@', '^', '-', label characters), and no rendered IRI continues
-past its closing '>', which cannot occur inside an IRI.
+past its closing '>', which cannot occur inside an IRI. For the same
+reason the lines can be laid out one subject at a time, as the engine
+renders them: subjects in the order of their renderings, then each
+subject's sorted "predicate object ." tails.
 
 Terms and triples are immutable __slots__ objects that compute their hash
 once, at construction (_Hashed). Graphs, the parser and the engine's intern

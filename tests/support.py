@@ -11,6 +11,8 @@ import itertools
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from graphnorm import BlankNode, Graph, IRI, Literal, Triple, Variable, compile_schema
 from graphnorm.rules import (
     OWL_INVERSEOF,
@@ -20,10 +22,17 @@ from graphnorm.rules import (
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
 )
-from graphnorm.terms import RDF_TYPE
+from graphnorm.terms import RDF_TYPE, XSD_INTEGER
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# Tokens of every grammar the readers share, and characters that start none.
+FUZZ_TOKENS = ["-", "?o-", "?", "_:", "_:b", "@en", "@prefix", "@base", "<rel>",
+               "<http://e.org/x>", "<file:x>", "ex:", "ex:y", ":", "a", "{", "}", "[",
+               "]", "=>", "<=>", "^^", ".", ";", ",", '"x"', '"\\q"', "1", "-2.5",
+               "#", "\n", "\u00e9", "\\", "gn:rif", "gn:Closure", "rdf:value"]
 
 
 def fixture_text(name: str) -> str:
@@ -197,6 +206,23 @@ def sort_key(t: Triple) -> tuple[bytes, bytes, bytes]:
         t.predicate.ntriples().encode("utf-8"),
         t.object.ntriples().encode("utf-8"),
     )
+
+
+@st.composite
+def prefix_prone_triples(draw):
+    """Triples whose terms often render as proper prefixes of each other:
+    shared IRI prefixes, blank labels a/ab, a literal beside its @en,
+    @en-US and ^^xsd:integer forms, and control characters, non-ASCII and
+    astral characters inside literals and IRIs."""
+    iri = st.builds(lambda s: IRI("http://t.org/" + s),
+                    st.text(alphabet="ab/-\u00e9\uffff\U0001F600", max_size=3))
+    blank = st.sampled_from(["a", "ab", "a-b", "b"]).map(BlankNode)
+    literal = st.builds(
+        lambda lexical, suffix: Literal(lexical, **suffix),
+        st.text(alphabet='a\x00\x01\x1f "\\\n\u00e9\uffff\U0001F600', max_size=3),
+        st.sampled_from([{}, {"language": "en"}, {"language": "en-US"}, {"datatype": XSD_INTEGER}]),
+    )
+    return Triple(draw(st.one_of(iri, blank)), draw(iri), draw(st.one_of(iri, blank, literal)))
 
 
 def out_links(graph: Graph, namespaces) -> Graph:

@@ -41,7 +41,8 @@ from graphnorm.stats import stat_texts
 from graphnorm.rules import OWL_INVERSEOF, OWL_TRANSITIVE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASSOF
 from graphnorm.terms import RDF_TYPE
 
-from support import CLASS_NS, DATA_NS, FIXTURES, PRED_NS, cli_env, fixture_text, random_instance
+from support import (CLASS_NS, DATA_NS, FIXTURES, FUZZ_TOKENS, PRED_NS, cli_env, fixture_text,
+                     random_instance)
 
 LINKS = "http://example.org/links/"
 CHAIN = "http://example.org/chain/"
@@ -1176,11 +1177,6 @@ _FUZZ_ARGV = {
     "describe": ["describe", *_FUZZ_ARGS, "--namespace", "http://example.org/cat/"],
     "verify": ["verify", "desc.ttl"],
 }
-# Tokens of every grammar the readers share, and characters that start none.
-_FUZZ_TOKENS = ["-", "?o-", "?", "_:", "_:b", "@en", "@prefix", "@base", "<rel>",
-                "<http://e.org/x>", "<file:x>", "ex:", "ex:y", ":", "a", "{", "}", "[",
-                "]", "=>", "<=>", "^^", ".", ";", ",", '"x"', '"\\q"', "1", "-2.5",
-                "#", "\n", "\u00e9", "\\", "gn:rif", "gn:Closure", "rdf:value"]
 # The refusals that exit 1, as their messages begin. Each names what is
 # wrong with an input; none is an error of the program.
 _REFUSALS = (
@@ -1203,7 +1199,7 @@ _RULES_TEXT = fixture_text("rules.n3")
 @settings(max_examples=300, deadline=None)
 @given(target=st.sampled_from(sorted(_FUZZ_FILES)), command=st.sampled_from(sorted(_FUZZ_ARGV)),
        op=st.sampled_from(["delete", "insert", "duplicate"]), start=st.integers(0, 2000),
-       length=st.integers(0, 20), token=st.sampled_from(_FUZZ_TOKENS))
+       length=st.integers(0, 20), token=st.sampled_from(FUZZ_TOKENS))
 @example(target="rules", command="closure", op="insert",
          start=_RULES_TEXT.index("?o .") + 2, length=0, token="-")
 def test_a_mutated_input_ends_in_a_documented_exit(target, command, op, start, length, token):

@@ -185,8 +185,17 @@ class TestRuleSet:
     def test_union(self):
         a = parse_rules(f"{{ ?x <{EX}p> ?y . }} => {{ ?y <{EX}p> ?x . }} .")
         b = parse_rules(f"{{ ?x <{EX}q> ?y . }} => {{ ?x <{EX}p> ?y . }} .")
+        c = parse_rules(f"{{ ?x <{EX}r> ?y . }} => {{ ?x <{EX}q> ?y . }} .")
         assert len(a | b) == 2
         assert len(a | a) == 1
+        # duplicate-free, in first-seen order
+        assert (a | b | c).rules == (a | b | c | b | a).rules == a.rules + b.rules + c.rules
+        assert ((b | c) | (a | b)).rules == b.rules + c.rules + a.rules
+        # an empty operand leaves the other as it is
+        ab = a | b
+        for union in (EMPTY_RULESET | ab, ab | EMPTY_RULESET):
+            assert union == ab and union.rules == ab.rules
+        assert (EMPTY_RULESET | EMPTY_RULESET).rules == ()
 
     def test_format_round_trip(self):
         rs = parse_rules(

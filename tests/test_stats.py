@@ -25,8 +25,8 @@ from graphnorm import (
 from graphnorm.rules import EMPTY_RULESET
 from graphnorm.terms import BlankNode, Literal
 
-from support import (all_candidates, minimum_subset, naive_closure, out_links, random_instance,
-                     DATA_NS, EXT_NS, PRED_NS, CLASS_NS)
+from support import (all_candidates, minimum_subset, naive_closure, out_links,
+                     prefix_prone_triples, random_instance, DATA_NS, EXT_NS, PRED_NS, CLASS_NS)
 
 EX = "http://example.org/"
 
@@ -110,6 +110,15 @@ def test_counted_closure_text_matches_graph_definition(seed):
     aux = Graph(aux)
     expected = serialize_turtle(closure(graph | aux, rules).graph - (aux - graph))
     assert serialize_counted_closure(graph, rules, aux) == expected
+
+
+@given(st.lists(prefix_prone_triples(), max_size=30))
+def test_rendering_one_subject_at_a_time_keeps_the_line_order(triples):
+    """The interned text is laid out per subject; subjects whose renderings
+    are proper prefixes of each other (_:a and _:ab) must still come out in
+    the order of the whole lines."""
+    graph = Graph(triples)
+    assert serialize_counted_closure(graph, EMPTY_RULESET) == serialize_turtle(graph)
 
 
 class TestOutLinks:
