@@ -145,7 +145,7 @@ def _tell(line: str) -> None:
 
 def _namespaces(args: argparse.Namespace) -> NamespaceDecl | None:
     if args.namespace:
-        return NamespaceDecl(tuple(args.namespace))
+        return NamespaceDecl(args.namespace)
     return None
 
 
@@ -153,7 +153,7 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
     sources = [RuleSource("n3", path) for path in args.rules or []]
     sources.extend(RuleSource("dlogic", path) for path in args.dlogic or [])
     if sources:
-        return NormalisationSpec("mini_rdf", tuple(sources))
+        return NormalisationSpec("mini_rdf", sources)
     return NormalisationSpec("none")
 
 

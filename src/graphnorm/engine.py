@@ -350,6 +350,7 @@ class ClosureResult(_Frozen):
         _set(self, "graph", graph)
         _set(self, "derived_count", derived_count)
         _set(self, "rounds", rounds)
+        _set(self, "_hash", hash((graph, derived_count, rounds)))
 
 
 def closure(graph: Graph, rules: RuleSet) -> ClosureResult:

@@ -11,67 +11,57 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import InvalidValueError
-from .terms import _BLANK, IRI, Triple, _Ids, _Terms, is_absolute_iri
+from .terms import _BLANK, IRI, Triple, _Frozen, _Ids, _set, _Terms, is_absolute_iri
 
 
-class Graph:
+class Graph(_Frozen):
     """An immutable set of ground triples iterated in canonical order."""
 
-    __slots__ = ("_triples", "_sorted")
+    __slots__ = ("triples", "_sorted")
+    _fields = ("triples",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
         frozen = frozenset(triples)
         for t in frozen:
             if not isinstance(t, Triple):
                 raise TypeError(f"graphs hold Triple values, got {t!r}")
-        self._triples: frozenset[Triple] = frozen
-        self._sorted: tuple[Triple, ...] | None = None
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        return self._triples
+        _set(self, "triples", frozen)
+        _set(self, "_sorted", None)
+        _set(self, "_hash", hash((frozen,)))
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self.triples)
 
     def __bool__(self) -> bool:
-        return bool(self._triples)
+        return bool(self.triples)
 
     def __contains__(self, triple: object) -> bool:
-        return triple in self._triples
+        return triple in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
         if self._sorted is None:
             # One rendering per triple; the lines sort in canonical order
             # (see graphnorm.terms).
-            self._sorted = tuple(sorted(self._triples, key=Triple.ntriples))
+            _set(self, "_sorted", tuple(sorted(self.triples, key=Triple.ntriples)))
         return iter(self._sorted)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._triples == other._triples
-
-    def __hash__(self) -> int:
-        return hash(self._triples)
-
     def __or__(self, other: "Graph") -> "Graph":
-        return Graph(self._triples | other._triples)
+        return Graph(self.triples | other.triples)
 
     def __sub__(self, other: "Graph") -> "Graph":
-        return Graph(self._triples - other._triples)
+        return Graph(self.triples - other.triples)
 
     def __and__(self, other: "Graph") -> "Graph":
-        return Graph(self._triples & other._triples)
+        return Graph(self.triples & other.triples)
 
     def add(self, triple: Triple) -> "Graph":
-        return Graph(self._triples | {triple})
+        return Graph(self.triples | {triple})
 
     def discard(self, triple: Triple) -> "Graph":
-        return Graph(self._triples - {triple})
+        return Graph(self.triples - {triple})
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples)"
+        return f"Graph({len(self.triples)} triples)"
 
 
 EMPTY_GRAPH = Graph()

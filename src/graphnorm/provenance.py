@@ -92,18 +92,21 @@ class RuleSource(_Frozen):
             raise ValueError(f"unknown rule source format: {format!r}")
         _set(self, "format", format)
         _set(self, "locator", locator)
+        _set(self, "_hash", hash((format, locator)))
 
 
 class NormalisationSpec(_Frozen):
     __slots__ = _fields = ("kind", "rule_sources")
 
-    def __init__(self, kind: str, rule_sources: tuple[RuleSource, ...] = ()) -> None:
+    def __init__(self, kind: str, rule_sources: Iterable[RuleSource] = ()) -> None:
+        rule_sources = tuple(rule_sources)
         if kind not in _KINDS:
             raise ValueError(f"unknown normalisation kind: {kind!r}")
         if kind == "none" and rule_sources:
             raise ValueError("a 'none' normalisation cannot carry rule sources")
         _set(self, "kind", kind)
         _set(self, "rule_sources", rule_sources)
+        _set(self, "_hash", hash((kind, rule_sources)))
 
 
 class Description(NamedTuple):
@@ -126,6 +129,7 @@ class FileResolver(_Frozen):
 
     def __init__(self, base_dir: str = ".") -> None:
         _set(self, "base_dir", base_dir)
+        _set(self, "_hash", hash((base_dir,)))
 
     @staticmethod
     def reads(locator: str) -> bool:
@@ -370,7 +374,7 @@ def _read_spec(props: dict, gn_base: str) -> NormalisationSpec:
         for fmt in _SOURCE_FORMATS:
             for ref in _iris(rules_node, gn_base + fmt, "gn:" + fmt):
                 sources.append(RuleSource(fmt, str(ref)))
-    return NormalisationSpec(kind, tuple(sources))
+    return NormalisationSpec(kind, sources)
 
 
 def read_description(text: str, source: str | None = None,

@@ -96,6 +96,7 @@ class TriplePattern(_Frozen):
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
+        _set(self, "_hash", hash(terms))
 
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
@@ -125,6 +126,7 @@ class Rule(_Frozen):
         _set(self, "body", body)
         _set(self, "head", head)
         _set(self, "label", label)
+        _set(self, "_hash", hash((body, head)))
 
     def _key(self) -> tuple:
         return (self.body, self.head)  # the label is not part of a rule's identity
@@ -135,43 +137,35 @@ class Rule(_Frozen):
         return f"{{ {body} }} => {{ {head} }} ."
 
 
-class RuleSet:
-    """An ordered, duplicate-free collection of rules."""
+class RuleSet(_Frozen):
+    """An ordered, duplicate-free collection of rules. Two rule sets are
+    equal when they hold the same rules, in whatever order."""
 
-    __slots__ = ("_rules",)
+    __slots__ = _fields = ("rules",)
 
     def __init__(self, rules: Iterable[Rule] = ()):
-        self._rules: tuple[Rule, ...] = tuple(dict.fromkeys(rules))
+        unique = dict.fromkeys(rules)
+        for rule in unique:
+            if not isinstance(rule, Rule):
+                raise TypeError(f"rule sets hold Rule values, got {rule!r}")
+        _set(self, "rules", tuple(unique))
+        _set(self, "_hash", hash(frozenset(unique)))
 
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return self._rules
+    def _key(self) -> frozenset[Rule]:
+        return frozenset(self.rules)
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules)
+        return iter(self.rules)
 
     def __len__(self) -> int:
-        return len(self._rules)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RuleSet):
-            return NotImplemented
-        return frozenset(self._rules) == frozenset(other._rules)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._rules))
+        return len(self.rules)
 
     def __or__(self, other: "RuleSet") -> "RuleSet":
-        """The rules of both, in first-seen order. A set unioned with an
-        empty one is returned as it is, without hashing its rules again."""
-        if not other._rules:
-            return self
-        if not self._rules:
-            return other
-        return RuleSet(self._rules + other._rules)
+        """The rules of both, in first-seen order."""
+        return RuleSet(self.rules + other.rules)
 
     def __repr__(self) -> str:
-        return f"RuleSet({len(self._rules)} rules)"
+        return f"RuleSet({len(self.rules)} rules)"
 
 
 EMPTY_RULESET = RuleSet()

@@ -12,7 +12,7 @@ itself; the package's import loads none of them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .engine import _Materialization, materialize
 from .errors import EmptyGraphError, InvalidValueError
@@ -29,7 +29,8 @@ class NamespaceDecl(_Frozen):
 
     __slots__ = _fields = ("prefixes",)
 
-    def __init__(self, prefixes: tuple[str, ...]) -> None:
+    def __init__(self, prefixes: Iterable[str]) -> None:
+        prefixes = tuple(prefixes)
         if not prefixes:
             raise InvalidValueError("a namespace declaration needs at least one prefix")
         for p in prefixes:
@@ -40,6 +41,7 @@ class NamespaceDecl(_Frozen):
                 if a != b and b.startswith(a):
                     raise InvalidValueError(f"nested namespace prefixes: {a!r} contains {b!r}")
         _set(self, "prefixes", prefixes)
+        _set(self, "_hash", hash((prefixes,)))
 
     def owns(self, iri: str) -> bool:
         return any(iri.startswith(p) for p in self.prefixes)

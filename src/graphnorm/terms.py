@@ -24,10 +24,12 @@ reason the lines can be laid out one subject at a time, as the engine
 renders them: subjects in the order of their renderings, then each
 subject's sorted "predicate object ." tails.
 
-Terms and triples are immutable __slots__ objects that compute their hash
-once, at construction (_Hashed). Graphs, the parser and the engine's intern
-table hash every term and triple many times, and recomputing the hash from
-the fields on each set or dict operation cost more than the lookup itself.
+Terms, triples and every other value type of the package (patterns,
+rules, rule sets, graphs and the provenance records) are immutable
+__slots__ objects that store their hash once, at construction (_Frozen).
+Graphs, the parser and the engine's intern table hash every term and
+triple many times, and recomputing the hash from the fields on each set or
+dict operation cost more than the lookup itself.
 """
 
 from __future__ import annotations
@@ -74,25 +76,27 @@ class _Frozen:
     """Base of the package's immutable value types.
 
     A subclass lists its constructor arguments in _fields and keeps them
-    in __slots__. Two values are equal when they have the same class and
-    equal _key(), the _fields unless a subclass leaves one out of
-    equality. repr has the dataclass form, e.g. IRI(value='urn:x'),
-    which error messages embed.
+    in __slots__. Its __init__ sets each field once with _set and ends by
+    storing the hash of its _key() in _hash, so every value stores its
+    hash once. Two values are equal when they have the same class, the
+    same stored hash and equal _key(), the _fields unless a subclass
+    leaves one out of equality. repr has the dataclass form, e.g.
+    IRI(value='urn:x'), which error messages embed.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
+    def _key(self) -> object:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._hash == other._hash and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,23 +112,7 @@ class _Frozen:
         return (self.__class__, tuple([getattr(self, f) for f in self._fields]))
 
 
-class _Hashed(_Frozen):
-    """A _Frozen value whose __init__ stores its hash in _hash once: the
-    hash of the tuple of its _fields. Equality compares the class, then
-    the stored hash, then _key()."""
-
-    __slots__ = ("_hash",)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-class IRI(_Hashed):
+class IRI(_Frozen):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: str) -> None:
@@ -139,7 +127,7 @@ class IRI(_Hashed):
         return f"<{self.value}>"
 
 
-class BlankNode(_Hashed):
+class BlankNode(_Frozen):
     __slots__ = _fields = ("label",)
 
     def __init__(self, label: str) -> None:
@@ -162,7 +150,7 @@ def _escape(text: str) -> str:
     )
 
 
-class Literal(_Hashed):
+class Literal(_Frozen):
     __slots__ = _fields = ("lexical", "datatype", "language")
 
     def __init__(self, lexical: str, datatype: str | None = None,
@@ -189,7 +177,7 @@ class Literal(_Hashed):
         return text
 
 
-class Variable(_Hashed):
+class Variable(_Frozen):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
@@ -210,7 +198,7 @@ XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
 
 
-class Triple(_Hashed):
+class Triple(_Frozen):
     __slots__ = _fields = ("subject", "predicate", "object")
 
     def __init__(self, subject: IRI | BlankNode, predicate: IRI,

@@ -197,6 +197,12 @@ class TestRuleSet:
             assert union == ab and union.rules == ab.rules
         assert (EMPTY_RULESET | EMPTY_RULESET).rules == ()
 
+    def test_refuses_what_is_no_rule(self):
+        rule = parse_rules(f"{{ ?x <{EX}p> ?y . }} => {{ ?y <{EX}p> ?x . }} .").rules[0]
+        for items in (["x", 1], [rule, "x"], [rule.body[0]], [rule.body]):
+            with pytest.raises(TypeError, match="rule sets hold Rule values"):
+                RuleSet(items)
+
     def test_format_round_trip(self):
         rs = parse_rules(
             f"@prefix ex: <{EX}> .\n"
