@@ -213,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rules", action="append", metavar="FILE",
                         help="rule file ({ body } => { head } .); may repeat")
     parser.add_argument("--dlogic", action="append", metavar="FILE",
@@ -221,16 +221,16 @@ def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
                              "owl:imports followed; read, like --rules, from "
                              "the directory of a description being written; "
                              "may repeat")
+    parser.add_argument("--base", metavar="IRI",
+                        help="skolemize blank nodes under this IRI scope")
+    parser.add_argument("--output", metavar="FILE",
+                        help="write the result here instead of stdout")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, metavar="FILE",
                         help="data graph in Turtle")
-    _add_rule_flags(parser)
-    parser.add_argument("--base", metavar="IRI",
-                        help="skolemize blank nodes under this IRI scope")
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the result here instead of stdout")
+    _add_common_flags(parser)
 
 
 def _add_stat_flags(parser: argparse.ArgumentParser) -> None:
@@ -275,11 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete", metavar="FILE",
                    help="graph of deleted triples; parsed, but does not "
                         "change the result")
-    _add_rule_flags(p)
-    p.add_argument("--base", metavar="IRI",
-                   help="skolemize blank nodes under this IRI scope")
-    p.add_argument("--output", metavar="FILE",
-                   help="write the result here instead of stdout")
+    _add_common_flags(p)
     p.set_defaults(func=_cmd_diff_minimize)
 
     p = sub.add_parser("describe",

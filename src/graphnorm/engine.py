@@ -85,17 +85,17 @@ _NO_INDEXES: dict = {}  # never mutated
 
 
 class _Store:
-    """A mutable set of interned triples: in through update, out through
-    remove, looked up through _index. Indexes are kept per predicate, and
-    under None over all triples; each is built on the first lookup that
-    needs it and maintained by every later update and remove. Callers
-    must not mutate the store while iterating a bucket.
+    """A mutable set of interned triples, the set it is given and owns: in
+    through update, out through remove, looked up through _index. Indexes
+    are kept per predicate, and under None over all triples; each is built
+    on the first lookup that needs it and maintained by every later update
+    and remove. Callers must not mutate the store while iterating a bucket.
     """
 
     __slots__ = ("triples", "_indexes")
 
-    def __init__(self, triples: Iterable[_Ids]):
-        self.triples: set[_Ids] = set(triples)
+    def __init__(self, triples: set[_Ids]):
+        self.triples = triples
         self._indexes: dict[int | None, dict[itemgetter, dict]] = {}
 
     def update(self, triples: Collection[_Ids]) -> None:
@@ -236,11 +236,11 @@ def _rows(store: _Store, step: _Step, row: _Row) -> Iterator[_Row]:
 class _Materialization:
     """Input triples and rules interned in one dictionary, saturated: the
     compiled rules, the data and aux triples as term ids, the store, which
-    holds the whole closure, the number of rounds saturate() took, and the
-    data triples that some rule instance over the closure derives, which
-    only a materialization made to be minimized collects."""
+    owns their union and grows it into the closure, the rounds saturate()
+    took, and the data triples that some rule instance over the closure
+    derives, which only a materialization made to be minimized collects."""
 
-    __slots__ = ("terms", "rules", "data", "aux", "base", "store", "rounds", "derivable")
+    __slots__ = ("terms", "rules", "data", "aux", "store", "rounds", "derivable")
 
     def __init__(self, terms: _Terms, data: set[_Ids], rules: RuleSet, aux: Graph,
                  *, minimizes: bool = True):
@@ -252,8 +252,7 @@ class _Materialization:
             head = tuple(terms.compile(atom, variables) for atom in rule.head)
             self.rules.append((body, head))
         self.data, self.aux = data, terms.encode(aux)
-        self.base = data | self.aux
-        self.store = _Store(self.base)
+        self.store = _Store(data | self.aux)
         self.derivable: set[_Ids] | None = set() if minimizes else None
         self.rounds = self.saturate()
 
@@ -270,7 +269,7 @@ class _Materialization:
         # The predicates whose batches are split again by object.
         split = {key[0] for key in plans if isinstance(key, tuple)}
         rounds = 0
-        delta: Collection[_Ids] = self.base
+        delta: Collection[_Ids] = store.triples  # not written until the round ends
         while True:
             produced: set[_Ids] = set()
             for p, batch in _group(delta, _P).items():
@@ -357,7 +356,7 @@ def closure(graph: Graph, rules: RuleSet) -> ClosureResult:
     """Saturate the graph under the rules (semi-naive, to fixpoint)."""
     terms = _Terms()
     m = _Materialization(terms, terms.encode(graph), rules, EMPTY_GRAPH, minimizes=False)
-    derived = m.store.triples - m.base
+    derived = m.store.triples - m.data
     return ClosureResult(Graph(graph.triples.union(map(m.terms.decode, derived))),
                          len(derived), m.rounds)
 
@@ -376,7 +375,7 @@ class _Prover:
     """
 
     def __init__(self, m: _Materialization):
-        self.store = _Store(m.base)
+        self.store = _Store(m.data | m.aux)
         self._closed = m.store
         # Each head atom's rule compiled with that atom as the seed.
         self._heads: dict = {}

@@ -94,8 +94,8 @@ def stats_report(m: _Materialization, namespaces: NamespaceDecl | None = None) -
 
     if not m.data:
         raise EmptyGraphError("statistics are undefined for an empty graph")
+    minimal = m.minimize()  # first, so the counted closure is not held through the proofs
     counted = m.counted()
-    minimal = m.minimize()
     plus = minus = None
     if namespaces is not None:
         if not minimal:

@@ -47,8 +47,8 @@ from .terms import (
 class _TurtleParser(Reader):
     def __init__(self, text: str, source: str | None):
         super().__init__(text, source)
-        # Tokens to their IRIs, and to their term ids as a subject or object
-        # (ids) or as a predicate. A rebound prefix clears all three.
+        # Tokens to their term ids as a subject or object (ids) or as a
+        # predicate, and to datatype IRIs. A rebound prefix clears all three.
         self.iris: dict[str, IRI] = {}
         self.ids: dict[str, int] = {}
         self.predicates: dict[str, int] = {}
@@ -109,7 +109,8 @@ class _TurtleParser(Reader):
         return end
 
     def _iri(self, i: int) -> IRI:
-        """Reader's IRI, cached per token."""
+        """Reader's IRI, cached per token: a literal's datatype. _term
+        resolves without it, as parse caches the term ids it interns."""
         tok = self.toks[i]
         iri = self.iris.get(tok)
         if iri is None:
@@ -121,7 +122,7 @@ class _TurtleParser(Reader):
         tok = self.toks[i]
         k = kind(tok)
         if k in (IRIREF, PNAME):
-            return self._iri(i)
+            return super()._iri(i)
         if k == "a":
             if position != "predicate":
                 raise self.error("'a' is only valid in predicate position", i)

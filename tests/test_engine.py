@@ -270,7 +270,7 @@ def _check_lookups(store: _Store, probe) -> None:
 @settings(deadline=None, max_examples=300)
 @given(st.sets(_STORE_TRIPLES, max_size=8), _STORE_STEPS)
 def test_store_lookups_match_a_filter_of_its_triples(initial, steps):
-    store = _Store(initial)
+    store = _Store(set(initial))  # the store owns and mutates its set
     model = set(initial)
     for mutation, probe in steps:
         if mutation is not None:

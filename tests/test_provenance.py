@@ -446,6 +446,8 @@ DESCRIPTION_PARSE_ERRORS = [
     ('<d.ttl> <http://e.org/p> "5"^^<integer> .', "relative IRI not allowed: 'integer'", 1, 31),
     ("<d.ttl> <http://e.org/p> _:b .",
      "labeled blank nodes are not supported in descriptions", 1, 26),
+    (_stating("0.5").replace("gn:publishedTriples ; rdf:value", "gn:redundancy rdf:value"),
+     "expected ';' or end of node, got 'rdf:value'", 6, 49),
 ]
 
 

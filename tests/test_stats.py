@@ -22,6 +22,7 @@ from graphnorm import (
     serialize_turtle,
     StatsReport,
 )
+from graphnorm.engine import _Materialization
 from graphnorm.rules import EMPTY_RULESET
 from graphnorm.terms import BlankNode, Literal
 
@@ -196,6 +197,27 @@ class TestComputeStats:
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraphError):
             compute_stats(EMPTY_GRAPH, EMPTY_RULESET)
+
+    def test_minimize_returns_before_the_counted_closure_is_built(self, monkeypatch):
+        """The counted closure is as large as the closure; built first, it
+        would stay alive through every proof of minimize."""
+        events = []
+        minimize, counted = _Materialization.minimize, _Materialization.counted
+
+        def minimize_then_record(m):
+            kept = minimize(m)
+            events.append("minimize returned")
+            return kept
+
+        def record_then_count(m):
+            events.append("counted called")
+            return counted(m)
+
+        monkeypatch.setattr(_Materialization, "minimize", minimize_then_record)
+        monkeypatch.setattr(_Materialization, "counted", record_then_count)
+        compute_stats(Graph([t("a", "p", "b"), t("b", "p", "a")]), SYM,
+                      namespaces=NamespaceDecl((EX,)))
+        assert events == ["minimize returned", "counted called"]
 
     def test_minimization_emptied_by_aux_rejected_with_namespaces(self):
         shared = t("a", "p", "b")

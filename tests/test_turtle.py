@@ -202,6 +202,9 @@ POSITIONED_ERRORS = [
     # literals
     (S_P + '"x"^^"y" .', "expected a datatype IRI after '^^'", 1, 40),
     (S_P + '"x\ud800" .', "literal contains a lone surrogate: 'x\\ud800'", 1, 35),
+    # a token after the object quoted by its value: a variable's name, a tag's
+    (S_P + "<http://e.org/o> ?x .", "expected ';' or '.', got 'x'", 1, 52),
+    (S_P + "<http://e.org/o> @en .", "expected ';' or '.', got 'en'", 1, 52),
 ]
 
 
