@@ -12,6 +12,11 @@ Rule sources load through ``provenance.load_rules``, as in ``verify``. A
 command that writes a description reads every locator it records the way
 ``verify`` will: from the directory of ``--output``.
 
+The commands and their flags are declared once, in ``_COMMANDS``. A
+well-formed command line is read from that table directly; argparse,
+with gettext, is loaded only for ``--help`` and usage errors, so that
+they keep argparse's messages.
+
 ``main`` pauses the cyclic garbage collector while a command runs and
 switches it back on afterwards if it was on. Importing this module
 changes no interpreter-wide setting.
@@ -36,11 +41,11 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .errors import (
     GraphNormError,
@@ -65,6 +70,9 @@ from .stats import NamespaceDecl, stat_texts, stats_report
 from .terms import _Terms
 from .turtle import _TurtleParser
 
+if TYPE_CHECKING:
+    from argparse import ArgumentParser
+
 _EXIT_USAGE = 1
 _EXIT_PARSE = 2
 _EXIT_UNSAFE = 3
@@ -73,15 +81,6 @@ _EXIT_UNSUPPORTED = 5
 # The errors that main maps to a code other than _EXIT_USAGE.
 _EXIT_CODES = {ParseError: _EXIT_PARSE, UnsafeRuleError: _EXIT_UNSAFE,
                UnsupportedFeatureError: _EXIT_UNSUPPORTED}
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this tool reserves 2 for
-    parse errors in input files, so usage errors exit with 1."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _gn_base() -> str:
@@ -96,7 +95,7 @@ def _read_file(path: str) -> str:
             raise GraphNormError(f"cannot read {path!r}: {exc}") from None
 
 
-def _load(args: argparse.Namespace, minimizes: bool = True) -> _Materialization:
+def _load(args: SimpleNamespace, minimizes: bool = True) -> _Materialization:
     """The materialization of what a command reads, the data parsed into term
     ids, made to be minimized unless minimizes is false. A description reads
     its locators from its directory, as verify does, needs a local --dataset
@@ -143,13 +142,13 @@ def _tell(line: str) -> None:
         pass
 
 
-def _namespaces(args: argparse.Namespace) -> NamespaceDecl | None:
+def _namespaces(args: SimpleNamespace) -> NamespaceDecl | None:
     if args.namespace:
         return NamespaceDecl(args.namespace)
     return None
 
 
-def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
+def _description_spec(args: SimpleNamespace) -> NormalisationSpec:
     sources = [RuleSource("n3", path) for path in args.rules or []]
     sources.extend(RuleSource("dlogic", path) for path in args.dlogic or [])
     if sources:
@@ -157,19 +156,19 @@ def _description_spec(args: argparse.Namespace) -> NormalisationSpec:
     return NormalisationSpec("none")
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
+def _cmd_closure(args: SimpleNamespace) -> int:
     m = _load(args, minimizes=False)
     _write_output(m.render(m.counted()), args.output)
     return 0
 
 
-def _cmd_minimize(args: argparse.Namespace) -> int:
+def _cmd_minimize(args: SimpleNamespace) -> int:
     m = _load(args)
     _write_output(m.render(m.minimize()), args.output)
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: SimpleNamespace) -> int:
     m = _load(args)
     namespaces = _namespaces(args)
     report = stats_report(m, namespaces)
@@ -188,7 +187,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diff_minimize(args: argparse.Namespace) -> int:
+def _cmd_diff_minimize(args: SimpleNamespace) -> int:
     # The result is minimize of --full; stderr keeps its "fallback: false"
     # line for scripts that parse it. The other graphs are still read and
     # parsed, into a throwaway dictionary, so a missing or malformed one fails.
@@ -200,7 +199,7 @@ def _cmd_diff_minimize(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.description))
     description = read_description(_read_file(args.description), source=args.description,
                                    gn_base=_gn_base())
@@ -213,85 +212,128 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", action="append", metavar="FILE",
-                        help="rule file ({ body } => { head } .); may repeat")
-    parser.add_argument("--dlogic", action="append", metavar="FILE",
-                        help="schema graph in Turtle, compiled to rules, "
-                             "owl:imports followed; read, like --rules, from "
-                             "the directory of a description being written; "
-                             "may repeat")
-    parser.add_argument("--base", metavar="IRI",
-                        help="skolemize blank nodes under this IRI scope")
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the result here instead of stdout")
+# Each command's flags in add_argument's own terms: the option string (a
+# name without dashes is a positional) and its keywords. build_parser
+# declares them as they stand, and _read_argv reads their plain form.
+_COMMON_FLAGS = (
+    ("--rules", {"action": "append", "metavar": "FILE",
+                 "help": "rule file ({ body } => { head } .); may repeat"}),
+    ("--dlogic", {"action": "append", "metavar": "FILE",
+                  "help": "schema graph in Turtle, compiled to rules, owl:imports "
+                          "followed; read, like --rules, from the directory of a "
+                          "description being written; may repeat"}),
+    ("--base", {"metavar": "IRI", "help": "skolemize blank nodes under this IRI scope"}),
+    ("--output", {"metavar": "FILE", "help": "write the result here instead of stdout"}),
+)
+_DATA_FLAGS = (("--data", {"required": True, "metavar": "FILE",
+                           "help": "data graph in Turtle"}),) + _COMMON_FLAGS
+_STAT_FLAGS = _DATA_FLAGS + (
+    ("--namespace", {"action": "append", "metavar": "IRI",
+                     "help": "dataset namespace prefix for out-link densities; may repeat"}),
+    ("--dataset", {"metavar": "LOCATOR",
+                   "help": "dataset locator to record in descriptions "
+                           "(defaults to the --data path)"}),
+)
+
+# Each command's help, flags and the defaults set beside its flags.
+_COMMANDS = {
+    "closure": ("materialize the closure of a graph under rules", _DATA_FLAGS,
+                {"func": _cmd_closure}),
+    "minimize": ("remove triples the rules re-derive", _DATA_FLAGS, {"func": _cmd_minimize}),
+    "stats": ("compute cardinalities, redundancy and densities", _STAT_FLAGS + (
+        ("--format", {"choices": ("table", "tsv", "turtle"), "default": "table",
+                      "help": "output format (default: table)"}),
+    ), {"func": _cmd_stats}),
+    "diff-minimize": ("the minimal graph of an updated graph (minimize of --full)", (
+        ("--prev-min", {"required": True, "metavar": "FILE",
+                        "help": "previous minimal graph in Turtle; parsed, but does "
+                                "not change the result"}),
+        ("--full", {"required": True, "metavar": "FILE", "dest": "data",
+                    "help": "the updated full graph in Turtle"}),
+        ("--insert", {"metavar": "FILE", "help": "graph of inserted triples; parsed, "
+                                                 "but does not change the result"}),
+        ("--delete", {"metavar": "FILE", "help": "graph of deleted triples; parsed, "
+                                                 "but does not change the result"}),
+    ) + _COMMON_FLAGS, {"func": _cmd_diff_minimize}),
+    "describe": ("emit a machine-readable description of the statistics", _STAT_FLAGS,
+                 {"func": _cmd_stats, "format": "turtle"}),
+    "verify": ("recompute a description's statistics and compare", (
+        ("description", {"metavar": "FILE", "help": "description to verify"}),
+        ("--output", {"metavar": "FILE", "help": "write the report here instead of stdout"}),
+    ), {"func": _cmd_verify}),
+}
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, metavar="FILE",
-                        help="data graph in Turtle")
-    _add_common_flags(parser)
+def build_parser() -> ArgumentParser:
+    """The argparse tree of _COMMANDS. Only --help and the argv that
+    _read_argv leaves to it need it, so only they import argparse."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with 2 on usage errors; this tool reserves 2 for
+        parse errors in input files, so usage errors exit with 1."""
 
-def _add_stat_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--namespace", action="append", metavar="IRI",
-                        help="dataset namespace prefix for out-link "
-                             "densities; may repeat")
-    parser.add_argument("--dataset", metavar="LOCATOR",
-                        help="dataset locator to record in descriptions "
-                             "(defaults to the --data path)")
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphnorm",
                      description="Provenance-qualified statistics over RDF graphs.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("closure", help="materialize the closure of a graph under rules")
-    _add_data_flags(p)
-    p.set_defaults(func=_cmd_closure)
-
-    p = sub.add_parser("minimize", help="remove triples the rules re-derive")
-    _add_data_flags(p)
-    p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("stats", help="compute cardinalities, redundancy and densities")
-    _add_data_flags(p)
-    _add_stat_flags(p)
-    p.add_argument("--format", choices=("table", "tsv", "turtle"), default="table",
-                   help="output format (default: table)")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("diff-minimize",
-                       help="the minimal graph of an updated graph (minimize of --full)")
-    p.add_argument("--prev-min", required=True, metavar="FILE",
-                   help="previous minimal graph in Turtle; parsed, but does "
-                        "not change the result")
-    p.add_argument("--full", required=True, metavar="FILE", dest="data",
-                   help="the updated full graph in Turtle")
-    p.add_argument("--insert", metavar="FILE",
-                   help="graph of inserted triples; parsed, but does not "
-                        "change the result")
-    p.add_argument("--delete", metavar="FILE",
-                   help="graph of deleted triples; parsed, but does not "
-                        "change the result")
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_diff_minimize)
-
-    p = sub.add_parser("describe",
-                       help="emit a machine-readable description of the statistics")
-    _add_data_flags(p)
-    _add_stat_flags(p)
-    p.set_defaults(func=_cmd_stats, format="turtle")
-
-    p = sub.add_parser("verify",
-                       help="recompute a description's statistics and compare")
-    p.add_argument("description", metavar="FILE", help="description to verify")
-    p.add_argument("--output", metavar="FILE",
-                   help="write the report here instead of stdout")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (text, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments build_parser would give argv, if argv has the plain
+    form: a command, then exact --flag value pairs and verify's one
+    positional, no value starting with '-'. None for any other argv: -h,
+    an abbreviation, --flag=value, --, a flag the command lacks, a missing
+    value, positional or required flag, an extra positional, a --format
+    outside its choices. build_parser reads those, or refuses them with
+    argparse's messages."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, defaults = _COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    options: dict[str, tuple[str, dict]] = {}
+    positionals: list[str] = []
+    required: list[str] = []
+    for flag, keywords in flags:
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        values[dest] = keywords.get("default")
+        if flag.startswith("-"):
+            options[flag] = dest, keywords
+            if keywords.get("required"):
+                required.append(dest)
+        else:
+            positionals.append(dest)
+    values.update(defaults)  # set_defaults wins over a flag's default, as in argparse
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = word
+            continue
+        if word not in options:
+            return None
+        dest, keywords = options[word]
+        value = next(words, None)
+        choices = keywords.get("choices")
+        if value is None or value.startswith("-") or choices and value not in choices:
+            return None
+        if keywords.get("action") == "append":
+            values[dest] = (values[dest] or []) + [value]
+        else:
+            values[dest] = value
+    if positionals or any(values[dest] is None for dest in required):
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -299,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read_argv(argv) or build_parser().parse_args(argv, SimpleNamespace())
         try:
             return args.func(args)
         except MemoryError:

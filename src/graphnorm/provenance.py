@@ -80,8 +80,10 @@ _MAX_NESTING = 16
 _KINDS = ("none", "closure", "mini_rdf")
 # The lexical forms of xsd:integer and xsd:decimal; int() and Fraction() also
 # read "3/4", "1e5", " 2 " and "1_0", and Fraction expands an exponent in full.
-_XSD_INTEGER = re.compile(r"[+-]?[0-9]+")
-_XSD_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+# Only the description reader matches them, so re's cache compiles them there
+# on first use, not at import.
+_XSD_INTEGER = r"[+-]?[0-9]+"
+_XSD_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 
 
 class RuleSource(_Frozen):
@@ -289,9 +291,9 @@ class _DescriptionReader(Reader):
         if k in (STRING, INTEGER, DECIMAL):
             literal, end = self._literal(i)
             lexical = literal.lexical
-            if literal.datatype == XSD_INTEGER and _XSD_INTEGER.fullmatch(lexical):
+            if literal.datatype == XSD_INTEGER and re.fullmatch(_XSD_INTEGER, lexical):
                 return self._number(lexical, i, False), end
-            if literal.datatype == XSD_DECIMAL and _XSD_DECIMAL.fullmatch(lexical):
+            if literal.datatype == XSD_DECIMAL and re.fullmatch(_XSD_DECIMAL, lexical):
                 return self._number(lexical, i, True), end
             return lexical, end
         if k == "[":

@@ -89,13 +89,16 @@ def compute_stats(graph: Graph, rules: RuleSet, aux: Graph = EMPTY_GRAPH,
 
 def stats_report(m: _Materialization, namespaces: NamespaceDecl | None = None) -> StatsReport:
     """All statistics of a materialization, counted on term ids: its counted
-    closure, and the kept ids of its minimize (reduce's survivors undecoded)."""
+    closure, and the kept ids of its minimize (reduce's survivors undecoded).
+    The counted closure is the store less the aux triples that are not
+    data, all of them in the store; it is counted, never built."""
     from fractions import Fraction
 
     if not m.data:
         raise EmptyGraphError("statistics are undefined for an empty graph")
-    minimal = m.minimize()  # first, so the counted closure is not held through the proofs
-    counted = m.counted()
+    minimal = m.minimize()
+    uncounted = m.aux - m.data
+    closure = len(m.store.triples) - len(uncounted)
     plus = minus = None
     if namespaces is not None:
         if not minimal:
@@ -105,13 +108,14 @@ def stats_report(m: _Materialization, namespaces: NamespaceDecl | None = None) -
         owned = [isinstance(x, IRI) and namespaces.owns(x.value) for x in m.terms.terms]
         external = [isinstance(x, IRI) and not own for x, own in zip(m.terms.terms, owned)]
 
-        def density(triples) -> Fraction:
-            return Fraction(sum(1 for s, _, o in triples if owned[s] and external[o]), len(triples))
+        def out_links(triples) -> int:
+            return sum(1 for s, _, o in triples if owned[s] and external[o])
 
-        plus, minus = density(counted), density(minimal)
+        plus = Fraction(out_links(m.store.triples) - out_links(uncounted), closure)
+        minus = Fraction(out_links(minimal), len(minimal))
     return StatsReport(
         published_cardinality=len(m.data),
-        closure_cardinality=len(counted),
+        closure_cardinality=closure,
         minimal_cardinality=len(minimal),
         redundancy=Fraction(1) - Fraction(len(minimal), len(m.data)),
         out_link_density_plus=plus,

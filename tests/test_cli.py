@@ -942,14 +942,21 @@ def test_importing_the_cli_leaves_the_collector_alone():
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_main_pauses_the_collector_and_leaves_it_as_found(workdir, capsys, monkeypatch,
                                                           argv, expected, enabled):
-    paused = []
-    build = cli.build_parser
+    """main reads every argv through _read_argv with the collector paused;
+    only the usage error goes on to argparse."""
+    paused, built = [], []
+    read, build = cli._read_argv, cli.build_parser
 
-    def recording():
+    def reading(words):
         paused.append(not gc.isenabled())
+        return read(words)
+
+    def building():
+        built.append(argv)
         return build()
 
-    monkeypatch.setattr(cli, "build_parser", recording)
+    monkeypatch.setattr(cli, "_read_argv", reading)
+    monkeypatch.setattr(cli, "build_parser", building)
     (workdir / "bad.ttl").write_text("ex:a ex:b ex:c .\n", encoding="utf-8")
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -960,6 +967,7 @@ def test_main_pauses_the_collector_and_leaves_it_as_found(workdir, capsys, monke
         (gc.enable if was else gc.disable)()
     assert code == expected
     assert paused == [True]
+    assert built == ([argv] if argv == ["closure"] else [])
     assert after is enabled
 
 
@@ -984,8 +992,8 @@ for line in sys.stdin.read().splitlines():
 ], ids=["minimize", "stats", "describe-verify", "diff-minimize"])
 def test_a_command_leaves_no_more_cyclic_garbage_on_a_larger_graph(workdir, commands):
     """main pauses the collector because a command's data holds no
-    reference cycles: what gc.collect() frees after a command (argparse's
-    parser tree) does not grow with the graph."""
+    reference cycles: what gc.collect() frees after a command does not
+    grow with the graph."""
     write_chain_graph(workdir)
     (workdir / "three.ttl").write_text("".join(
         f"<{CHAIN}x{i}> <{CHAIN}next> <{CHAIN}x{i + 1}> .\n" for i in range(3)), encoding="utf-8")
@@ -1023,6 +1031,95 @@ def test_a_minimize_process_loads_no_decimal_arithmetic(tmp_path):
                             text=True, env=cli_env("0"))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n0 []\n"
+
+
+def test_a_well_formed_command_loads_no_argparse(tmp_path, monkeypatch):
+    """argparse, with gettext, is imported only for --help and usage
+    errors: minimize, describe and verify processes load neither, and
+    minimize --help still prints build_parser's help."""
+    (tmp_path / "d.ttl").write_text(f"<{CHAIN}a> <{CHAIN}p> <{CHAIN}b> .\n", encoding="utf-8")
+    commands = ["minimize --data d.ttl --output m.ttl", "describe --data d.ttl --output desc.ttl",
+                "verify desc.ttl --output v.txt"]
+    probe = ("import sys, graphnorm.cli; "
+             f"print([graphnorm.cli.main(a.split()) for a in {commands!r}], "
+             "[m for m in ('argparse', 'gettext') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                            text=True, env=cli_env("0"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] []\n"
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    result = subprocess.run([sys.executable, "-m", "graphnorm", "minimize", "--help"],
+                            cwd=tmp_path, capture_output=True, text=True,
+                            env={**cli_env("0"), "COLUMNS": "80"})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["minimize", "--help"])
+    assert (result.returncode, result.stdout) == (0, out.getvalue())
+
+
+_FLAGS = ["--data", "--rules", "--dlogic", "--base", "--output", "--namespace", "--dataset",
+          "--format", "--prev-min", "--full", "--insert", "--delete"]
+_PLAIN_VALUES = ["d.ttl", "desc.ttl", "table", "tsv", "turtle", "closure", ""]
+_ODD_VALUES = ["csv", "-", "-1", "-d", "--", "-h"]
+_ODD_WORDS = ["--out", "--dat", "--data=d.ttl", "--format=tsv", "-h", "--help", "--", "nope"]
+
+
+@st.composite
+def _argv(draw):
+    """A command line near the plain form: mostly a command, then in any
+    order its required flags, its positional and other flags, each with a
+    plain value. One word in eight is of another kind: an abbreviation,
+    --flag=value, -h, --, a value starting with '-' or outside --format's
+    choices, a flag of another command, or a flag without its value at the
+    end; and one required word in eight is left out."""
+    def odd():
+        return draw(st.integers(0, 7)) == 0
+
+    def pick(plain, other):
+        return draw(st.sampled_from(other if odd() else plain))
+
+    command = pick(list(cli._COMMANDS), _ODD_WORDS)
+    flags = cli._COMMANDS[command][1] if command in cli._COMMANDS else ()
+    own = [flag for flag, _ in flags if flag.startswith("-")] or _FLAGS
+    chunks = [[flag, pick(_PLAIN_VALUES, _ODD_VALUES)] if flag.startswith("-")
+              else [pick(_PLAIN_VALUES, _ODD_VALUES)]
+              for flag, keywords in flags
+              if keywords.get("required", not flag.startswith("-")) and not odd()]
+    for _ in range(draw(st.integers(0, 5))):
+        chunks.append([pick(own, _FLAGS + _ODD_WORDS), pick(_PLAIN_VALUES, _ODD_VALUES)])
+    argv = [command] + [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+    return argv + pick([[]], [["--output"], ["--data"], ["d.ttl"]])
+
+
+def _argparse_vars(argv):
+    """vars() of what build_parser reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_the_plain_reader_reads_as_argparse_or_leaves_argv_to_it(argv):
+    read = cli._read_argv(argv)
+    assert read is None or vars(read) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--data", "d.ttl", "--output", "c.ttl", "--output", "last.ttl"],
+    ["minimize", "--rules", "a.n3", "--data", "", "--rules", "b.n3", "--dlogic", "s.ttl"],
+    ["stats", "--data", "d.ttl", "--namespace", "http://e/", "--format", "tsv", "--dataset", "x"],
+    ["stats", "--data", "stats"],
+    ["diff-minimize", "--full", "f.ttl", "--prev-min", "p.ttl", "--delete", "x", "--base", "b"],
+    ["describe", "--data", "d.ttl", "--output", "desc.ttl"],
+    ["verify", "--output", "v.txt", "desc.ttl"],
+])
+def test_the_plain_form_of_each_command_is_read_without_argparse(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and vars(read) == _argparse_vars(argv)
 
 
 def write_chain_graph(workdir):

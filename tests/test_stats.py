@@ -198,26 +198,21 @@ class TestComputeStats:
         with pytest.raises(EmptyGraphError):
             compute_stats(EMPTY_GRAPH, EMPTY_RULESET)
 
-    def test_minimize_returns_before_the_counted_closure_is_built(self, monkeypatch):
-        """The counted closure is as large as the closure; built first, it
-        would stay alive through every proof of minimize."""
-        events = []
-        minimize, counted = _Materialization.minimize, _Materialization.counted
+    def test_statistics_count_the_closure_without_building_it(self, monkeypatch):
+        """The counted closure is as large as the closure; the statistics
+        take its size and out-links from the store, so no copy of it is
+        made, and none is alive through the proofs of minimize."""
+        def refuse(m):
+            raise AssertionError("counted() called")
 
-        def minimize_then_record(m):
-            kept = minimize(m)
-            events.append("minimize returned")
-            return kept
-
-        def record_then_count(m):
-            events.append("counted called")
-            return counted(m)
-
-        monkeypatch.setattr(_Materialization, "minimize", minimize_then_record)
-        monkeypatch.setattr(_Materialization, "counted", record_then_count)
-        compute_stats(Graph([t("a", "p", "b"), t("b", "p", "a")]), SYM,
-                      namespaces=NamespaceDecl((EX,)))
-        assert events == ["minimize returned", "counted called"]
+        monkeypatch.setattr(_Materialization, "counted", refuse)
+        shared = t("a", "p", "b")
+        link, aux_link = (Triple(IRI(EX + s), IRI(EX + "q"), IRI("http://x.org/" + s))
+                          for s in "ac")
+        report = compute_stats(Graph([shared, t("b", "p", "a"), link]), SYM,
+                               Graph([shared, aux_link]), NamespaceDecl((EX,)))
+        assert report.closure_cardinality == 3
+        assert report.out_link_density_plus == Fraction(1, 3)
 
     def test_minimization_emptied_by_aux_rejected_with_namespaces(self):
         shared = t("a", "p", "b")
